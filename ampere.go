@@ -299,14 +299,13 @@ func Snapshot() ObsSnapshot { return obs.Default.Snapshot() }
 func ResetMetrics() { obs.Default.Reset() }
 
 // ServeObs serves the observability endpoints (/metrics OpenMetrics
-// text, /metrics/stream SSE, /metrics/snapshot JSON, /healthz,
-// /debug/vars expvar, /trace Chrome trace-event JSON, /debug/pprof
-// profiling) on addr (":0" picks a free port). It returns the bound
-// address and a shutdown function. The server stops when ctx is
-// cancelled or shutdown is called, whichever comes first; either way
-// in-flight handlers (including live /metrics/stream feeds) are
-// drained gracefully rather than the listener goroutine leaking for
-// the process lifetime.
+// text, /metrics/snapshot JSON, /healthz, /debug/vars expvar, /trace
+// Chrome trace-event JSON, /debug/pprof profiling) on addr (":0" picks
+// a free port). It returns the bound address and a shutdown function.
+// The server stops when ctx is cancelled or shutdown is called,
+// whichever comes first; either way in-flight handlers are drained
+// gracefully rather than the listener goroutine leaking for the process
+// lifetime.
 func ServeObs(ctx context.Context, addr string) (bound string, shutdown func(), err error) {
 	return obs.Serve(ctx, addr, obs.Default)
 }
@@ -320,10 +319,9 @@ type MetricsRecorder = obs.Recorder
 // library's registry every interval (<= 0 selects the default 1s) until
 // ctx is cancelled. While a recorder is installed, ServeObs additionally
 // answers /metrics/range (raw points or windowed min/max/mean
-// aggregates) and /metrics/query (rate over counters,
-// quantile-over-window), and /healthz judges its health rules over
-// recent windows instead of cumulative totals. The returned recorder's
-// Store gives direct query access in-process.
+// aggregates), and /healthz judges its health rules over recent windows
+// instead of cumulative totals. The returned recorder's Store gives
+// direct range access in-process.
 func RecordHistory(ctx context.Context, interval time.Duration) *MetricsRecorder {
 	if interval <= 0 {
 		interval = obs.DefaultHistoryInterval

@@ -28,7 +28,6 @@
 //	robustness [-profile]      accuracy-vs-fault-rate sweep under injected faults
 //	runs [-ledger]             list, filter and diff recorded run manifests
 //	top [-addr]                live terminal dashboard of a running attack
-//	serve [-addr]              HTTP job API with admission control and drain
 //	resume <checkpoint>        continue an interrupted supervised run
 //
 // The global -faults flag (none|flaky-sysfs|stale-sensor|noisy-sched|
@@ -56,7 +55,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/imagenet"
 	"repro/internal/jobs"
-	"repro/internal/jobs/kinds"
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/internal/obs/ledger"
@@ -109,9 +107,9 @@ func noteResumedSpec(kind, faultProfile string, faultIntensity float64) {
 	runMeta.faultIntensity = faultIntensity
 }
 
-// faultSpec keeps the raw global fault flags for commands that route
-// through the job engine, whose checkpoints record the profile by name
-// and intensity rather than as a resolved rate table.
+// faultSpec keeps the raw global fault flags for `characterize
+// -checkpoint`, whose checkpoints record the profile by name and
+// intensity rather than as a resolved rate table.
 var faultSpec struct {
 	name      string
 	intensity float64
@@ -128,11 +126,11 @@ func run() int {
 	//	amperebleed [-obs] [-obs-addr host:port] <command> [flags]
 	//
 	// -obs prints a metrics snapshot after the command; -obs-addr serves
-	// expvar, net/http/pprof, and /metrics/snapshot while it runs.
+	// the obs HTTP endpoints while it runs.
 	obsText := flag.Bool("obs", false, "print an observability snapshot after the command")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /metrics/stream, /healthz, /debug/pprof and /metrics/snapshot on this address while the command runs")
+	obsAddr := flag.String("obs-addr", "", "expose /metrics, /metrics/snapshot, /metrics/range, /healthz, /trace, /debug/vars and /debug/pprof on this address while the command runs")
 	obsHold := flag.Duration("obs-hold", 0, "keep the -obs-addr server up this long after the command completes (for scraping a finished run)")
-	history := flag.Bool("history", false, "record a metrics time series while the command runs (served on /metrics/range and /metrics/query, rendered as sparklines by `top`)")
+	history := flag.Bool("history", false, "record a metrics time series while the command runs (served on /metrics/range, rendered as sparklines by `top`)")
 	historyInterval := flag.Duration("history-interval", obs.DefaultHistoryInterval, "sampling interval of the -history recorder")
 	logLevel := flag.String("log-level", "warn", "structured log level: debug|info|warn|error")
 	logFormat := flag.String("log-format", "text", "structured log format: text|json")
@@ -208,9 +206,9 @@ func run() int {
 			stopServe()
 			shutdown()
 		}()
-		fmt.Fprintf(os.Stderr, "obs: serving http://%s/metrics (OpenMetrics), /metrics/stream (SSE), /healthz and /debug/pprof/\n", bound)
+		fmt.Fprintf(os.Stderr, "obs: serving http://%s/metrics (OpenMetrics), /metrics/snapshot, /healthz and /debug/pprof/\n", bound)
 		if *history {
-			fmt.Fprintf(os.Stderr, "obs: recording metrics history every %v; query /metrics/range and /metrics/query\n", *historyInterval)
+			fmt.Fprintf(os.Stderr, "obs: recording metrics history every %v; query /metrics/range\n", *historyInterval)
 		}
 	}
 	switch cmd {
@@ -250,8 +248,6 @@ func run() int {
 		err = cmdRuns(args)
 	case "top":
 		err = cmdTop(args, profile)
-	case "serve":
-		err = cmdServe(runCtx, args)
 	case "resume":
 		err = cmdResume(runCtx, args)
 	case "help", "-h", "--help":
@@ -345,16 +341,16 @@ func usage() {
 global flags (before the command):
   -obs            print an observability snapshot (metrics, spans, events)
                   after the command completes
-  -obs-addr ADDR  serve /metrics (OpenMetrics text), /metrics/stream
-                  (SSE), /healthz, /debug/pprof, /debug/vars (expvar),
-                  /trace (Chrome trace-event JSON) and /metrics/snapshot
-                  (JSON) on ADDR while the command runs
+  -obs-addr ADDR  expose /metrics (OpenMetrics text), /metrics/snapshot
+                  (JSON), /metrics/range (with -history), /healthz,
+                  /trace (Chrome trace-event JSON), /debug/vars (expvar)
+                  and /debug/pprof on ADDR while the command runs
   -obs-hold DUR   keep the -obs-addr server up DUR after the command
                   completes, so a finished run can still be scraped
   -history        record a metrics time series while the command runs;
-                  the -obs-addr server then answers /metrics/range and
-                  /metrics/query, /healthz judges rules over recent
-                  windows, and top renders per-panel sparklines
+                  the -obs-addr server then answers /metrics/range,
+                  /healthz judges rules over recent windows, and top
+                  renders per-panel sparklines
   -history-interval DUR
                   sampling interval of the -history recorder (1s)
   -log-level L    structured log level: debug|info|warn|error (warn)
@@ -386,12 +382,9 @@ commands:
   detect        watch the FPGA sensor and report workload transitions
   covert        transmit bits over the FPGA->CPU covert channel
   runs          list, filter and diff run-ledger manifests
-  top           live terminal dashboard (-addr streams from a running
+  top           live terminal dashboard (-addr polls a running
                 -obs-addr server; without -addr a demo workload runs
                 in-process; -once renders a single frame and exits)
-  serve         HTTP job API (submit/status/cancel supervised runs with
-                admission control; SIGTERM drains to round-barrier
-                checkpoints)
   resume        continue an interrupted supervised run from its
                 checkpoint file; completed shards replay, the result is
                 byte-identical to an uninterrupted run`)
@@ -642,7 +635,7 @@ func cmdCharacterize(ctx context.Context, args []string, profile *faults.Profile
 	}
 	noteRun(*seed, *parallel)
 	if *checkpoint != "" {
-		cfg, err := json.Marshal(kinds.CharacterizeJobConfig{
+		cfg, err := json.Marshal(jobs.CharacterizeConfig{
 			Levels:            *levels,
 			SamplesPerLevel:   *samples,
 			DisableStabilizer: *noStab,
@@ -651,7 +644,7 @@ func cmdCharacterize(ctx context.Context, args []string, profile *faults.Profile
 			return err
 		}
 		spec := jobs.Spec{
-			Kind:           "characterize",
+			Kind:           jobs.CharacterizeKind,
 			RunID:          fmt.Sprintf("characterize-%d-%d", os.Getpid(), time.Now().Unix()),
 			Seed:           *seed,
 			Board:          "zcu102",
@@ -664,17 +657,7 @@ func cmdCharacterize(ctx context.Context, args []string, profile *faults.Profile
 		if faultSpec.name == "none" {
 			spec.FaultProfile, spec.FaultIntensity = "", 0
 		}
-		out, agg, err := kindExecutor(ctx, spec)
-		if out != nil {
-			noteLineage(spec.RunID, out.ParentRunID, out.ResumedShards)
-		}
-		if err != nil {
-			return err
-		}
-		for key, reason := range out.Quarantined {
-			fmt.Fprintf(os.Stderr, "characterize: shard %s quarantined: %s\n", key, reason)
-		}
-		return renderAggregate(agg)
+		return runCharacterizeJob(ctx, "characterize", spec)
 	}
 	res, err := core.Characterize(core.CharacterizeConfig{
 		Seed:              *seed,

@@ -18,11 +18,12 @@ import (
 	"repro/internal/sysfs"
 )
 
-// cmdTop is the live terminal dashboard. With -addr it consumes the SSE
-// /metrics/stream of a running `amperebleed -obs-addr ...` process (any
-// command, even in another terminal or machine); without -addr it runs
-// a small in-process demo workload — one pass through every pipeline
-// stage the panels cover — and renders from the Default registry.
+// cmdTop is the live terminal dashboard. With -addr it polls the
+// /metrics/snapshot endpoint of a running `amperebleed -obs-addr ...`
+// process (any command, even in another terminal or machine); without
+// -addr it runs a small in-process demo workload — one pass through
+// every pipeline stage the panels cover — and polls the Default
+// registry. Either way one snapshot is drawn per -interval tick.
 func cmdTop(args []string, profile *faults.Profile) error {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	addr := fs.String("addr", "", "host:port or URL of a running -obs-addr server (empty = in-process demo workload)")
@@ -33,25 +34,39 @@ func cmdTop(args []string, profile *faults.Profile) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := (runFlags{Top: true, TopInterval: *interval}).validate(); err != nil {
+		return err
+	}
 	noteRun(*seed, 0)
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
+	// fetch and hist read one snapshot and the sparkline history from
+	// wherever the dashboard points; done reports the in-process demo's
+	// end (nil for a remote server, which the dashboard watches until
+	// interrupted).
+	var (
+		source string
+		fetch  func() (obs.Snapshot, error)
+		hist   func() *top.History
+		done   chan error
+	)
 	if *addr != "" {
-		base := *addr
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
+		source = *addr
+		if !strings.Contains(source, "://") {
+			source = "http://" + source
 		}
+		fetch = func() (obs.Snapshot, error) { return top.FetchSnapshot(ctx, source) }
 		// History is best-effort: a 501 (server without -history) turns
 		// the hist lines off for good; transient fetch errors skip one
 		// frame's history rather than killing the dashboard.
 		histDisabled := false
-		fetchHist := func() *top.History {
+		hist = func() *top.History {
 			if histDisabled {
 				return nil
 			}
-			h, err := top.FetchHistory(ctx, base, top.HistorySeries, *histWindow, 0)
+			h, err := top.FetchHistory(ctx, source, top.HistorySeries, *histWindow, 0)
 			if errors.Is(err, top.ErrHistoryDisabled) {
 				histDisabled = true
 				return nil
@@ -61,64 +76,68 @@ func cmdTop(args []string, profile *faults.Profile) error {
 			}
 			return h
 		}
+	} else {
+		source = "in-process demo"
+		fetch = func() (obs.Snapshot, error) { return obs.Default.Snapshot(), nil }
+		// In-process history comes straight from the Default registry's
+		// recorder when the global -history flag started one; without it
+		// the dashboard renders historyless.
+		hist = func() *top.History {
+			return top.HistoryFromRecorder(obs.Default.History(), top.HistorySeries, *histWindow, 0)
+		}
 		if *once {
-			snap, err := top.FetchSnapshot(ctx, base)
-			if err != nil {
+			if err := topDemo(ctx, *seed, profile); err != nil {
 				return err
 			}
-			return printFrame(snap, base, fetchHist())
+		} else {
+			done = make(chan error, 1)
+			go func() { done <- topDemo(ctx, *seed, profile) }()
 		}
-		sc := top.NewScreen(os.Stdout)
-		defer sc.Close()
-		var prev *obs.Snapshot
-		err := top.Stream(ctx, base, *interval, func(s obs.Snapshot) error {
-			sc.Draw(top.Frame(s, prev, top.Options{Source: base, History: fetchHist()}))
-			cp := s
-			prev = &cp
-			return nil
-		})
-		if errors.Is(err, context.Canceled) {
-			err = nil
-		}
-		return err
 	}
 
-	// In-process mode reads history straight from the Default registry's
-	// recorder when the global -history flag started one; without it
-	// localHist returns nil and the dashboard renders historyless.
-	localHist := func() *top.History {
-		return top.HistoryFromRecorder(obs.Default.History(), top.HistorySeries, *histWindow, 0)
-	}
 	if *once {
-		if err := topDemo(ctx, *seed, profile); err != nil {
+		snap, err := fetch()
+		if err != nil {
 			return err
 		}
-		return printFrame(obs.Default.Snapshot(), "in-process demo", localHist())
+		return printFrame(snap, source, hist())
 	}
 
-	// Live in-process mode: the demo runs in the background while the
-	// dashboard draws from a registry subscription at the refresh rate.
-	done := make(chan error, 1)
-	go func() { done <- topDemo(ctx, *seed, profile) }()
-	sub := obs.Subscribe(*interval, 0)
-	defer sub.Close()
 	sc := top.NewScreen(os.Stdout)
 	defer sc.Close()
 	var prev *obs.Snapshot
-	draw := func(s obs.Snapshot) {
-		sc.Draw(top.Frame(s, prev, top.Options{Source: "in-process demo", History: localHist()}))
-		cp := s
-		prev = &cp
+	draw := func() error {
+		s, err := fetch()
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil
+			}
+			return err
+		}
+		sc.Draw(top.Frame(s, prev, top.Options{Source: source, History: hist()}))
+		prev = &s
+		return nil
+	}
+	ticker := time.NewTicker(*interval)
+	defer ticker.Stop()
+	// An immediate first frame: a dashboard attaching mid-run should not
+	// stare at a blank screen for one full interval.
+	if err := draw(); err != nil {
+		return err
 	}
 	for {
 		select {
 		case <-ctx.Done():
 			return nil
 		case err := <-done:
-			draw(obs.Default.Snapshot())
+			if derr := draw(); err == nil {
+				err = derr
+			}
 			return err
-		case s := <-sub.C():
-			draw(s)
+		case <-ticker.C:
+			if err := draw(); err != nil {
+				return err
+			}
 		}
 	}
 }

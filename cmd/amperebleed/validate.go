@@ -30,6 +30,10 @@ type runFlags struct {
 	// recorder's -history-interval, only constrained when History is on.
 	History         bool
 	HistoryInterval time.Duration
+	// Top marks a `top` invocation; TopInterval is its -interval refresh
+	// period, only constrained when Top is set.
+	Top         bool
+	TopInterval time.Duration
 }
 
 // validate returns the first problem found, phrased in terms of the
@@ -49,6 +53,9 @@ func (f runFlags) validate() error {
 	}
 	if f.History && f.HistoryInterval <= 0 {
 		return fmt.Errorf("-history-interval must be > 0 when -history is on (got %v)", f.HistoryInterval)
+	}
+	if f.Top && f.TopInterval <= 0 {
+		return fmt.Errorf("-interval must be > 0 (got %v)", f.TopInterval)
 	}
 	return nil
 }

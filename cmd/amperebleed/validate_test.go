@@ -28,6 +28,9 @@ func TestRunFlagsValidate(t *testing.T) {
 		{name: "history without interval", flags: runFlags{History: true}, wantErr: "-history-interval must be > 0"},
 		{name: "history negative interval", flags: runFlags{History: true, HistoryInterval: -time.Second}, wantErr: "-history-interval must be > 0"},
 		{name: "interval without history is ignored", flags: runFlags{HistoryInterval: -time.Second}},
+		{name: "top with interval", flags: runFlags{Top: true, TopInterval: time.Second}},
+		{name: "top zero interval", flags: runFlags{Top: true}, wantErr: "-interval must be > 0"},
+		{name: "top negative interval", flags: runFlags{Top: true, TopInterval: -time.Second}, wantErr: "-interval must be > 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

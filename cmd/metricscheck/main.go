@@ -5,10 +5,8 @@
 //   - OpenMetrics text (/metrics): scrape, validate structure (TYPE
 //     metadata, counter conventions, histogram bucket monotonicity, the
 //     # EOF terminator), and optionally require specific families.
-//   - SSE snapshots (/metrics/stream): read N frames and validate each
-//     embedded snapshot's invariants (-stream N).
-//   - History JSON (/metrics/range, /metrics/query): decode and run the
-//     schema validators (-range / -query).
+//   - History JSON (/metrics/range): decode and run the schema
+//     validator (-range).
 //
 // Usage:
 //
@@ -16,15 +14,12 @@
 //	metricscheck -url http://host:port/metrics
 //	metricscheck -require sim_ticks,core_sampler_samples FILE
 //	some-scraper | metricscheck -     # validate stdin
-//	metricscheck -stream 3 -url http://host:port
 //	curl -s '.../metrics/range?...' | metricscheck -range -
-//	metricscheck -query -url 'http://host:port/metrics/query?series=...&fn=rate'
 //
 // Exit status: 0 valid, 1 invalid or unreachable, 2 usage error.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -39,40 +34,17 @@ import (
 )
 
 func main() {
-	url := flag.String("url", "", "scrape this URL instead of reading a file (for -stream: the server base URL)")
+	url := flag.String("url", "", "scrape this URL instead of reading a file")
 	require := flag.String("require", "", "comma-separated family names that must be present")
 	quiet := flag.Bool("q", false, "suppress the summary line (errors still print)")
 	timeout := flag.Duration("timeout", 10*time.Second, "HTTP timeout for -url")
-	streamN := flag.Int("stream", 0, "read this many SSE frames from /metrics/stream and validate each snapshot")
 	rangeMode := flag.Bool("range", false, "validate a /metrics/range JSON response instead of an OpenMetrics exposition")
-	queryMode := flag.Bool("query", false, "validate a /metrics/query JSON response instead of an OpenMetrics exposition")
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "metricscheck: "+format+"\n", args...)
 		os.Exit(1)
 	}
-	modes := 0
-	for _, on := range []bool{*streamN > 0, *rangeMode, *queryMode} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "metricscheck: -stream, -range and -query are mutually exclusive")
-		os.Exit(2)
-	}
-	if *streamN > 0 {
-		if *url == "" {
-			fmt.Fprintln(os.Stderr, "metricscheck: -stream needs -url pointing at a running obs server")
-			os.Exit(2)
-		}
-		if err := checkStream(*url, *streamN, *timeout, *quiet); err != nil {
-			fail("%v", err)
-		}
-		return
-	}
-
 	var in io.ReadCloser
 	var src string
 	switch {
@@ -101,12 +73,12 @@ func main() {
 		defer f.Close()
 		in, src = f, flag.Arg(0)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: metricscheck [-url URL | FILE | -] [-require fam1,fam2] [-stream N | -range | -query]")
+		fmt.Fprintln(os.Stderr, "usage: metricscheck [-url URL | FILE | -] [-require fam1,fam2] [-range]")
 		os.Exit(2)
 	}
 
-	if *rangeMode || *queryMode {
-		if err := checkHistoryJSON(in, src, *rangeMode, *quiet); err != nil {
+	if *rangeMode {
+		if err := checkRangeJSON(in, src, *quiet); err != nil {
 			fail("%v", err)
 		}
 		return
@@ -142,148 +114,26 @@ func main() {
 	}
 }
 
-// checkHistoryJSON decodes a /metrics/range or /metrics/query response
-// and runs its schema validator.
-func checkHistoryJSON(in io.Reader, src string, isRange, quiet bool) error {
-	data, err := io.ReadAll(in)
-	if err != nil {
-		return fmt.Errorf("%s: %v", src, err)
-	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+// checkRangeJSON decodes a /metrics/range response and runs its schema
+// validator.
+func checkRangeJSON(in io.Reader, src string, quiet bool) error {
+	dec := json.NewDecoder(in)
 	dec.DisallowUnknownFields()
-	if isRange {
-		var rr obs.RangeResponse
-		if err := dec.Decode(&rr); err != nil {
-			return fmt.Errorf("%s: decoding range response: %v", src, err)
-		}
-		if err := rr.Validate(); err != nil {
-			return fmt.Errorf("%s: %v", src, err)
-		}
-		if !quiet {
-			points, windows := 0, 0
-			for _, sr := range rr.Series {
-				points += len(sr.Points)
-				windows += len(sr.Windows)
-			}
-			fmt.Printf("%s: valid range response: %d series, %d points, %d windows (%s clock)\n",
-				src, len(rr.Series), points, windows, rr.Clock)
-		}
-		return nil
+	var rr obs.RangeResponse
+	if err := dec.Decode(&rr); err != nil {
+		return fmt.Errorf("%s: decoding range response: %v", src, err)
 	}
-	var qr obs.QueryResponse
-	if err := dec.Decode(&qr); err != nil {
-		return fmt.Errorf("%s: decoding query response: %v", src, err)
-	}
-	if err := qr.Validate(); err != nil {
+	if err := rr.Validate(); err != nil {
 		return fmt.Errorf("%s: %v", src, err)
 	}
 	if !quiet {
-		fmt.Printf("%s: valid query response: fn=%s series=%s, %d points over %d samples\n",
-			src, qr.Fn, qr.SeriesName, len(qr.Points), qr.Count)
-	}
-	return nil
-}
-
-// checkStream connects to baseURL's /metrics/stream SSE endpoint, reads
-// n frames, and validates each embedded snapshot.
-func checkStream(baseURL string, n int, timeout time.Duration, quiet bool) error {
-	base := baseURL
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	u := strings.TrimRight(base, "/")
-	if !strings.Contains(u, "/metrics/stream") {
-		u += "/metrics/stream"
-	}
-	client := &http.Client{Timeout: timeout}
-	req, err := http.NewRequest(http.MethodGet, u, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", u, resp.Status)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	frames := 0
-	var data strings.Builder
-	for sc.Scan() && frames < n {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if data.Len() == 0 {
-				continue
-			}
-			frames++
-			var snap obs.Snapshot
-			if err := json.Unmarshal([]byte(data.String()), &snap); err != nil {
-				return fmt.Errorf("%s: frame %d: decoding snapshot: %v", u, frames, err)
-			}
-			if err := validateSnapshot(snap); err != nil {
-				return fmt.Errorf("%s: frame %d: %v", u, frames, err)
-			}
-			data.Reset()
-		case strings.HasPrefix(line, "data:"):
-			data.WriteString(strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " "))
+		points, windows := 0, 0
+		for _, sr := range rr.Series {
+			points += len(sr.Points)
+			windows += len(sr.Windows)
 		}
-	}
-	if err := sc.Err(); err != nil && frames < n {
-		return fmt.Errorf("%s: after %d frame(s): %v", u, frames, err)
-	}
-	if frames < n {
-		return fmt.Errorf("%s: stream ended after %d of %d frame(s)", u, frames, n)
-	}
-	if !quiet {
-		fmt.Printf("%s: %d valid snapshot frame(s)\n", u, frames)
-	}
-	return nil
-}
-
-// validateSnapshot checks the structural invariants every snapshot
-// frame must satisfy, whatever the workload.
-func validateSnapshot(s obs.Snapshot) error {
-	if s.TakenAt.IsZero() {
-		return fmt.Errorf("snapshot has a zero taken_at timestamp")
-	}
-	for name, v := range s.Counters {
-		if name == "" {
-			return fmt.Errorf("snapshot has an unnamed counter")
-		}
-		if v < 0 {
-			return fmt.Errorf("counter %s is negative (%d)", name, v)
-		}
-	}
-	for name, h := range s.Histograms {
-		if h.Count < 0 {
-			return fmt.Errorf("histogram %s has negative count %d", name, h.Count)
-		}
-		if h.Count == 0 {
-			continue
-		}
-		if h.Min > h.Max {
-			return fmt.Errorf("histogram %s: min %g > max %g", name, h.Min, h.Max)
-		}
-		if h.Mean < h.Min || h.Mean > h.Max {
-			return fmt.Errorf("histogram %s: mean %g outside [%g, %g]", name, h.Mean, h.Min, h.Max)
-		}
-		for _, q := range []struct {
-			name string
-			v    float64
-		}{{"p50", h.P50}, {"p95", h.P95}, {"p99", h.P99}} {
-			if q.v < h.Min || q.v > h.Max {
-				return fmt.Errorf("histogram %s: %s %g outside [%g, %g]", name, q.name, q.v, h.Min, h.Max)
-			}
-		}
-		if h.P50 > h.P95 || h.P95 > h.P99 {
-			return fmt.Errorf("histogram %s: quantiles not monotone (p50 %g, p95 %g, p99 %g)",
-				name, h.P50, h.P95, h.P99)
-		}
+		fmt.Printf("%s: valid range response: %d series, %d points, %d windows (%s clock)\n",
+			src, len(rr.Series), points, windows, rr.Clock)
 	}
 	return nil
 }

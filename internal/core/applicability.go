@@ -106,24 +106,6 @@ func normalizeApplicability(cfg ApplicabilityConfig) (ApplicabilityConfig, error
 	return cfg, nil
 }
 
-// ApplicabilityBoard runs the Table I survey for one named board — the
-// per-shard unit of Applicability, exported for the supervised job
-// engine. The board seed derives from cfg.Seed and the board name
-// exactly as in the full survey, so a supervised run reproduces the
-// same rows the one-shot survey does.
-func ApplicabilityBoard(ctx context.Context, cfg ApplicabilityConfig, name string) (BoardApplicability, error) {
-	cfg, err := normalizeApplicability(cfg)
-	if err != nil {
-		return BoardApplicability{}, err
-	}
-	for _, spec := range board.Catalog() {
-		if spec.Name == name {
-			return applicabilityOne(ctx, cfg, spec)
-		}
-	}
-	return BoardApplicability{}, fmt.Errorf("core: unknown board %q", name)
-}
-
 func applicabilityOne(ctx context.Context, cfg ApplicabilityConfig, spec board.Spec) (BoardApplicability, error) {
 	b, err := board.Wire(spec, board.Config{
 		Seed:   captureSeed(cfg.Seed, "applicability/"+spec.Name, 0),

@@ -31,11 +31,11 @@
 // barriers, and scripts/chaos_resume.sh holds it against a real
 // kill -9.
 //
-// The counter-banking guarantee is per-process: a server running
-// multiple jobs concurrently (amperebleed serve) still gets durable,
-// exactly-resumable *results*, but its banked counters include
-// whatever else the process was doing. The byte-identical-manifest
-// property is for one job per process, which is how the CLI paths run.
+// The counter-banking guarantee is per-process: banked counters include
+// whatever else the process was doing, so the byte-identical-manifest
+// property holds for one job per process, which is how the CLI runs
+// `characterize -checkpoint` and `resume`. Characterize is the one
+// experiment the engine runs; Run itself is generic over shard keys.
 package jobs
 
 import (
@@ -70,9 +70,8 @@ var (
 
 // Spec parameterizes a supervised job.
 type Spec struct {
-	// Kind names the experiment type ("characterize", ...); it is the
-	// registry key under which the job's planner is registered and part
-	// of the checkpoint identity.
+	// Kind names the experiment type (CharacterizeKind); it is part of
+	// the checkpoint identity.
 	Kind string
 	// RunID identifies this run in checkpoints and logs (typically the
 	// olog run ID). Optional.

@@ -22,17 +22,15 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/jobs"
-	"repro/internal/jobs/kinds"
 	"repro/internal/obs"
 	"repro/internal/obs/ledger"
-	"repro/internal/runner"
 )
 
 // chaosSpec is one small hostile-faults characterize campaign: 5
 // levels in rounds of 2, so there are 3 barriers to die at.
 func chaosSpec(workers int, cpPath string) jobs.Spec {
 	return jobs.Spec{
-		Kind:           "characterize",
+		Kind:           jobs.CharacterizeKind,
 		Seed:           7,
 		Board:          "zcu102",
 		FaultProfile:   "hostile",
@@ -48,8 +46,8 @@ func chaosSpec(workers int, cpPath string) jobs.Spec {
 // runManifest executes the spec on a clean registry and returns the
 // run's canonical manifest bytes. The registry is NOT reset afterwards
 // so callers can chain a kill with a resume.
-func runManifest(spec jobs.Spec, keys []string, shard func(context.Context, runner.Info) (json.RawMessage, error)) ([]byte, *jobs.Outcome, error) {
-	out, err := jobs.Run(context.Background(), spec, keys, shard)
+func runManifest(spec jobs.Spec) ([]byte, *jobs.Outcome, error) {
+	out, _, err := jobs.Characterize(context.Background(), spec)
 	if err != nil {
 		return nil, out, err
 	}
@@ -78,24 +76,11 @@ func TestResumeManifestByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos property is not short")
 	}
-	kind, err := kinds.Lookup("characterize")
-	if err != nil {
-		t.Fatal(err)
-	}
 	tmp := t.TempDir()
 	// The baseline checkpoints too (to its own file): checkpoint writes
 	// are counted, so an uncheckpointed run is a *different* experiment
 	// record than a checkpointed one.
 	baseSpec := chaosSpec(1, filepath.Join(tmp, "cp-baseline.json"))
-	keys, err := kind.Plan(baseSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardFor := func(spec jobs.Spec) func(context.Context, runner.Info) (json.RawMessage, error) {
-		return func(ctx context.Context, info runner.Info) (json.RawMessage, error) {
-			return kind.Shard(ctx, spec, info)
-		}
-	}
 
 	// Uninterrupted baseline, once. Worker-count independence of the
 	// baseline itself is the ledger package's determinism test; here the
@@ -105,12 +90,12 @@ func TestResumeManifestByteIdentical(t *testing.T) {
 	defer obs.Default.Reset()
 	var want []byte
 	{
-		got, out, err := runManifest(baseSpec, keys, shardFor(baseSpec))
+		got, out, err := runManifest(baseSpec)
 		if err != nil {
 			t.Fatalf("baseline run: %v", err)
 		}
-		if out.Completed()+len(out.Quarantined) != len(keys) {
-			t.Fatalf("baseline resolved %d of %d shards", out.Completed()+len(out.Quarantined), len(keys))
+		if out.Completed()+len(out.Quarantined) != len(out.Keys) {
+			t.Fatalf("baseline resolved %d of %d shards", out.Completed()+len(out.Quarantined), len(out.Keys))
 		}
 		want = got
 	}
@@ -142,7 +127,7 @@ func TestResumeManifestByteIdentical(t *testing.T) {
 
 		// First life: crash at the chosen barrier.
 		obs.Default.Reset()
-		if _, _, err := runManifest(spec, keys, shardFor(spec)); !errors.Is(err, errChaosKill) {
+		if _, _, err := runManifest(spec); !errors.Is(err, errChaosKill) {
 			ct.Fatalf("first life = %v, want the chaos kill", err)
 		}
 
@@ -151,7 +136,7 @@ func TestResumeManifestByteIdentical(t *testing.T) {
 		obs.Default.Reset()
 		spec.RunID = "life-2"
 		spec.OnBarrier = nil
-		got, out, err := runManifest(spec, keys, shardFor(spec))
+		got, out, err := runManifest(spec)
 		if err != nil {
 			ct.Fatalf("resume: %v", err)
 		}

@@ -2,17 +2,16 @@ package obs
 
 // Metrics history: a Recorder periodically samples the registry
 // snapshot into an internal/obs/tsdb Store, turning the instantaneous
-// telemetry surfaces into a recorder — /metrics/range and
-// /metrics/query serve the retained history, windowed health rules
-// difference it, and `amperebleed top` renders sparklines from it.
+// telemetry surfaces into a recorder — /metrics/range serves the
+// retained history, windowed health rules difference it, and
+// `amperebleed top` renders sparklines from it.
 //
 // The recorder's own bookkeeping metrics (obs.tsdb.samples,
 // obs.tsdb.evictions counters and the obs.tsdb.series gauge) are
-// registered lazily on the first Sample, mirroring
-// obs.stream.dropped_frames, so processes that never record history
-// keep their deterministic counter set unchanged; internal/perf
-// additionally excludes the obs.tsdb.* prefix from the drift gate
-// because sample counts follow the wall ticker.
+// registered lazily on the first Sample, so processes that never
+// record history keep their deterministic counter set unchanged;
+// internal/perf additionally excludes the obs.tsdb.* prefix from the
+// drift gate because sample counts follow the wall ticker.
 
 import (
 	"context"
@@ -110,11 +109,11 @@ func (r *Registry) NewRecorder(opts RecorderOptions) *Recorder {
 }
 
 // StartRecorder builds a recorder, installs it as the registry's
-// history (serving /metrics/range and /metrics/query and feeding
-// windowed health rules), takes an immediate first sample, and samples
-// every Interval until ctx is cancelled. The recorder stays installed
-// after cancellation so the retained history remains queryable while an
-// obs server is held open past the end of a run.
+// history (serving /metrics/range and feeding windowed health rules),
+// takes an immediate first sample, and samples every Interval until ctx
+// is cancelled. The recorder stays installed after cancellation so the
+// retained history remains queryable while an obs server is held open
+// past the end of a run.
 func (r *Registry) StartRecorder(ctx context.Context, opts RecorderOptions) *Recorder {
 	rec := r.NewRecorder(opts)
 	r.history.Store(rec)
@@ -184,8 +183,7 @@ func (rec *Recorder) append(name string, kind tsdb.Kind, t int64, v float64) {
 // Sample appends one pass over the registry snapshot: counters and
 // gauges record under their own names; each histogram expands into a
 // "<name>.count" counter plus ".mean/.min/.max/.p50/.p95/.p99" gauges,
-// which is what makes quantile-over-window queries on latency series
-// possible after the fact.
+// which is what keeps latency series rangeable after the fact.
 func (rec *Recorder) Sample() {
 	rec.lazyInit()
 	t := rec.Now()
@@ -320,67 +318,8 @@ func (r RangeResponse) Validate() error {
 	return nil
 }
 
-// QueryResponse is the /metrics/query JSON schema.
-type QueryResponse struct {
-	// SeriesName is the queried series.
-	SeriesName string `json:"series"`
-	// Fn is the computation: "rate" or "quantile".
-	Fn string `json:"fn"`
-	// Clock is the timestamp axis: "wall" or "sim".
-	Clock string `json:"clock"`
-	// From and To bound the queried range (nanoseconds, inclusive).
-	From int64 `json:"from"`
-	To   int64 `json:"to"`
-	// WindowNS is the rate window width (rate only).
-	WindowNS int64 `json:"window_ns,omitempty"`
-	// Q is the requested quantile (quantile only).
-	Q float64 `json:"q,omitempty"`
-	// Points are the per-window rates, stamped at window ends (rate).
-	Points []tsdb.Point `json:"points,omitempty"`
-	// Value is the quantile result and Count its contributing points
-	// (quantile).
-	Value float64 `json:"value,omitempty"`
-	Count int     `json:"count,omitempty"`
-}
-
-// Validate checks the response's internal consistency.
-func (r QueryResponse) Validate() error {
-	if r.Clock != "wall" && r.Clock != "sim" {
-		return fmt.Errorf("query: clock %q (want wall|sim)", r.Clock)
-	}
-	if r.From > r.To {
-		return fmt.Errorf("query: from %d > to %d", r.From, r.To)
-	}
-	switch r.Fn {
-	case "rate":
-		if r.WindowNS <= 0 {
-			return fmt.Errorf("query: rate without window_ns")
-		}
-		prev := int64(math.MinInt64)
-		for _, p := range r.Points {
-			if p.V < 0 {
-				return fmt.Errorf("query: negative rate %g at %d", p.V, p.T)
-			}
-			if p.T <= prev {
-				return fmt.Errorf("query: rate points not time-ordered at %d", p.T)
-			}
-			prev = p.T
-		}
-	case "quantile":
-		if r.Q < 0 || r.Q > 1 {
-			return fmt.Errorf("query: q %g outside [0, 1]", r.Q)
-		}
-		if r.Count < 0 {
-			return fmt.Errorf("query: negative count %d", r.Count)
-		}
-	default:
-		return fmt.Errorf("query: fn %q (want rate|quantile)", r.Fn)
-	}
-	return nil
-}
-
-// historyParams are the time-selection parameters shared by the range
-// and query handlers.
+// historyParams are the time-selection parameters of the range
+// handler.
 type historyParams struct {
 	from, to int64
 	window   int64
@@ -511,68 +450,6 @@ func historyRangeHandler(r *Registry) http.HandlerFunc {
 		}
 		// Window alignment in Validate assumes a uniform width; clear the
 		// echo when a series answered from raw-downsample fallback anyway.
-		writeHistoryJSON(w, resp)
-	}
-}
-
-// historyQueryHandler serves GET /metrics/query: fn=rate over a counter
-// series or fn=quantile over raw points.
-func historyQueryHandler(r *Registry) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		rec := r.History()
-		if rec == nil {
-			http.Error(w, historyDisabledMsg, http.StatusNotImplemented)
-			return
-		}
-		q := req.URL.Query()
-		name := strings.TrimSpace(q.Get("series"))
-		if name == "" {
-			http.Error(w, "missing series parameter", http.StatusBadRequest)
-			return
-		}
-		kind, ok := rec.Store().Kind(name)
-		if !ok {
-			http.Error(w, fmt.Sprintf("unknown series %q", name), http.StatusNotFound)
-			return
-		}
-		p, err := parseHistoryParams(rec, q)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp := QueryResponse{
-			SeriesName: name,
-			Clock:      rec.ClockName(),
-			Fn:         q.Get("fn"),
-		}
-		resp.From, resp.To = clampReported(rec, p)
-		switch resp.Fn {
-		case "rate":
-			if kind != tsdb.Counter {
-				http.Error(w, fmt.Sprintf("series %q is a %s: rate() needs a counter", name, kind), http.StatusBadRequest)
-				return
-			}
-			if p.window <= 0 {
-				p.window = 10 * int64(rec.Interval())
-			}
-			resp.WindowNS = p.window
-			resp.Points = rec.Store().Rate(name, p.window, p.from, p.to)
-		case "quantile":
-			qv := 0.5
-			if s := q.Get("q"); s != "" {
-				v, err := strconv.ParseFloat(s, 64)
-				if err != nil || v < 0 || v > 1 {
-					http.Error(w, fmt.Sprintf("bad q %q: want a value in [0, 1]", s), http.StatusBadRequest)
-					return
-				}
-				qv = v
-			}
-			resp.Q = qv
-			resp.Value, resp.Count = rec.Store().Quantile(name, qv, p.from, p.to)
-		default:
-			http.Error(w, fmt.Sprintf("bad fn %q: want rate|quantile", resp.Fn), http.StatusBadRequest)
-			return
-		}
 		writeHistoryJSON(w, resp)
 	}
 }

@@ -149,11 +149,9 @@ func TestHistoryEndpointsDisabled(t *testing.T) {
 	r := NewRegistry()
 	srv := httptest.NewServer(NewHandler(r))
 	defer srv.Close()
-	for _, path := range []string{"/metrics/range", "/metrics/query?series=x&fn=rate"} {
-		body, code := getBody(t, srv.URL+path)
-		if code != http.StatusNotImplemented || !strings.Contains(body, "-history") {
-			t.Fatalf("%s without recorder = %d %q", path, code, body)
-		}
+	body, code := getBody(t, srv.URL+"/metrics/range")
+	if code != http.StatusNotImplemented || !strings.Contains(body, "-history") {
+		t.Fatalf("/metrics/range without recorder = %d %q", code, body)
 	}
 }
 
@@ -238,70 +236,6 @@ func TestMetricsRangeEndpoint(t *testing.T) {
 	post.Body.Close()
 	if post.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST code = %d", post.StatusCode)
-	}
-}
-
-func TestMetricsQueryEndpoint(t *testing.T) {
-	r := NewRegistry()
-	rec, clk := simRecorder(r, time.Second)
-	c := r.Counter("covert.bits")
-	g := r.Gauge("leakage.snr")
-	for i := 0; i < 20; i++ {
-		c.Add(50)
-		g.Set(float64(i))
-		clk.now += time.Second
-		rec.Sample()
-	}
-	srv := httptest.NewServer(NewHandler(r))
-	defer srv.Close()
-
-	body, code := getBody(t, srv.URL+"/metrics/query?series=covert.bits&fn=rate&window=5s")
-	if code != http.StatusOK {
-		t.Fatalf("rate = %d %q", code, body)
-	}
-	var resp QueryResponse
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if err := resp.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Points) == 0 {
-		t.Fatalf("rate returned no points: %q", body)
-	}
-	// Steady 50/s counter: interior windows rate 50.
-	mid := resp.Points[len(resp.Points)/2]
-	if mid.V < 49 || mid.V > 51 {
-		t.Fatalf("mid rate = %+v, want ~50/s", mid)
-	}
-
-	body, code = getBody(t, srv.URL+"/metrics/query?series=leakage.snr&fn=quantile&q=0.95")
-	if code != http.StatusOK {
-		t.Fatalf("quantile = %d %q", code, body)
-	}
-	resp = QueryResponse{}
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if err := resp.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Count != 20 || resp.Value < 17 {
-		t.Fatalf("p95 = %+v", resp)
-	}
-
-	// rate() over a gauge is a schema error, not a silent nil.
-	if _, code := getBody(t, srv.URL+"/metrics/query?series=leakage.snr&fn=rate"); code != http.StatusBadRequest {
-		t.Fatalf("gauge rate code = %d", code)
-	}
-	if _, code := getBody(t, srv.URL+"/metrics/query?series=covert.bits&fn=median"); code != http.StatusBadRequest {
-		t.Fatalf("bad fn code = %d", code)
-	}
-	if _, code := getBody(t, srv.URL+"/metrics/query?series=no.such&fn=rate"); code != http.StatusNotFound {
-		t.Fatalf("unknown series code = %d", code)
-	}
-	if _, code := getBody(t, srv.URL+"/metrics/query?fn=rate"); code != http.StatusBadRequest {
-		t.Fatalf("missing series code = %d", code)
 	}
 }
 

@@ -46,13 +46,10 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 // NewHandler returns the observability HTTP handler:
 //
 //	/metrics            OpenMetrics/Prometheus text exposition
-//	/metrics/stream     SSE feed of JSON snapshots (?interval=500ms)
-//	/metrics/snapshot   JSON Snapshot of the registry
+//	/metrics/snapshot   JSON Snapshot of the registry (what `top` polls)
 //	/metrics/range      retained history: raw points or aggregate windows
 //	                    (?series=a,b&window=10s&last=5m; catalog without
 //	                    series; 501 unless a history recorder is running)
-//	/metrics/query      history computations (?series=&fn=rate|quantile
-//	                    &window=&q=; 501 unless recording)
 //	/healthz            watch-rule verdict (200 ok / 503 with violations;
 //	                    ?verbose=1 for the full JSON verdict list)
 //	/trace              Chrome trace-event JSON of spans and events
@@ -74,9 +71,7 @@ func NewHandler(r *Registry) http.Handler {
 		w.Header().Set("Content-Type", OpenMetricsContentType)
 		_ = r.WriteOpenMetrics(w)
 	}))
-	mux.HandleFunc("/metrics/stream", getOnly(streamHandler(r)))
 	mux.HandleFunc("/metrics/range", getOnly(historyRangeHandler(r)))
-	mux.HandleFunc("/metrics/query", getOnly(historyQueryHandler(r)))
 	mux.HandleFunc("/metrics/snapshot", getOnly(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
@@ -159,9 +154,10 @@ const ShutdownGrace = 2 * time.Second
 // Serve starts the observability server on addr (e.g. "localhost:6060";
 // ":0" picks a free port) and returns the bound address and a shutdown
 // function. The server runs until ctx is cancelled or shutdown is
-// called — both drain gracefully: every request context (including the
-// long-lived /metrics/stream feeds) is cancelled, in-flight handlers
-// get ShutdownGrace to finish, then remaining connections are closed.
+// called — both drain gracefully: every request context (including a
+// long-running /debug/pprof/profile capture) is cancelled, in-flight
+// handlers get ShutdownGrace to finish, then remaining connections are
+// closed.
 // Shutdown is idempotent and blocks until the drain completes, so the
 // caller observes a fully released listener; serving errors after a
 // successful bind are dropped, as the endpoint is diagnostic.
@@ -173,8 +169,9 @@ func Serve(ctx context.Context, addr string, r *Registry) (bound string, shutdow
 	if err != nil {
 		return "", nil, err
 	}
-	// baseCtx parents every request context: cancelling it unblocks the
-	// SSE streams, which otherwise would hold graceful Shutdown forever.
+	// baseCtx parents every request context: cancelling it unblocks
+	// long-running handlers, which otherwise would hold graceful Shutdown
+	// until they finish.
 	baseCtx, cancelRequests := context.WithCancel(context.WithoutCancel(ctx))
 	srv := &http.Server{
 		Handler:     NewHandler(r),

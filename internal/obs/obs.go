@@ -246,13 +246,10 @@ type Registry struct {
 	hists    map[string]*Histogram
 	events   eventRing
 	spans    spanRing
-	// streamSubs counts live Subscribe feeds (obs.stream.subscribers
-	// mirrors it as a gauge).
-	streamSubs int
 	// health is the watcher /healthz consults; set by Registry.Watch.
 	health atomic.Pointer[Watcher]
-	// history is the time-series recorder /metrics/range and
-	// /metrics/query consult; set by Registry.StartRecorder.
+	// history is the time-series recorder /metrics/range and the
+	// windowed health rules consult; set by Registry.StartRecorder.
 	history atomic.Pointer[Recorder]
 }
 

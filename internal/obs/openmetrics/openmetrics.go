@@ -8,9 +8,7 @@
 // Prometheus dependency: the renderer (obs.WriteOpenMetrics) and this
 // parser are written against the same spec from opposite directions,
 // and the round-trip test in internal/obs holds them to each other.
-// cmd/metricscheck wraps Parse+Validate for CI smoke tests, and the
-// `amperebleed top` dashboard uses the same token rules for its SSE
-// client.
+// cmd/metricscheck wraps Parse+Validate for CI smoke tests.
 package openmetrics
 
 import (

@@ -1,7 +1,8 @@
 // Package top renders the `amperebleed top` live terminal dashboard: a
-// flicker-free ANSI view of the attack pipeline's health, fed either by
-// the SSE /metrics/stream endpoint of a running -obs-addr server or by
-// an in-process registry subscription.
+// flicker-free ANSI view of the attack pipeline's health, redrawn from
+// a snapshot polled once per refresh interval — from the
+// /metrics/snapshot endpoint of a running -obs-addr server, or from the
+// in-process registry.
 //
 // The dashboard shows the five quantities a running attack stands or
 // falls on, one panel group each:
@@ -78,9 +79,7 @@ func Frame(s obs.Snapshot, prev *obs.Snapshot, opt Options) []string {
 	}
 
 	add("amperebleed top · %s · %s", src, s.TakenAt.Format("15:04:05.000"))
-	add("sim ticks %s · events %d · stream drops %d",
-		groupInt(s.Counter("sim.ticks")), len(s.Events),
-		s.Counter("obs.stream.dropped_frames"))
+	add("sim ticks %s · events %d", groupInt(s.Counter("sim.ticks")), len(s.Events))
 
 	// sampling
 	rule("sampling")

@@ -32,7 +32,6 @@ func demoSnapshot(at time.Time) obs.Snapshot {
 			"runner.shards":                39,
 			"runner.shards_failed":         1,
 			"runner.shards_panicked":       0,
-			"obs.stream.dropped_frames":    3,
 		},
 		Gauges: map[string]float64{
 			"leakage.snr":                   14.2,
@@ -62,7 +61,7 @@ func TestFrameRendersAllPanelGroups(t *testing.T) {
 		"0.0156",              // covert BER
 		"sysfs_eagain",        // fault kind
 		"failed 1",            // shard failures
-		"stream drops 3",      // SSE drop counter
+		"sim ticks 123,456",   // header
 		"runner: fingerprint", // event tail
 	} {
 		if !strings.Contains(joined, want) {
@@ -131,53 +130,6 @@ func TestScreenRedrawIsIncremental(t *testing.T) {
 	sc.Close()
 	if !strings.Contains(buf.String(), "\x1b[?25h") {
 		t.Fatal("Close did not restore the cursor")
-	}
-}
-
-func TestStreamClient(t *testing.T) {
-	r := obs.NewRegistry()
-	r.Counter("sim.ticks").Add(11)
-	srv := httptest.NewServer(obs.NewHandler(r))
-	defer srv.Close()
-
-	errStop := errors.New("stop after first frame")
-	var got obs.Snapshot
-	err := Stream(context.Background(), srv.URL, 60*time.Millisecond, func(s obs.Snapshot) error {
-		got = s
-		return errStop
-	})
-	if !errors.Is(err, errStop) {
-		t.Fatalf("Stream returned %v, want the callback's error", err)
-	}
-	if got.Counter("sim.ticks") != 11 {
-		t.Fatalf("streamed sim.ticks = %d", got.Counter("sim.ticks"))
-	}
-}
-
-func TestStreamClientCancel(t *testing.T) {
-	r := obs.NewRegistry()
-	srv := httptest.NewServer(obs.NewHandler(r))
-	defer srv.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	frames := 0
-	done := make(chan error, 1)
-	go func() {
-		done <- Stream(ctx, srv.URL, 60*time.Millisecond, func(obs.Snapshot) error {
-			frames++
-			cancel()
-			return nil
-		})
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("Stream returned %v after cancel", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stream did not stop on cancel")
-	}
-	if frames == 0 {
-		t.Fatal("no frames before cancel")
 	}
 }
 

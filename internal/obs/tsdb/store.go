@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Kind classifies a series: counters are cumulative (rates are
@@ -251,38 +250,6 @@ func (s *Store) Windows(name string, width, from, to int64) []Window {
 	return out
 }
 
-// Rate computes per-window increase rates of a counter series: for
-// each window of the given width, (last value − previous window's last
-// value) / width, stamped at the window end. Counter resets (a
-// registry Reset mid-run) clamp to zero rather than reporting a
-// negative rate. Gauge series return nil — a gauge has no meaningful
-// rate() and asking for one is a query error the caller surfaces.
-func (s *Store) Rate(name string, width, from, to int64) []Point {
-	if k, ok := s.Kind(name); !ok || k != Counter {
-		return nil
-	}
-	// Reach one window further back so the first in-range window has a
-	// predecessor to difference against when history allows.
-	ws := s.Windows(name, width, satSub(from, width), to)
-	var out []Point
-	prev := math.NaN()
-	sec := float64(width) / float64(time.Second)
-	for _, w := range ws {
-		delta := w.Last - prev
-		if math.IsNaN(prev) {
-			delta = w.Last - w.First
-		}
-		if delta < 0 {
-			delta = 0
-		}
-		prev = w.Last
-		if w.End > from && w.Start <= to {
-			out = append(out, Point{T: w.End, V: delta / sec})
-		}
-	}
-	return out
-}
-
 // satSub is a-b saturating at math.MinInt64, so "one window before an
 // unbounded from" does not wrap around.
 func satSub(a, b int64) int64 {
@@ -290,12 +257,6 @@ func satSub(a, b int64) int64 {
 		return r
 	}
 	return math.MinInt64
-}
-
-// Quantile returns the q-quantile of the series' retained raw points
-// in [from, to] and the number of contributing points.
-func (s *Store) Quantile(name string, q float64, from, to int64) (float64, int) {
-	return Quantile(s.Range(name, from, to), q)
 }
 
 // Stats returns the store's occupancy counters.

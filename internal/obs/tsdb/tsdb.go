@@ -1,7 +1,6 @@
 // Package tsdb is a pure-stdlib in-process time-series engine: bounded
 // raw rings of timestamped points per series, downsampled aggregate
-// tiers, and a small windowed query API (range select, counter rates,
-// quantile-over-window).
+// tiers, and windowed range selects over both.
 //
 // The package holds no opinion about where points come from — it knows
 // nothing about the obs registry, clocks, or HTTP. internal/obs wires a
@@ -31,7 +30,6 @@ package tsdb
 
 import (
 	"math"
-	"sort"
 )
 
 // Point is one raw sample of a series.
@@ -168,34 +166,6 @@ func MergeWindows(a, b []Window) []Window {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out
-}
-
-// Quantile returns the q-quantile (nearest-rank) of the finite values
-// among pts and how many values contributed. With no finite values it
-// returns (0, 0).
-func Quantile(pts []Point, q float64) (float64, int) {
-	vals := make([]float64, 0, len(pts))
-	for _, p := range pts {
-		if math.IsNaN(p.V) || math.IsInf(p.V, 0) {
-			continue
-		}
-		vals = append(vals, p.V)
-	}
-	if len(vals) == 0 {
-		return 0, 0
-	}
-	sort.Float64s(vals)
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	idx := int(math.Ceil(q*float64(len(vals)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return vals[idx], len(vals)
 }
 
 // ring is a bounded FIFO of the most recent values.

@@ -59,22 +59,6 @@ func TestMergeWindowsBoundary(t *testing.T) {
 	}
 }
 
-func TestQuantileNearestRank(t *testing.T) {
-	pts := []Point{{T: 0, V: 10}, {T: 1, V: 30}, {T: 2, V: 20}, {T: 3, V: math.NaN()}}
-	if v, n := Quantile(pts, 0.5); v != 20 || n != 3 {
-		t.Fatalf("p50 = %g over %d", v, n)
-	}
-	if v, _ := Quantile(pts, 1); v != 30 {
-		t.Fatalf("p100 = %g", v)
-	}
-	if v, _ := Quantile(pts, 0); v != 10 {
-		t.Fatalf("p0 = %g", v)
-	}
-	if v, n := Quantile(nil, 0.5); v != 0 || n != 0 {
-		t.Fatalf("empty quantile = %g over %d", v, n)
-	}
-}
-
 func TestStoreRangeAndKinds(t *testing.T) {
 	s := New(Options{})
 	for i := int64(0); i < 5; i++ {
@@ -134,51 +118,6 @@ func TestStoreTierOutlivesRaw(t *testing.T) {
 	raw := s.Windows("c", sec(1), 0, math.MaxInt64)
 	if len(raw) != 4 {
 		t.Fatalf("raw-downsample windows = %d, want 4", len(raw))
-	}
-}
-
-func TestStoreRate(t *testing.T) {
-	s := New(Options{})
-	for i := int64(0); i <= 6; i++ {
-		s.Append("c", Counter, sec(i), float64(i*100))
-	}
-	rates := s.Rate("c", sec(2), 0, math.MaxInt64)
-	if len(rates) == 0 {
-		t.Fatal("no rate points")
-	}
-	// Steady +100/s counter: every interior (fully covered) window
-	// reports 100/s; the first and last windows see partial coverage.
-	for _, p := range rates[1 : len(rates)-1] {
-		if math.Abs(p.V-100) > 1e-9 {
-			t.Fatalf("rate = %+v, want 100/s", p)
-		}
-	}
-	// Counter reset clamps to zero rather than a negative rate.
-	s.Append("c", Counter, sec(8), 0)
-	s.Append("c", Counter, sec(9), 50)
-	rates = s.Rate("c", sec(2), sec(7), math.MaxInt64)
-	for _, p := range rates {
-		if p.V < 0 {
-			t.Fatalf("negative rate %+v after counter reset", p)
-		}
-	}
-	// Gauges have no rate.
-	s.Append("g", Gauge, sec(0), 1)
-	if got := s.Rate("g", sec(1), 0, math.MaxInt64); got != nil {
-		t.Fatalf("gauge rate = %+v, want nil", got)
-	}
-}
-
-func TestStoreQuantile(t *testing.T) {
-	s := New(Options{})
-	for i := int64(0); i < 10; i++ {
-		s.Append("g", Gauge, sec(i), float64(i))
-	}
-	if v, n := s.Quantile("g", 0.5, 0, math.MaxInt64); n != 10 || v != 4 {
-		t.Fatalf("p50 = %g over %d", v, n)
-	}
-	if v, n := s.Quantile("g", 0.9, sec(5), math.MaxInt64); n != 5 || v != 9 {
-		t.Fatalf("windowed p90 = %g over %d", v, n)
 	}
 }
 

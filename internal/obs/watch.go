@@ -18,9 +18,8 @@ package obs
 // a cumulative ratio would have pinned the verdict unhealthy for the
 // rest of the process.
 //
-// Like the stream counters, obs.watch.violations is registered lazily
-// by Watch so non-watching processes keep their deterministic counter
-// set unchanged.
+// obs.watch.violations is registered lazily by Watch so non-watching
+// processes keep their deterministic counter set unchanged.
 
 import (
 	"context"
@@ -59,14 +58,11 @@ type Verdict struct {
 	At time.Time `json:"at"`
 }
 
-// EvalInput is what a rule sees: the previous and current snapshots
-// (prev is zero and HasPrev false on the first evaluation) and the
+// EvalInput is what a rule sees: the current snapshot and the
 // registry's history recorder when one is running (nil otherwise),
 // which windowed rules use and others ignore.
 type EvalInput struct {
-	Prev    Snapshot
 	Cur     Snapshot
-	HasPrev bool
 	History *Recorder
 }
 
@@ -88,44 +84,17 @@ func pass(window string, observed, threshold float64) Verdict {
 	return Verdict{OK: true, Window: window, Observed: observed, Threshold: threshold}
 }
 
-// CounterRateRule fails when the named counter grows faster than
-// maxPerSec, measured between consecutive evaluations (wall clock).
-func CounterRateRule(name, counter string, maxPerSec float64) Rule {
-	return Rule{Name: name, Eval: func(in EvalInput) Verdict {
-		if !in.HasPrev {
-			return pass("instant", 0, maxPerSec)
-		}
-		dt := in.Cur.TakenAt.Sub(in.Prev.TakenAt).Seconds()
-		if dt <= 0 {
-			return pass("instant", 0, maxPerSec)
-		}
-		rate := float64(in.Cur.Counter(counter)-in.Prev.Counter(counter)) / dt
-		if rate > maxPerSec {
-			return fail("instant", rate, maxPerSec, "%s rate %.1f/s exceeds %.1f/s", counter, rate, maxPerSec)
-		}
-		return pass("instant", rate, maxPerSec)
-	}}
-}
-
-// RatioRule fails when cumulative num/den exceeds max (den==0 never
-// fails). Prefer WindowedRatioRule for long-running processes — a
-// cumulative ratio never forgets a transient burst.
-func RatioRule(name, num, den string, max float64) Rule {
-	return Rule{Name: name, Eval: func(in EvalInput) Verdict {
-		return ratioVerdict("cumulative", float64(in.Cur.Counter(num)), float64(in.Cur.Counter(den)), num, den, max)
-	}}
-}
-
 // DefaultHealthWindows is how many sampling intervals windowed default
 // rules look back over.
 const DefaultHealthWindows = 10
 
 // WindowedRatioRule fails when num/den, measured over the last windows
-// sampling intervals of the registry's history, exceeds max. Without a
-// history recorder — or before it holds two points in the window — the
-// rule falls back to the cumulative ratio, so health checks degrade
-// gracefully rather than going silent; the verdict's Window field says
-// which horizon judged ("10×1s" vs "cumulative").
+// sampling intervals of the registry's history, exceeds max (den==0
+// never fails). Without a history recorder — or before it holds two
+// points in the window — the rule falls back to the cumulative ratio,
+// so health checks degrade gracefully rather than going silent; the
+// verdict's Window field says which horizon judged ("10×1s" vs
+// "cumulative").
 func WindowedRatioRule(name, num, den string, max float64, windows int) Rule {
 	if windows < 1 {
 		windows = DefaultHealthWindows
@@ -188,8 +157,6 @@ type Watcher struct {
 	rules []Rule
 
 	mu          sync.Mutex
-	prev        Snapshot
-	hasPrev     bool
 	last        []Verdict
 	onViolation func(Violation)
 	violations  *Counter
@@ -223,16 +190,14 @@ func (w *Watcher) OnViolation(f func(Violation)) {
 
 // EvaluateVerdicts snapshots the registry, runs every rule, records
 // violations as warn events and through the callback, and returns one
-// verdict per rule (passing and failing). The snapshot becomes the
-// "previous" for the next evaluation's rate rules.
+// verdict per rule (passing and failing).
 func (w *Watcher) EvaluateVerdicts() []Verdict {
 	cur := w.reg.Snapshot()
 	w.mu.Lock()
-	prev, hasPrev, cb := w.prev, w.hasPrev, w.onViolation
-	w.prev, w.hasPrev = cur, true
+	cb := w.onViolation
 	w.mu.Unlock()
 
-	in := EvalInput{Prev: prev, Cur: cur, HasPrev: hasPrev, History: w.reg.History()}
+	in := EvalInput{Cur: cur, History: w.reg.History()}
 	out := make([]Verdict, 0, len(w.rules))
 	for _, rule := range w.rules {
 		v := rule.Eval(in)

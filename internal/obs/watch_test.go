@@ -10,14 +10,17 @@ import (
 	"time"
 )
 
+// TestRatioRule covers WindowedRatioRule's no-history branch, which
+// judges cumulative totals: threshold, detail text, observed/threshold
+// values, and the zero-denominator pass.
 func TestRatioRule(t *testing.T) {
-	rule := RatioRule("gap_ratio", "gaps", "samples", 0.5)
+	rule := WindowedRatioRule("gap_ratio", "gaps", "samples", 0.5, DefaultHealthWindows)
 	cur := Snapshot{Counters: map[string]int64{"gaps": 3, "samples": 10}}
-	if v := rule.Eval(EvalInput{Cur: cur, HasPrev: true}); !v.OK {
+	if v := rule.Eval(EvalInput{Cur: cur}); !v.OK {
 		t.Fatal("30% gaps flagged at a 50% threshold")
 	}
 	cur.Counters["gaps"] = 6
-	v := rule.Eval(EvalInput{Cur: cur, HasPrev: true})
+	v := rule.Eval(EvalInput{Cur: cur})
 	if v.OK {
 		t.Fatal("60% gaps passed a 50% threshold")
 	}
@@ -28,35 +31,17 @@ func TestRatioRule(t *testing.T) {
 		t.Fatalf("verdict = %+v", v)
 	}
 	// Zero denominator: no data is not a violation.
-	if v := rule.Eval(EvalInput{Cur: Snapshot{Counters: map[string]int64{"gaps": 5}}, HasPrev: true}); !v.OK {
+	if v := rule.Eval(EvalInput{Cur: Snapshot{Counters: map[string]int64{"gaps": 5}}}); !v.OK {
 		t.Fatal("zero denominator flagged")
-	}
-}
-
-func TestCounterRateRule(t *testing.T) {
-	rule := CounterRateRule("gap_rate", "gaps", 10)
-	t0 := time.Now()
-	prev := Snapshot{TakenAt: t0, Counters: map[string]int64{"gaps": 0}}
-	cur := Snapshot{TakenAt: t0.Add(time.Second), Counters: map[string]int64{"gaps": 5}}
-	// First evaluation has no window: always ok.
-	if v := rule.Eval(EvalInput{Cur: cur}); !v.OK {
-		t.Fatal("first evaluation flagged without a window")
-	}
-	if v := rule.Eval(EvalInput{Prev: prev, Cur: cur, HasPrev: true}); !v.OK {
-		t.Fatal("5/s flagged at a 10/s threshold")
-	}
-	cur.Counters["gaps"] = 50
-	if v := rule.Eval(EvalInput{Prev: prev, Cur: cur, HasPrev: true}); v.OK {
-		t.Fatal("50/s passed a 10/s threshold")
 	}
 }
 
 func TestGaugeCeilingRule(t *testing.T) {
 	rule := GaugeCeilingRule("consec", "core.sampler.consecutive_gaps", 64)
-	if v := rule.Eval(EvalInput{Cur: Snapshot{Gauges: map[string]float64{"core.sampler.consecutive_gaps": 64}}, HasPrev: true}); !v.OK {
+	if v := rule.Eval(EvalInput{Cur: Snapshot{Gauges: map[string]float64{"core.sampler.consecutive_gaps": 64}}}); !v.OK {
 		t.Fatal("value at the ceiling flagged")
 	}
-	v := rule.Eval(EvalInput{Cur: Snapshot{Gauges: map[string]float64{"core.sampler.consecutive_gaps": 65}}, HasPrev: true})
+	v := rule.Eval(EvalInput{Cur: Snapshot{Gauges: map[string]float64{"core.sampler.consecutive_gaps": 65}}})
 	if v.OK {
 		t.Fatal("value above the ceiling passed")
 	}
@@ -81,7 +66,7 @@ func TestWindowedRatioRuleRecovers(t *testing.T) {
 		clk.now += time.Second
 		rec.Sample()
 	}
-	in := EvalInput{Cur: r.Snapshot(), HasPrev: true, History: rec}
+	in := EvalInput{Cur: r.Snapshot(), History: rec}
 	v := rule.Eval(in)
 	if v.OK {
 		t.Fatalf("100%% gaps in-window passed: %+v", v)
@@ -99,7 +84,7 @@ func TestWindowedRatioRuleRecovers(t *testing.T) {
 		clk.now += time.Second
 		rec.Sample()
 	}
-	v = rule.Eval(EvalInput{Cur: r.Snapshot(), HasPrev: true, History: rec})
+	v = rule.Eval(EvalInput{Cur: r.Snapshot(), History: rec})
 	if !v.OK {
 		t.Fatalf("recovered window still failing: %+v", v)
 	}
@@ -108,7 +93,7 @@ func TestWindowedRatioRuleRecovers(t *testing.T) {
 	}
 
 	// Cumulative fallback: without history the same rule judges totals.
-	v = rule.Eval(EvalInput{Cur: r.Snapshot(), HasPrev: true})
+	v = rule.Eval(EvalInput{Cur: r.Snapshot()})
 	if v.Window != "cumulative" {
 		t.Fatalf("no-history window = %q, want cumulative", v.Window)
 	}

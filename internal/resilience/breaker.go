@@ -1,24 +1,21 @@
-// Package resilience is the generic protection toolkit under the
-// supervised job engine: a circuit breaker for flaky dependencies, a
-// token-bucket rate limiter, a semaphore-based admission controller
-// with a bounded wait queue and load shedding, and per-request
-// deadline budgets that propagate through context.
+// Package resilience holds the circuit breaker that guards core.Sampler's
+// sensor read path during long faulted captures: after repeated read
+// failures it sheds reads instantly instead of burning the retry budget
+// on a dead channel, then probes for recovery.
 //
-// Everything in the package is clock-agnostic: components take a
-// Now func() time.Duration instead of reading the wall clock, so the
-// same breaker protects a simulated sensor read path (sim clock, fully
-// deterministic under replay) and a live HTTP job server (wall clock).
-// Where a component needs randomness — the breaker's probe-scheduling
-// jitter, which prevents a fleet of half-open breakers from probing in
-// lock step — it draws from an injected *rand.Rand, expected to be a
-// named stream of the simulation engine (seed ^ FNV-1a(name)), keeping
-// chaos runs byte-identical across worker counts.
+// The breaker is clock-agnostic: it takes a Now func() time.Duration
+// instead of reading the wall clock, so on the simulated sensor path it
+// runs on the sim clock and is fully deterministic under replay. Its
+// probe-scheduling jitter, which keeps many half-open breakers from
+// probing in lock step, draws from an injected *rand.Rand, expected to
+// be a named stream of the simulation engine (seed ^ FNV-1a(name)),
+// keeping chaos runs byte-identical across worker counts.
 //
-// Shed load and breaker transitions are first-class observability
-// events: resilience.breaker.open_total, resilience.breaker.
-// short_circuit_total, resilience.admission.shed_total and friends
-// land in the obs registry, so a run that survived by degrading says
-// so in its manifest instead of silently absorbing the damage.
+// Breaker transitions are first-class observability events:
+// resilience.breaker.open_total, resilience.breaker.short_circuit_total
+// and friends land in the obs registry, so a run that survived by
+// degrading says so in its manifest instead of silently absorbing the
+// damage.
 package resilience
 
 import (
@@ -37,17 +34,13 @@ import (
 // the per-breaker state is reported through the State method, not a
 // shared gauge, to keep last-writer races out of manifests.
 //
-// Registration is lazy — obs.C on the event path, like
-// obs.stream.dropped_frames — so a process that never sheds or trips
-// (the benchtab perf harness, whose baseline comparison gates on the
-// exact deterministic counter set) sees no new counters.
-func cBreakerOpen() *obs.Counter    { return obs.C("resilience.breaker.open_total") }
-func cBreakerShort() *obs.Counter   { return obs.C("resilience.breaker.short_circuit_total") }
-func cBreakerProbes() *obs.Counter  { return obs.C("resilience.breaker.probes_total") }
-func cBreakerCloses() *obs.Counter  { return obs.C("resilience.breaker.close_total") }
-func cAdmissionShed() *obs.Counter  { return obs.C("resilience.admission.shed_total") }
-func cAdmissionAdmit() *obs.Counter { return obs.C("resilience.admission.admitted_total") }
-func cLimiterDenied() *obs.Counter  { return obs.C("resilience.limiter.denied_total") }
+// Registration is lazy — obs.C on the event path — so a process that
+// never trips (the benchtab perf harness, whose baseline comparison
+// gates on the exact deterministic counter set) sees no new counters.
+func cBreakerOpen() *obs.Counter   { return obs.C("resilience.breaker.open_total") }
+func cBreakerShort() *obs.Counter  { return obs.C("resilience.breaker.short_circuit_total") }
+func cBreakerProbes() *obs.Counter { return obs.C("resilience.breaker.probes_total") }
+func cBreakerCloses() *obs.Counter { return obs.C("resilience.breaker.close_total") }
 
 // State is a circuit breaker state.
 type State int

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -9,8 +8,7 @@ import (
 	"time"
 )
 
-// fakeClock is a hand-advanced clock for deterministic breaker and
-// bucket tests.
+// fakeClock is a hand-advanced clock for deterministic breaker tests.
 type fakeClock struct {
 	mu  sync.Mutex
 	now time.Duration
@@ -206,191 +204,5 @@ func TestBreakerConfigValidation(t *testing.T) {
 		if _, err := NewBreaker(cfg); err == nil {
 			t.Fatalf("invalid config %+v accepted", cfg)
 		}
-	}
-}
-
-func TestTokenBucket(t *testing.T) {
-	clk := &fakeClock{}
-	tb, err := NewTokenBucket(10, 2, clk.Now) // 10 tokens/s, burst 2
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tb.Allow() || !tb.Allow() {
-		t.Fatal("full bucket denied its burst")
-	}
-	if tb.Allow() {
-		t.Fatal("empty bucket granted a token")
-	}
-	clk.Advance(100 * time.Millisecond) // refills one token
-	if !tb.Allow() {
-		t.Fatal("bucket did not refill after 100ms at 10/s")
-	}
-	if tb.Allow() {
-		t.Fatal("bucket granted more than the refill")
-	}
-	// Refill is capped at burst.
-	clk.Advance(10 * time.Second)
-	if !tb.AllowN(2) {
-		t.Fatal("bucket did not cap refill at burst")
-	}
-	if tb.Allow() {
-		t.Fatal("bucket exceeded burst capacity")
-	}
-}
-
-func TestTokenBucketValidation(t *testing.T) {
-	clk := &fakeClock{}
-	if _, err := NewTokenBucket(1, 1, nil); err == nil {
-		t.Fatal("bucket without a clock accepted")
-	}
-	if _, err := NewTokenBucket(0, 1, clk.Now); err == nil {
-		t.Fatal("zero rate accepted")
-	}
-	if _, err := NewTokenBucket(1, 0, clk.Now); err == nil {
-		t.Fatal("zero burst accepted")
-	}
-}
-
-func TestAdmissionShedsBeyondQueue(t *testing.T) {
-	a, err := NewAdmission(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	release, err := a.Acquire(context.Background())
-	if err != nil {
-		t.Fatalf("first acquire: %v", err)
-	}
-	if a.InFlight() != 1 {
-		t.Fatalf("in-flight = %d, want 1", a.InFlight())
-	}
-	// Second request queues; third sheds.
-	queued := make(chan error, 1)
-	entered := make(chan struct{})
-	go func() {
-		// Signal once we are definitely in the wait queue.
-		go func() {
-			for a.Waiting() == 0 {
-				time.Sleep(time.Millisecond)
-			}
-			close(entered)
-		}()
-		rel, err := a.Acquire(context.Background())
-		if err == nil {
-			rel()
-		}
-		queued <- err
-	}()
-	<-entered
-	if _, err := a.Acquire(context.Background()); !errors.Is(err, ErrShed) {
-		t.Fatalf("over-queue acquire = %v, want ErrShed", err)
-	}
-	release()
-	if err := <-queued; err != nil {
-		t.Fatalf("queued acquire = %v, want nil after release", err)
-	}
-	release() // idempotent
-	if a.Waiting() != 0 {
-		t.Fatalf("waiting = %d, want 0", a.Waiting())
-	}
-}
-
-func TestAdmissionRespectsContext(t *testing.T) {
-	a, err := NewAdmission(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	release, err := a.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := a.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("cancelled acquire = %v, want deadline exceeded", err)
-	}
-	if a.Waiting() != 0 {
-		t.Fatalf("waiting = %d after cancellation, want 0", a.Waiting())
-	}
-}
-
-func TestAdmissionValidation(t *testing.T) {
-	if _, err := NewAdmission(0, 1); err == nil {
-		t.Fatal("zero limit accepted")
-	}
-	if _, err := NewAdmission(1, -1); err == nil {
-		t.Fatal("negative queue accepted")
-	}
-}
-
-func TestBudgetPropagatesAndShrinks(t *testing.T) {
-	if _, ok := Remaining(context.Background()); ok {
-		t.Fatal("background context reports a budget")
-	}
-	ctx, cancel := WithBudget(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	left, ok := Remaining(ctx)
-	if !ok {
-		t.Fatal("budgeted context reports no budget")
-	}
-	if left <= 0 || left > 100*time.Millisecond {
-		t.Fatalf("remaining = %v, want (0, 100ms]", left)
-	}
-	// A child asking for more than the parent has is clamped.
-	child, cancel2 := WithBudget(ctx, time.Hour)
-	defer cancel2()
-	childLeft, _ := Remaining(child)
-	if childLeft > 100*time.Millisecond {
-		t.Fatalf("child budget %v exceeds parent's", childLeft)
-	}
-	dl, ok := child.Deadline()
-	if !ok {
-		t.Fatal("budgeted context carries no deadline")
-	}
-	if until := time.Until(dl); until > 100*time.Millisecond {
-		t.Fatalf("child deadline %v further than parent budget", until)
-	}
-}
-
-func TestBudgetSplit(t *testing.T) {
-	// Split on an unbudgeted context is a no-op.
-	ctx, cancel := Split(context.Background(), 0.5)
-	cancel()
-	if _, ok := Remaining(ctx); ok {
-		t.Fatal("split of unbudgeted context created a budget")
-	}
-	parent, cancel := WithBudget(context.Background(), time.Second)
-	defer cancel()
-	half, cancel2 := Split(parent, 0.5)
-	defer cancel2()
-	left, ok := Remaining(half)
-	if !ok {
-		t.Fatal("split context lost its budget")
-	}
-	if left > 600*time.Millisecond {
-		t.Fatalf("split remaining = %v, want about half of 1s", left)
-	}
-	// Out-of-range fractions clamp rather than explode.
-	over, cancel3 := Split(parent, 2)
-	defer cancel3()
-	if overLeft, _ := Remaining(over); overLeft > time.Second {
-		t.Fatalf("frac>1 split grew the budget to %v", overLeft)
-	}
-	zero, cancel4 := Split(parent, 0)
-	cancel4()
-	if _, ok := Remaining(zero); !ok {
-		t.Fatal("frac<=0 split should return the parent unchanged (still budgeted)")
-	}
-}
-
-func TestBudgetExpiry(t *testing.T) {
-	ctx, cancel := WithBudget(context.Background(), time.Nanosecond)
-	defer cancel()
-	time.Sleep(2 * time.Millisecond)
-	if left, ok := Remaining(ctx); !ok || left != 0 {
-		t.Fatalf("expired budget reports (%v, %v), want (0, true)", left, ok)
-	}
-	if ctx.Err() == nil {
-		t.Fatal("expired budget context not cancelled")
 	}
 }

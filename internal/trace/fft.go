@@ -22,7 +22,7 @@ import (
 )
 
 // fftScratch is the reusable working set of one spectrum computation.
-// buf/tw serve the radix-2 path directly; a, b, bt are the Bluestein
+// buf/tw back the radix-2 path directly; a, b, bt are the Bluestein
 // convolution operands (sized to the padded power-of-two length).
 type fftScratch struct {
 	buf []complex128 // transform input/output

@@ -7,10 +7,8 @@
 #     /healthz?verbose=1 returns the per-rule verdict JSON,
 #   * /metrics is a valid OpenMetrics exposition (checked with the
 #     in-repo parser via cmd/metricscheck) carrying the core families,
-#   * /metrics/stream emits SSE metrics frames whose snapshots validate
-#     (metricscheck -stream),
-#   * /metrics/range and /metrics/query return valid history JSON
-#     (metricscheck -range / -query),
+#   * /metrics/snapshot returns the JSON snapshot `top` polls,
+#   * /metrics/range returns valid history JSON (metricscheck -range),
 #   * `amperebleed top -once -addr` renders a dashboard frame with
 #     sparkline hist lines from the recorded history,
 #   * a plain `amperebleed top -once` demo run renders all five panels.
@@ -61,9 +59,6 @@ echo "== /metrics/snapshot cross-check =="
 curl -fsS "http://$ADDR/metrics/snapshot" | grep -q '"counters"' \
     || { echo "FAIL: snapshot endpoint lacks counters"; exit 1; }
 
-echo "== /metrics/stream (SSE, snapshots validated) =="
-"$TMP/metricscheck" -stream 2 -url "http://$ADDR"
-
 # Give the 200ms recorder time to seal a few windows before querying.
 sleep 1
 
@@ -72,12 +67,6 @@ curl -fsS "http://$ADDR/metrics/range?series=core.sampler.samples,covert.ber&las
     | "$TMP/metricscheck" -range -
 curl -fsS "http://$ADDR/metrics/range?series=core.sampler.samples&window=1s&last=30s" \
     | "$TMP/metricscheck" -range -
-
-echo "== /metrics/query (rate + quantile validated) =="
-curl -fsS "http://$ADDR/metrics/query?series=core.sampler.samples&fn=rate" \
-    | "$TMP/metricscheck" -query -
-curl -fsS "http://$ADDR/metrics/query?series=covert.ber&fn=quantile&q=0.95" \
-    | "$TMP/metricscheck" -query -
 
 echo "== top -once against the live server (sparklines from history) =="
 "$TMP/amperebleed" top -once -addr "$ADDR" >"$TMP/top-remote.txt"
