@@ -9,9 +9,9 @@ package obs
 // The recorder's own bookkeeping metrics (obs.tsdb.samples,
 // obs.tsdb.evictions counters and the obs.tsdb.series gauge) are
 // registered lazily on the first Sample, so processes that never
-// record history keep their deterministic counter set unchanged;
-// internal/perf additionally excludes the obs.tsdb.* prefix from the
-// drift gate because sample counts follow the wall ticker.
+// record history keep their deterministic counter set unchanged (the
+// sample counts follow the wall ticker, so a recording run's counters
+// are not a function of the seed alone).
 
 import (
 	"context"

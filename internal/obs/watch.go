@@ -157,7 +157,6 @@ type Watcher struct {
 	rules []Rule
 
 	mu          sync.Mutex
-	last        []Verdict
 	onViolation func(Violation)
 	violations  *Counter
 }
@@ -214,9 +213,6 @@ func (w *Watcher) EvaluateVerdicts() []Verdict {
 			cb(viol)
 		}
 	}
-	w.mu.Lock()
-	w.last = out
-	w.mu.Unlock()
 	return out
 }
 
@@ -234,20 +230,6 @@ func violationsOf(vs []Verdict) []Violation {
 		}
 	}
 	return out
-}
-
-// Last returns the violations of the most recent evaluation.
-func (w *Watcher) Last() []Violation {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return violationsOf(w.last)
-}
-
-// LastVerdicts returns every verdict of the most recent evaluation.
-func (w *Watcher) LastVerdicts() []Verdict {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]Verdict(nil), w.last...)
 }
 
 // Run evaluates the rules every interval until ctx is done. It is the

@@ -1,6 +1,6 @@
 package report
 
-// Golden-output tests for the ledger, perf, and robustness render
+// Golden-output tests for the ledger and robustness render
 // paths. The goldens live under testdata/ and are regenerated with
 //
 //	go test ./internal/report -run TestRender -update
@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/ledger"
-	"repro/internal/perf"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -132,48 +131,6 @@ func TestRenderRunDiffChanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "rundiff_changed.golden", buf.Bytes())
-}
-
-func TestRenderPerfComparisonNoDrift(t *testing.T) {
-	var buf bytes.Buffer
-	c := &perf.Comparison{
-		Experiment: "all",
-		Seed:       1,
-		BaselineN:  3,
-		CurrentN:   3,
-		Rates: []perf.RateRow{
-			{Name: "sim_ticks_per_sec", Baseline: perf.MetricStats{N: 3, Mean: 1.2e6, CI95: 3e4},
-				Current: perf.MetricStats{N: 3, Mean: 1.25e6, CI95: 2e4}, DeltaPct: 4.2},
-		},
-	}
-	if err := RenderPerfComparison(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "perf_nodrift.golden", buf.Bytes())
-}
-
-func TestRenderPerfComparisonDriftAndRegression(t *testing.T) {
-	var buf bytes.Buffer
-	c := &perf.Comparison{
-		Experiment: "covert",
-		Seed:       7,
-		BaselineN:  2,
-		CurrentN:   1,
-		Drift: []perf.Drift{
-			{Name: "sim.ticks", Baseline: "25000", Current: "26000"},
-			{Name: "sensor.samples", Baseline: "480", Current: "(absent)"},
-		},
-		Rates: []perf.RateRow{
-			{Name: "samples_per_sec", Baseline: perf.MetricStats{N: 2, Mean: 500, CI95: 12},
-				Current: perf.MetricStats{N: 1, Mean: 420}, DeltaPct: -16, Regressed: true},
-			{Name: "never_ran", Baseline: perf.MetricStats{}, Current: perf.MetricStats{}},
-		},
-		RegressPct: 10,
-	}
-	if err := RenderPerfComparison(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "perf_drift.golden", buf.Bytes())
 }
 
 func TestRenderRobustnessCurve(t *testing.T) {

@@ -35,8 +35,9 @@ import (
 // shared gauge, to keep last-writer races out of manifests.
 //
 // Registration is lazy — obs.C on the event path — so a process that
-// never trips (the benchtab perf harness, whose baseline comparison
-// gates on the exact deterministic counter set) sees no new counters.
+// never trips (every faultless run, such as the benchtab experiments,
+// whose canonical run manifests are pinned as goldens down to the exact
+// counter set) sees no new counters.
 func cBreakerOpen() *obs.Counter   { return obs.C("resilience.breaker.open_total") }
 func cBreakerShort() *obs.Counter  { return obs.C("resilience.breaker.short_circuit_total") }
 func cBreakerProbes() *obs.Counter { return obs.C("resilience.breaker.probes_total") }

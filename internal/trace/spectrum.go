@@ -14,8 +14,8 @@ import (
 //
 // The transform is an iterative radix-2 FFT (Bluestein chirp-z for
 // non-power-of-two lengths), so the cost is O(n log n) regardless of
-// bins; SpectrumGoertzel keeps the original O(n·bins) per-bin recurrence
-// as a reference implementation and the two agree to well below 1e-9.
+// bins. The original O(n·bins) per-bin Goertzel recurrence survives only
+// in the tests, as the reference the FFT must match to well below 1e-9.
 //
 // bins is clamped to n/2 (the Nyquist limit): for real input the
 // coefficients above n/2 are mirror images of those below, so the old
@@ -42,44 +42,9 @@ func (t *Trace) Spectrum(bins int) ([]float64, error) {
 	return out, nil
 }
 
-// SpectrumGoertzel computes the same one-sided magnitudes as Spectrum
-// using the original per-bin Goertzel recurrence. It is O(n·bins) and
-// exists as the independent reference implementation for differential
-// property tests and the benchtab spectrum micro-benchmark; production
-// callers should use Spectrum.
-func (t *Trace) SpectrumGoertzel(bins int) ([]float64, error) {
-	bins, mean, finite, err := t.spectrumSetup(bins)
-	if err != nil {
-		return nil, err
-	}
-	n := len(t.Samples)
-	out := make([]float64, bins)
-	if finite == 0 {
-		return out, nil
-	}
-	for k := 1; k <= bins; k++ {
-		// Goertzel recurrence for coefficient k (of an n-point DFT).
-		w := 2 * math.Pi * float64(k) / float64(n)
-		coeff := 2 * math.Cos(w)
-		var s0, s1, s2 float64
-		for _, x := range t.Samples {
-			if IsGap(x) {
-				x = mean // a gap contributes zero after mean removal
-			}
-			s0 = (x - mean) + coeff*s1 - s2
-			s2 = s1
-			s1 = s0
-		}
-		re := s1 - s2*math.Cos(w)
-		im := s2 * math.Sin(w)
-		out[k-1] = math.Sqrt(re*re+im*im) * 2 / float64(n)
-	}
-	return out, nil
-}
-
 // spectrumSetup validates arguments, clamps bins to the Nyquist limit,
-// and computes the finite-sample mean shared by both spectrum
-// implementations.
+// and computes the finite-sample mean shared by Spectrum and the
+// test-only Goertzel reference.
 func (t *Trace) spectrumSetup(bins int) (clamped int, mean float64, finite int, err error) {
 	if bins <= 0 {
 		return 0, 0, 0, errors.New("trace: non-positive spectrum bins")

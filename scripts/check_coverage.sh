@@ -14,7 +14,7 @@ if [ "$#" -gt 1 ]; then
     shift
     PACKAGES="$*"
 else
-    PACKAGES="./internal/runner ./internal/core ./internal/sim ./internal/faults ./internal/trace ./internal/obs ./internal/obs/ledger ./internal/obs/export ./internal/obs/openmetrics ./internal/obs/olog ./internal/obs/top ./internal/obs/tsdb ./internal/perf ./internal/check ./internal/resilience ./internal/jobs"
+    PACKAGES="./internal/runner ./internal/core ./internal/sim ./internal/faults ./internal/trace ./internal/obs ./internal/obs/ledger ./internal/obs/export ./internal/obs/openmetrics ./internal/obs/olog ./internal/obs/top ./internal/obs/tsdb ./internal/check ./internal/resilience ./internal/jobs"
 fi
 
 status=0
