@@ -310,29 +310,6 @@ func ServeObs(ctx context.Context, addr string) (bound string, shutdown func(), 
 	return obs.Serve(ctx, addr, obs.Default)
 }
 
-// MetricsRecorder is a running metrics-history recorder: a periodic
-// sampler of the observability registry into an in-process time-series
-// store with a bounded raw ring and downsampled retention tiers.
-type MetricsRecorder = obs.Recorder
-
-// RecordHistory starts recording a metrics time series from the
-// library's registry every interval (<= 0 selects the default 1s) until
-// ctx is cancelled. While a recorder is installed, ServeObs additionally
-// answers /metrics/range (raw points or windowed min/max/mean
-// aggregates), and /healthz judges its health rules over recent windows
-// instead of cumulative totals. The returned recorder's Store gives
-// direct range access in-process.
-func RecordHistory(ctx context.Context, interval time.Duration) *MetricsRecorder {
-	if interval <= 0 {
-		interval = obs.DefaultHistoryInterval
-	}
-	return obs.StartRecorder(ctx, obs.RecorderOptions{Interval: interval})
-}
-
-// MetricsHistory returns the installed history recorder, or nil when
-// RecordHistory has not run.
-func MetricsHistory() *MetricsRecorder { return obs.Default.History() }
-
 // WriteTrace exports the current span tracer and event ring as Chrome
 // trace-event JSON (loadable in Perfetto or chrome://tracing) with one
 // track on the wall clock and one on the sim clock. Retention is

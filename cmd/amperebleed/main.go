@@ -128,10 +128,8 @@ func run() int {
 	// -obs prints a metrics snapshot after the command; -obs-addr serves
 	// the obs HTTP endpoints while it runs.
 	obsText := flag.Bool("obs", false, "print an observability snapshot after the command")
-	obsAddr := flag.String("obs-addr", "", "expose /metrics, /metrics/snapshot, /metrics/range, /healthz, /trace, /debug/vars and /debug/pprof on this address while the command runs")
+	obsAddr := flag.String("obs-addr", "", "expose /metrics, /metrics/snapshot, /healthz, /trace, /debug/vars and /debug/pprof on this address while the command runs")
 	obsHold := flag.Duration("obs-hold", 0, "keep the -obs-addr server up this long after the command completes (for scraping a finished run)")
-	history := flag.Bool("history", false, "record a metrics time series while the command runs (served on /metrics/range, rendered as sparklines by `top`)")
-	historyInterval := flag.Duration("history-interval", obs.DefaultHistoryInterval, "sampling interval of the -history recorder")
 	logLevel := flag.String("log-level", "warn", "structured log level: debug|info|warn|error")
 	logFormat := flag.String("log-format", "text", "structured log format: text|json")
 	faultsName := flag.String("faults", "none", "fault profile injected into every simulated board: "+strings.Join(faults.PresetNames(), "|"))
@@ -145,12 +143,7 @@ func run() int {
 		os.Exit(2)
 	}
 	cmd, args := flag.Arg(0), flag.Args()[1:]
-	if err := (runFlags{
-		FaultIntensity:  *faultIntensity,
-		ObsHold:         *obsHold,
-		History:         *history,
-		HistoryInterval: *historyInterval,
-	}).validate(); err != nil {
+	if err := (runFlags{FaultIntensity: *faultIntensity, ObsHold: *obsHold}).validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "amperebleed: %v\n", err)
 		return 2
 	}
@@ -173,15 +166,6 @@ func run() int {
 	defer stopNotify()
 	runCtx, stopSignals := watchSignals(context.Background(), sigCh, os.Exit)
 	defer stopSignals()
-	if *history {
-		// The recorder's own context, registered before the obs-server
-		// defer: LIFO ordering keeps history sampling live through an
-		// -obs-hold window, so a held server still answers /metrics/range
-		// with fresh windows.
-		histCtx, stopHistory := context.WithCancel(context.Background())
-		defer stopHistory()
-		obs.StartRecorder(histCtx, obs.RecorderOptions{Interval: *historyInterval})
-	}
 	if *obsAddr != "" {
 		serveCtx, stopServe := context.WithCancel(context.Background())
 		bound, shutdown, err := obs.Serve(serveCtx, *obsAddr, obs.Default)
@@ -207,9 +191,6 @@ func run() int {
 			shutdown()
 		}()
 		fmt.Fprintf(os.Stderr, "obs: serving http://%s/metrics (OpenMetrics), /metrics/snapshot, /healthz and /debug/pprof/\n", bound)
-		if *history {
-			fmt.Fprintf(os.Stderr, "obs: recording metrics history every %v; query /metrics/range\n", *historyInterval)
-		}
 	}
 	switch cmd {
 	case "boards":
@@ -342,17 +323,11 @@ global flags (before the command):
   -obs            print an observability snapshot (metrics, spans, events)
                   after the command completes
   -obs-addr ADDR  expose /metrics (OpenMetrics text), /metrics/snapshot
-                  (JSON), /metrics/range (with -history), /healthz,
-                  /trace (Chrome trace-event JSON), /debug/vars (expvar)
-                  and /debug/pprof on ADDR while the command runs
+                  (JSON), /healthz, /trace (Chrome trace-event JSON),
+                  /debug/vars (expvar) and /debug/pprof on ADDR while the
+                  command runs
   -obs-hold DUR   keep the -obs-addr server up DUR after the command
                   completes, so a finished run can still be scraped
-  -history        record a metrics time series while the command runs;
-                  the -obs-addr server then answers /metrics/range,
-                  /healthz judges rules over recent windows, and top
-                  renders per-panel sparklines
-  -history-interval DUR
-                  sampling interval of the -history recorder (1s)
   -log-level L    structured log level: debug|info|warn|error (warn)
   -log-format F   structured log format: text|json (text)
   -faults NAME    inject sensor/scheduler faults into every simulated

@@ -1,0 +1,85 @@
+package main
+
+// Behaviour oracle: a few amperebleed subcommands at seed 1 are replayed
+// against two goldens under testdata/ — their stdout (<name>.txt) and
+// the canonical form of the run manifest they append with -ledger
+// (<name>.canonical.json, the bytes `amperebleed runs -canonical 0`
+// prints). The manifest pins the exact counter set with wall-clock
+// fields stripped, so a change that keeps the figures but alters the
+// work done is caught as well as one that moves a figure.
+//
+// Each command runs in a fresh child process (this test binary,
+// re-executed with oracleChildEnv set): the CLI parses the global flag
+// set and registers metrics in the process-wide registry, so two
+// commands cannot share one process.
+//
+// Regenerate after a deliberate behaviour change with
+//
+//	go test ./cmd/amperebleed -run TestOracle -update
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/golden"
+	"repro/internal/obs/ledger"
+)
+
+var update = flag.Bool("update", false, "rewrite the oracle goldens under testdata/")
+
+const oracleChildEnv = "AMPEREBLEED_ORACLE_CHILD"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(oracleChildEnv) == "1" {
+		os.Exit(run())
+	}
+	os.Exit(m.Run())
+}
+
+// runChild runs amperebleed with args in a fresh process and returns
+// its stdout; a non-zero exit fails the test with the child's stderr.
+func runChild(t *testing.T, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), oracleChildEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("amperebleed %v: %v\n%s", args, err, stderr.Bytes())
+	}
+	return stdout.Bytes()
+}
+
+func TestOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string // global flags, then the command and its flags
+	}{
+		{"characterize", []string{"characterize", "-levels", "8", "-samples", "5"}},
+		{"covert", []string{"covert", "-bits", "64"}},
+		{"applicability-hostile", []string{"-faults", "hostile", "applicability"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			ledgerPath := filepath.Join(t.TempDir(), "runs.jsonl")
+			stdout := runChild(t, append([]string{"-ledger", ledgerPath}, tc.args...)...)
+			ms, err := ledger.Read(ledgerPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ms) != 1 {
+				t.Fatalf("ledger holds %d manifests, want 1", len(ms))
+			}
+			canon, err := ledger.CanonicalJSON(ms[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden.Check(t, filepath.Join("testdata", tc.name+".txt"), stdout, *update)
+			golden.Check(t, filepath.Join("testdata", tc.name+".canonical.json"), append(canon, '\n'), *update)
+		})
+	}
+}

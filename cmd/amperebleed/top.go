@@ -30,7 +30,6 @@ func cmdTop(args []string, profile *faults.Profile) error {
 	interval := fs.Duration("interval", time.Second, "dashboard refresh interval")
 	once := fs.Bool("once", false, "render a single frame and exit (no ANSI cursor control)")
 	seed := fs.Int64("seed", 1, "demo workload seed (in-process mode)")
-	histWindow := fs.Duration("history-window", 10*time.Second, "aggregate window of the sparkline hist lines (needs a -history server, or the global -history flag in-process)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -42,14 +41,12 @@ func cmdTop(args []string, profile *faults.Profile) error {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	// fetch and hist read one snapshot and the sparkline history from
-	// wherever the dashboard points; done reports the in-process demo's
-	// end (nil for a remote server, which the dashboard watches until
-	// interrupted).
+	// fetch reads one snapshot from wherever the dashboard points; done
+	// reports the in-process demo's end (nil for a remote server, which
+	// the dashboard watches until interrupted).
 	var (
 		source string
 		fetch  func() (obs.Snapshot, error)
-		hist   func() *top.History
 		done   chan error
 	)
 	if *addr != "" {
@@ -58,33 +55,9 @@ func cmdTop(args []string, profile *faults.Profile) error {
 			source = "http://" + source
 		}
 		fetch = func() (obs.Snapshot, error) { return top.FetchSnapshot(ctx, source) }
-		// History is best-effort: a 501 (server without -history) turns
-		// the hist lines off for good; transient fetch errors skip one
-		// frame's history rather than killing the dashboard.
-		histDisabled := false
-		hist = func() *top.History {
-			if histDisabled {
-				return nil
-			}
-			h, err := top.FetchHistory(ctx, source, top.HistorySeries, *histWindow, 0)
-			if errors.Is(err, top.ErrHistoryDisabled) {
-				histDisabled = true
-				return nil
-			}
-			if err != nil {
-				return nil
-			}
-			return h
-		}
 	} else {
 		source = "in-process demo"
 		fetch = func() (obs.Snapshot, error) { return obs.Default.Snapshot(), nil }
-		// In-process history comes straight from the Default registry's
-		// recorder when the global -history flag started one; without it
-		// the dashboard renders historyless.
-		hist = func() *top.History {
-			return top.HistoryFromRecorder(obs.Default.History(), top.HistorySeries, *histWindow, 0)
-		}
 		if *once {
 			if err := topDemo(ctx, *seed, profile); err != nil {
 				return err
@@ -100,7 +73,7 @@ func cmdTop(args []string, profile *faults.Profile) error {
 		if err != nil {
 			return err
 		}
-		return printFrame(snap, source, hist())
+		return printFrame(snap, source)
 	}
 
 	sc := top.NewScreen(os.Stdout)
@@ -114,7 +87,7 @@ func cmdTop(args []string, profile *faults.Profile) error {
 			}
 			return err
 		}
-		sc.Draw(top.Frame(s, prev, top.Options{Source: source, History: hist()}))
+		sc.Draw(top.Frame(s, prev, top.Options{Source: source}))
 		prev = &s
 		return nil
 	}
@@ -143,8 +116,8 @@ func cmdTop(args []string, profile *faults.Profile) error {
 }
 
 // printFrame renders one dashboard frame as plain text (for -once).
-func printFrame(s obs.Snapshot, source string, hist *top.History) error {
-	for _, l := range top.Frame(s, nil, top.Options{Source: source, History: hist}) {
+func printFrame(s obs.Snapshot, source string) error {
+	for _, l := range top.Frame(s, nil, top.Options{Source: source}) {
 		if _, err := fmt.Println(l); err != nil {
 			return err
 		}

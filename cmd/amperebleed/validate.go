@@ -26,10 +26,6 @@ type runFlags struct {
 	// selects the command's documented default (serial protocol or
 	// GOMAXPROCS).
 	Parallel int
-	// History is the global -history switch; HistoryInterval is the
-	// recorder's -history-interval, only constrained when History is on.
-	History         bool
-	HistoryInterval time.Duration
 	// Top marks a `top` invocation; TopInterval is its -interval refresh
 	// period, only constrained when Top is set.
 	Top         bool
@@ -50,9 +46,6 @@ func (f runFlags) validate() error {
 	}
 	if f.Parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (0 selects the command's default; got %d)", f.Parallel)
-	}
-	if f.History && f.HistoryInterval <= 0 {
-		return fmt.Errorf("-history-interval must be > 0 when -history is on (got %v)", f.HistoryInterval)
 	}
 	if f.Top && f.TopInterval <= 0 {
 		return fmt.Errorf("-interval must be > 0 (got %v)", f.TopInterval)

@@ -24,10 +24,6 @@ func TestRunFlagsValidate(t *testing.T) {
 		{name: "negative parallel", flags: runFlags{Parallel: -1}, wantErr: "-parallel must be >= 0"},
 		{name: "parallel zero is the default selector", flags: runFlags{Parallel: 0}},
 		{name: "first error wins", flags: runFlags{FaultIntensity: -1, Parallel: -1}, wantErr: "-fault-intensity"},
-		{name: "history with interval", flags: runFlags{History: true, HistoryInterval: time.Second}},
-		{name: "history without interval", flags: runFlags{History: true}, wantErr: "-history-interval must be > 0"},
-		{name: "history negative interval", flags: runFlags{History: true, HistoryInterval: -time.Second}, wantErr: "-history-interval must be > 0"},
-		{name: "interval without history is ignored", flags: runFlags{HistoryInterval: -time.Second}},
 		{name: "top with interval", flags: runFlags{Top: true, TopInterval: time.Second}},
 		{name: "top zero interval", flags: runFlags{Top: true}, wantErr: "-interval must be > 0"},
 		{name: "top negative interval", flags: runFlags{Top: true, TopInterval: -time.Second}, wantErr: "-interval must be > 0"},

@@ -26,12 +26,12 @@ package main
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/obs/ledger"
 )
 
@@ -77,65 +77,8 @@ func TestOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkOracle(t, exp+".txt", stdout)
-			checkOracle(t, exp+".canonical.json", append(canon, '\n'))
+			golden.Check(t, filepath.Join("testdata", exp+".txt"), stdout, *update)
+			golden.Check(t, filepath.Join("testdata", exp+".canonical.json"), append(canon, '\n'), *update)
 		})
 	}
-}
-
-// checkOracle compares got with testdata/name (or rewrites it under
-// -update) and reports the first line that differs.
-func checkOracle(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden %s (run with -update to create): %v", path, err)
-	}
-	if diff := firstDiff(got, want); diff != "" {
-		t.Errorf("%s: %s", path, diff)
-	}
-}
-
-// firstDiff describes the first line on which got and want differ, or
-// returns "" when they are equal. The canonical manifest is a single
-// long line, so the report also points at the first differing byte.
-func firstDiff(got, want []byte) string {
-	if bytes.Equal(got, want) {
-		return ""
-	}
-	g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-	for i := 0; ; i++ {
-		if i >= len(g) || i >= len(w) {
-			return fmt.Sprintf("output has %d lines, golden has %d", len(g), len(w))
-		}
-		if bytes.Equal(g[i], w[i]) {
-			continue
-		}
-		col := 0
-		for col < len(g[i]) && col < len(w[i]) && g[i][col] == w[i][col] {
-			col++
-		}
-		return fmt.Sprintf("line %d differs at column %d:\n  got:  %s\n  want: %s",
-			i+1, col+1, excerpt(g[i], col), excerpt(w[i], col))
-	}
-}
-
-// excerpt returns up to 60 bytes of line around col.
-func excerpt(line []byte, col int) string {
-	lo, hi := max(0, col-20), min(len(line), col+40)
-	prefix, suffix := "", ""
-	if lo > 0 {
-		prefix = "…"
-	}
-	if hi < len(line) {
-		suffix = "…"
-	}
-	return prefix + string(line[lo:hi]) + suffix
 }

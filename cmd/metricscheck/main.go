@@ -5,8 +5,6 @@
 //   - OpenMetrics text (/metrics): scrape, validate structure (TYPE
 //     metadata, counter conventions, histogram bucket monotonicity, the
 //     # EOF terminator), and optionally require specific families.
-//   - History JSON (/metrics/range): decode and run the schema
-//     validator (-range).
 //
 // Usage:
 //
@@ -14,13 +12,11 @@
 //	metricscheck -url http://host:port/metrics
 //	metricscheck -require sim_ticks,core_sampler_samples FILE
 //	some-scraper | metricscheck -     # validate stdin
-//	curl -s '.../metrics/range?...' | metricscheck -range -
 //
 // Exit status: 0 valid, 1 invalid or unreachable, 2 usage error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/openmetrics"
 )
 
@@ -38,7 +33,6 @@ func main() {
 	require := flag.String("require", "", "comma-separated family names that must be present")
 	quiet := flag.Bool("q", false, "suppress the summary line (errors still print)")
 	timeout := flag.Duration("timeout", 10*time.Second, "HTTP timeout for -url")
-	rangeMode := flag.Bool("range", false, "validate a /metrics/range JSON response instead of an OpenMetrics exposition")
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
@@ -73,15 +67,8 @@ func main() {
 		defer f.Close()
 		in, src = f, flag.Arg(0)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: metricscheck [-url URL | FILE | -] [-require fam1,fam2] [-range]")
+		fmt.Fprintln(os.Stderr, "usage: metricscheck [-url URL | FILE | -] [-require fam1,fam2]")
 		os.Exit(2)
-	}
-
-	if *rangeMode {
-		if err := checkRangeJSON(in, src, *quiet); err != nil {
-			fail("%v", err)
-		}
-		return
 	}
 
 	e, err := openmetrics.Parse(in)
@@ -112,28 +99,4 @@ func main() {
 		fmt.Printf("%s: valid OpenMetrics exposition: %d families, %d samples\n",
 			src, len(e.Families), samples)
 	}
-}
-
-// checkRangeJSON decodes a /metrics/range response and runs its schema
-// validator.
-func checkRangeJSON(in io.Reader, src string, quiet bool) error {
-	dec := json.NewDecoder(in)
-	dec.DisallowUnknownFields()
-	var rr obs.RangeResponse
-	if err := dec.Decode(&rr); err != nil {
-		return fmt.Errorf("%s: decoding range response: %v", src, err)
-	}
-	if err := rr.Validate(); err != nil {
-		return fmt.Errorf("%s: %v", src, err)
-	}
-	if !quiet {
-		points, windows := 0, 0
-		for _, sr := range rr.Series {
-			points += len(sr.Points)
-			windows += len(sr.Windows)
-		}
-		fmt.Printf("%s: valid range response: %d series, %d points, %d windows (%s clock)\n",
-			src, len(rr.Series), points, windows, rr.Clock)
-	}
-	return nil
 }

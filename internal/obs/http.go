@@ -47,9 +47,6 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 //
 //	/metrics            OpenMetrics/Prometheus text exposition
 //	/metrics/snapshot   JSON Snapshot of the registry (what `top` polls)
-//	/metrics/range      retained history: raw points or aggregate windows
-//	                    (?series=a,b&window=10s&last=5m; catalog without
-//	                    series; 501 unless a history recorder is running)
 //	/healthz            watch-rule verdict (200 ok / 503 with violations;
 //	                    ?verbose=1 for the full JSON verdict list)
 //	/trace              Chrome trace-event JSON of spans and events
@@ -71,7 +68,6 @@ func NewHandler(r *Registry) http.Handler {
 		w.Header().Set("Content-Type", OpenMetricsContentType)
 		_ = r.WriteOpenMetrics(w)
 	}))
-	mux.HandleFunc("/metrics/range", getOnly(historyRangeHandler(r)))
 	mux.HandleFunc("/metrics/snapshot", getOnly(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
@@ -91,7 +87,7 @@ func NewHandler(r *Registry) http.Handler {
 			fmt.Fprintln(w, "ok (no watch rules installed)")
 			return
 		}
-		verdicts := watcher.EvaluateVerdicts()
+		verdicts := watcher.Verdicts()
 		failed := 0
 		for _, v := range verdicts {
 			if !v.OK {

@@ -13,7 +13,9 @@
 // failure mode side-channel reproductions are most prone to — was
 // invisible across runs. With manifests retained, `amperebleed runs`
 // lists, filters, and diffs them ("same seed and board, accuracy
-// moved"), and the perf-compare harness has history to stand on.
+// moved"), and the canonical form of a manifest is what the behaviour
+// oracles under cmd/*/testdata pin. The ledger is the repository's
+// only record of past runs.
 //
 // Manifests of runs that differ only in scheduling (worker count) are
 // byte-identical after Canonicalize, which strips run metadata and

@@ -248,9 +248,6 @@ type Registry struct {
 	spans    spanRing
 	// health is the watcher /healthz consults; set by Registry.Watch.
 	health atomic.Pointer[Watcher]
-	// history is the time-series recorder /metrics/range and the
-	// windowed health rules consult; set by Registry.StartRecorder.
-	history atomic.Pointer[Recorder]
 }
 
 // NewRegistry returns an empty registry.

@@ -218,7 +218,7 @@ func TestMetricsEndpointAgreesWithSnapshot(t *testing.T) {
 	}
 
 	// Method guard: non-GET must be rejected on every obs endpoint.
-	for _, path := range []string{"/metrics", "/metrics/snapshot", "/metrics/range", "/healthz", "/trace"} {
+	for _, path := range []string{"/metrics", "/metrics/snapshot", "/healthz", "/trace"} {
 		resp, err := http.Post(srv.URL+path, "text/plain", strings.NewReader("x"))
 		if err != nil {
 			t.Fatal(err)

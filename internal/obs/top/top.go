@@ -36,10 +36,6 @@ type Options struct {
 	Source string
 	// Width is the panel width in columns (default 72).
 	Width int
-	// History, when non-nil, adds per-panel sparkline "hist" lines from
-	// the recorded metrics history (FetchHistory / HistoryFromRecorder).
-	// Nil renders the historyless dashboard unchanged.
-	History *History
 }
 
 const defaultWidth = 72
@@ -65,17 +61,6 @@ func Frame(s obs.Snapshot, prev *obs.Snapshot, opt Options) []string {
 			pad = 0
 		}
 		add("── %s %s", title, strings.Repeat("─", pad))
-	}
-	// hist emits a sparkline line when the history covers the series;
-	// sparkWidth keeps two segments inside the panel width.
-	sparkWidth := (w - 40) / 2
-	if sparkWidth < 8 {
-		sparkWidth = 8
-	}
-	hist := func(segments ...[2]string) {
-		if l := histLine(opt.History, sparkWidth, segments...); l != "" {
-			ln = append(ln, l)
-		}
 	}
 
 	add("amperebleed top · %s · %s", src, s.TakenAt.Format("15:04:05.000"))
@@ -104,8 +89,6 @@ func Frame(s obs.Snapshot, prev *obs.Snapshot, opt Options) []string {
 		}
 	}
 	ln = append(ln, line)
-	hist([2]string{"samples", "core.sampler.samples"}, [2]string{"gaps", "core.sampler.gaps"})
-	hist([2]string{"trace", "trace.samples_recorded"}, [2]string{"gaps", "trace.gaps_recorded"})
 
 	// leakage
 	rule("leakage")
@@ -116,13 +99,11 @@ func Frame(s obs.Snapshot, prev *obs.Snapshot, opt Options) []string {
 	}
 	add("  TVLA t   %+8.1f   %s", t, verdict)
 	add("  SNR      %8.2f", s.Gauge("leakage.snr"))
-	hist([2]string{"snr", "leakage.snr"})
 
 	// covert
 	rule("covert")
 	add("  BER      %8.4f   throughput %8.1f bit/s",
 		s.Gauge("covert.ber"), s.Gauge("covert.bits_per_sec"))
-	hist([2]string{"ber", "covert.ber"})
 
 	// faults
 	rule("faults")
@@ -161,7 +142,6 @@ func Frame(s obs.Snapshot, prev *obs.Snapshot, opt Options) []string {
 			time.Duration(h.P95).Round(time.Millisecond),
 			time.Duration(h.Max).Round(time.Millisecond))
 	}
-	hist([2]string{"done", "runner.shards"})
 
 	// recent events, newest last, at most three
 	if n := len(s.Events); n > 0 {

@@ -2,15 +2,12 @@ package top
 
 import (
 	"context"
-	"errors"
-	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/tsdb"
 )
 
 // demoSnapshot fabricates a snapshot with every metric the five panel
@@ -144,116 +141,5 @@ func TestFetchSnapshot(t *testing.T) {
 	}
 	if snap.Gauge("covert.ber") != 0.25 {
 		t.Fatalf("fetched covert.ber = %v", snap.Gauge("covert.ber"))
-	}
-}
-
-func TestSpark(t *testing.T) {
-	if got := Spark([]float64{0, 1, 2, 3, 4, 5, 6, 7}, 8); got != "▁▂▃▄▅▆▇█" {
-		t.Fatalf("ramp = %q", got)
-	}
-	// Flat series renders all-low, not all-high.
-	if got := Spark([]float64{5, 5, 5}, 8); got != "▁▁▁" {
-		t.Fatalf("flat = %q", got)
-	}
-	// Width clips to the most recent values.
-	if got := Spark([]float64{9, 9, 9, 0, 8}, 2); got != "▁█" {
-		t.Fatalf("clipped = %q", got)
-	}
-	if got := Spark(nil, 8); got != "" {
-		t.Fatalf("empty = %q", got)
-	}
-}
-
-// demoHistory builds a history with a gap burst and an SNR drift.
-func demoHistory() *History {
-	return &History{
-		WindowNS: int64(10 * time.Second),
-		Counters: map[string][]float64{
-			"core.sampler.samples": {100, 100, 100, 100},
-			"core.sampler.gaps":    {0, 1, 30, 2},
-			"runner.shards":        {4, 4, 4, 4},
-		},
-		Gauges: map[string][]float64{
-			"leakage.snr": {10, 11, 12, 14.2},
-			"covert.ber":  {0.01, 0.02, 0.015, 0.0156},
-		},
-	}
-}
-
-func TestHistoryDelta(t *testing.T) {
-	h := demoHistory()
-	if d, ok := h.Delta("core.sampler.gaps"); !ok || d != 33 {
-		t.Fatalf("counter delta = %g ok=%v", d, ok)
-	}
-	if d, ok := h.Delta("leakage.snr"); !ok || math.Abs(d-4.2) > 1e-9 {
-		t.Fatalf("gauge delta = %g ok=%v", d, ok)
-	}
-	if _, ok := h.Delta("no.such"); ok {
-		t.Fatal("missing series produced a delta")
-	}
-	var nilH *History
-	if _, ok := nilH.Delta("x"); ok {
-		t.Fatal("nil history produced a delta")
-	}
-}
-
-func TestFrameHistLines(t *testing.T) {
-	at := time.Date(2026, 8, 8, 12, 0, 1, 0, time.UTC)
-	lines := Frame(demoSnapshot(at), nil, Options{Source: "test", History: demoHistory()})
-	joined := strings.Join(lines, "\n")
-	histLines := 0
-	for _, l := range lines {
-		if strings.HasPrefix(l, "  hist ") {
-			histLines++
-		}
-	}
-	if histLines != 4 {
-		t.Fatalf("hist lines = %d, want 4 (sampling, leakage, covert, shards):\n%s", histLines, joined)
-	}
-	for _, want := range []string{"Δ+33", "Δ+4.2", "▁", "█"} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("frame missing %q:\n%s", want, joined)
-		}
-	}
-	// Without history the frame is unchanged: no hist lines at all.
-	for _, l := range Frame(demoSnapshot(at), nil, Options{Source: "test"}) {
-		if strings.Contains(l, "hist") {
-			t.Fatalf("historyless frame has hist line %q", l)
-		}
-	}
-}
-
-func TestHistoryFromResponse(t *testing.T) {
-	resp := obs.RangeResponse{
-		Clock: "wall", IntervalNS: int64(time.Second), WindowNS: int64(10 * time.Second),
-		Series: []obs.SeriesRange{
-			{Name: "c", Kind: "counter", Windows: []tsdb.Window{
-				{Start: 0, End: 1, First: 0, Last: 10},
-				{Start: 1, End: 2, First: 12, Last: 25},
-			}},
-			{Name: "g", Kind: "gauge", Windows: []tsdb.Window{{Start: 0, End: 1, Mean: 3.5}}},
-			{Name: "m", Kind: "missing"},
-		},
-	}
-	h := HistoryFromResponse(resp)
-	if vs := h.Values("c"); len(vs) != 2 || vs[0] != 10 || vs[1] != 15 {
-		t.Fatalf("counter increases = %v", vs)
-	}
-	if vs := h.Values("g"); len(vs) != 1 || vs[0] != 3.5 {
-		t.Fatalf("gauge means = %v", vs)
-	}
-	if vs := h.Values("m"); vs != nil {
-		t.Fatalf("missing series values = %v", vs)
-	}
-}
-
-func TestFetchHistory(t *testing.T) {
-	r := obs.NewRegistry()
-	srv := httptest.NewServer(obs.NewHandler(r))
-	defer srv.Close()
-	// No recorder: ErrHistoryDisabled, which the dashboard tolerates.
-	_, err := FetchHistory(context.Background(), srv.URL, HistorySeries, 10*time.Second, 0)
-	if !errors.Is(err, ErrHistoryDisabled) {
-		t.Fatalf("err = %v, want ErrHistoryDisabled", err)
 	}
 }

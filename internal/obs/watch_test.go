@@ -2,25 +2,32 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/golden"
 )
 
-// TestRatioRule covers WindowedRatioRule's no-history branch, which
-// judges cumulative totals: threshold, detail text, observed/threshold
-// values, and the zero-denominator pass.
+var update = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// TestRatioRule covers RatioRule's cumulative judgement: threshold,
+// detail text, observed/threshold values, and the zero-denominator pass.
 func TestRatioRule(t *testing.T) {
-	rule := WindowedRatioRule("gap_ratio", "gaps", "samples", 0.5, DefaultHealthWindows)
+	rule := RatioRule("gap_ratio", "gaps", "samples", 0.5)
 	cur := Snapshot{Counters: map[string]int64{"gaps": 3, "samples": 10}}
-	if v := rule.Eval(EvalInput{Cur: cur}); !v.OK {
+	if v := rule.Eval(cur); !v.OK {
 		t.Fatal("30% gaps flagged at a 50% threshold")
 	}
 	cur.Counters["gaps"] = 6
-	v := rule.Eval(EvalInput{Cur: cur})
+	v := rule.Eval(cur)
 	if v.OK {
 		t.Fatal("60% gaps passed a 50% threshold")
 	}
@@ -31,71 +38,22 @@ func TestRatioRule(t *testing.T) {
 		t.Fatalf("verdict = %+v", v)
 	}
 	// Zero denominator: no data is not a violation.
-	if v := rule.Eval(EvalInput{Cur: Snapshot{Counters: map[string]int64{"gaps": 5}}}); !v.OK {
+	if v := rule.Eval(Snapshot{Counters: map[string]int64{"gaps": 5}}); !v.OK {
 		t.Fatal("zero denominator flagged")
 	}
 }
 
 func TestGaugeCeilingRule(t *testing.T) {
 	rule := GaugeCeilingRule("consec", "core.sampler.consecutive_gaps", 64)
-	if v := rule.Eval(EvalInput{Cur: Snapshot{Gauges: map[string]float64{"core.sampler.consecutive_gaps": 64}}}); !v.OK {
+	if v := rule.Eval(Snapshot{Gauges: map[string]float64{"core.sampler.consecutive_gaps": 64}}); !v.OK {
 		t.Fatal("value at the ceiling flagged")
 	}
-	v := rule.Eval(EvalInput{Cur: Snapshot{Gauges: map[string]float64{"core.sampler.consecutive_gaps": 65}}})
+	v := rule.Eval(Snapshot{Gauges: map[string]float64{"core.sampler.consecutive_gaps": 65}})
 	if v.OK {
 		t.Fatal("value above the ceiling passed")
 	}
 	if v.Window != "instant" || v.Observed != 65 {
 		t.Fatalf("verdict = %+v", v)
-	}
-}
-
-func TestWindowedRatioRuleRecovers(t *testing.T) {
-	r := NewRegistry()
-	clk := &fakeClock{}
-	rec := r.NewRecorder(RecorderOptions{Interval: time.Second, Clock: clk})
-	r.history.Store(rec)
-	gaps := r.Counter("gaps")
-	samples := r.Counter("samples")
-	rule := WindowedRatioRule("gap_ratio", "gaps", "samples", 0.5, 5)
-
-	// A fault burst: 9 of 10 samples are gaps during the first seconds.
-	for i := 0; i < 5; i++ {
-		samples.Add(2)
-		gaps.Add(2)
-		clk.now += time.Second
-		rec.Sample()
-	}
-	in := EvalInput{Cur: r.Snapshot(), History: rec}
-	v := rule.Eval(in)
-	if v.OK {
-		t.Fatalf("100%% gaps in-window passed: %+v", v)
-	}
-	if v.Window != "5×1s" {
-		t.Fatalf("window = %q, want 5×1s", v.Window)
-	}
-
-	// The burst stops; clean sampling continues. Once the burst ages out
-	// of the 5-interval window the rule recovers even though the
-	// cumulative ratio is still ~29%... and a cumulative 0.15-threshold
-	// rule would never recover.
-	for i := 0; i < 8; i++ {
-		samples.Add(5)
-		clk.now += time.Second
-		rec.Sample()
-	}
-	v = rule.Eval(EvalInput{Cur: r.Snapshot(), History: rec})
-	if !v.OK {
-		t.Fatalf("recovered window still failing: %+v", v)
-	}
-	if v.Window != "5×1s" {
-		t.Fatalf("window = %q after recovery", v.Window)
-	}
-
-	// Cumulative fallback: without history the same rule judges totals.
-	v = rule.Eval(EvalInput{Cur: r.Snapshot()})
-	if v.Window != "cumulative" {
-		t.Fatalf("no-history window = %q, want cumulative", v.Window)
 	}
 }
 
@@ -215,4 +173,70 @@ func TestWatcherRunStopsOnCancel(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not stop on cancel")
 	}
+}
+
+// TestHealthzDoesNotRecord pins that /healthz is read-only: polling an
+// unhealthy registry must not increment obs.watch.violations or append
+// WARN events, or the counter and log volume would track how often a
+// prober polls rather than what the run did.
+func TestHealthzDoesNotRecord(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("runner.shards").Add(4)
+	r.Counter("runner.shards_failed").Add(4) // 100% failures
+	w := r.Watch()
+	fired := 0
+	w.OnViolation(func(Violation) { fired++ })
+	srv := httptest.NewServer(NewHandler(r))
+	defer srv.Close()
+
+	events := len(r.Snapshot().Events)
+	for _, path := range []string{"/healthz", "/healthz?verbose=1"} {
+		for i := 0; i < 2; i++ {
+			if _, code := getBody(t, srv.URL+path); code != http.StatusServiceUnavailable {
+				t.Fatalf("GET %s code = %d, want 503", path, code)
+			}
+		}
+	}
+	if n := r.Counter("obs.watch.violations").Value(); n != 0 {
+		t.Fatalf("obs.watch.violations = %d after four /healthz GETs, want 0", n)
+	}
+	if n := len(r.Snapshot().Events); n != events {
+		t.Fatalf("event ring grew from %d to %d on /healthz GETs", events, n)
+	}
+	if fired != 0 {
+		t.Fatalf("OnViolation fired %d times on /healthz GETs", fired)
+	}
+}
+
+// scrubAt replaces the volatile "at" timestamps so the verbose healthz
+// body goldens cleanly.
+var scrubAt = regexp.MustCompile(`"at": "[^"]*"`)
+
+func TestHealthzVerboseGolden(t *testing.T) {
+	r := NewRegistry()
+	// 80 of 100 recorded samples are gaps: the gap-ratio rule must fail
+	// while the shard and ceiling rules pass.
+	r.Counter("trace.samples_recorded").Add(100)
+	r.Counter("trace.gaps_recorded").Add(80)
+	r.Watch()
+	srv := httptest.NewServer(NewHandler(r))
+	defer srv.Close()
+
+	body, code := getBody(t, srv.URL+"/healthz?verbose=1")
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("verbose healthz code = %d, body %q", code, body)
+	}
+	var parsed struct {
+		Healthy  bool      `json:"healthy"`
+		Verdicts []Verdict `json:"verdicts"`
+	}
+	if err := json.Unmarshal([]byte(body), &parsed); err != nil {
+		t.Fatal(err)
+	}
+	if parsed.Healthy || len(parsed.Verdicts) != 4 {
+		t.Fatalf("parsed = %+v", parsed)
+	}
+
+	got := scrubAt.ReplaceAll([]byte(body), []byte(`"at": "SCRUBBED"`))
+	golden.Check(t, filepath.Join("testdata", "healthz_verbose.golden"), got, *update)
 }

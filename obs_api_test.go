@@ -102,53 +102,3 @@ func TestWriteTrace(t *testing.T) {
 		t.Fatal("trace export carries no events")
 	}
 }
-
-// TestRecordHistory exercises the public history API: after starting a
-// recorder and running a board, the installed recorder's store must
-// hold series, and the obs server must answer /metrics/range.
-func TestRecordHistory(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rec := RecordHistory(ctx, 20*time.Millisecond)
-	if rec == nil {
-		t.Fatal("RecordHistory returned nil")
-	}
-	if MetricsHistory() != rec {
-		t.Fatal("MetricsHistory does not return the started recorder")
-	}
-	b, err := NewBoard(BoardConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Run(200 * time.Millisecond)
-	deadline := time.Now().Add(5 * time.Second)
-	for len(rec.Store().SeriesNames()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if len(rec.Store().SeriesNames()) == 0 {
-		t.Fatal("recorder sampled no series")
-	}
-
-	bound, shutdown, err := ServeObs(context.Background(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-	resp, err := http.Get("http://" + bound + "/metrics/range")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics/range status = %d, want 200 with a recorder installed", resp.StatusCode)
-	}
-	var catalog struct {
-		Names []string `json:"names"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&catalog); err != nil {
-		t.Fatal(err)
-	}
-	if len(catalog.Names) == 0 {
-		t.Fatal("/metrics/range catalog lists no series")
-	}
-}

@@ -1,16 +1,14 @@
 #!/bin/sh
 # telemetry_smoke.sh — end-to-end smoke test of the live telemetry
-# stack: start an amperebleed run serving -obs-addr with -history, then
-# verify that
+# stack: start an amperebleed run serving -obs-addr, then verify that
 #
 #   * /healthz answers (and reaches "ok" or a diagnosed verdict), and
 #     /healthz?verbose=1 returns the per-rule verdict JSON,
 #   * /metrics is a valid OpenMetrics exposition (checked with the
 #     in-repo parser via cmd/metricscheck) carrying the core families,
 #   * /metrics/snapshot returns the JSON snapshot `top` polls,
-#   * /metrics/range returns valid history JSON (metricscheck -range),
-#   * `amperebleed top -once -addr` renders a dashboard frame with
-#     sparkline hist lines from the recorded history,
+#   * `amperebleed top -once -addr` renders all five panels from the
+#     live server,
 #   * a plain `amperebleed top -once` demo run renders all five panels.
 #
 # Everything binds to a loopback port picked by the kernel.
@@ -24,9 +22,8 @@ echo "== build =="
 go build -o "$TMP/amperebleed" ./cmd/amperebleed
 go build -o "$TMP/metricscheck" ./cmd/metricscheck
 
-echo "== start server (covert run under the hostile fault profile, recording history) =="
+echo "== start server (covert run under the hostile fault profile) =="
 "$TMP/amperebleed" -obs-addr 127.0.0.1:0 -obs-hold 60s -faults hostile \
-    -history -history-interval 200ms \
     covert -bits 64 >"$TMP/run.log" 2>"$TMP/run.err" &
 SERVER_PID=$!
 
@@ -46,7 +43,7 @@ echo "== /healthz =="
 HEALTH=$(curl -fsS "http://$ADDR/healthz")
 echo "$HEALTH"
 
-echo "== /healthz?verbose=1 (windowed rule verdicts) =="
+echo "== /healthz?verbose=1 (per-rule verdicts) =="
 curl -fsS "http://$ADDR/healthz?verbose=1" >"$TMP/healthz.json" || true
 grep -q '"verdicts"' "$TMP/healthz.json" \
     || { echo "FAIL: verbose healthz lacks verdicts"; cat "$TMP/healthz.json"; exit 1; }
@@ -59,23 +56,12 @@ echo "== /metrics/snapshot cross-check =="
 curl -fsS "http://$ADDR/metrics/snapshot" | grep -q '"counters"' \
     || { echo "FAIL: snapshot endpoint lacks counters"; exit 1; }
 
-# Give the 200ms recorder time to seal a few windows before querying.
-sleep 1
-
-echo "== /metrics/range (history JSON validated) =="
-curl -fsS "http://$ADDR/metrics/range?series=core.sampler.samples,covert.ber&last=30s" \
-    | "$TMP/metricscheck" -range -
-curl -fsS "http://$ADDR/metrics/range?series=core.sampler.samples&window=1s&last=30s" \
-    | "$TMP/metricscheck" -range -
-
-echo "== top -once against the live server (sparklines from history) =="
+echo "== top -once against the live server =="
 "$TMP/amperebleed" top -once -addr "$ADDR" >"$TMP/top-remote.txt"
 for panel in sampling leakage covert faults shards; do
     grep -q "$panel" "$TMP/top-remote.txt" \
         || { echo "FAIL: remote top frame lacks the $panel panel"; cat "$TMP/top-remote.txt"; exit 1; }
 done
-grep -q '^  hist ' "$TMP/top-remote.txt" \
-    || { echo "FAIL: remote top frame lacks sparkline hist lines"; cat "$TMP/top-remote.txt"; exit 1; }
 
 kill "$SERVER_PID" 2>/dev/null || true
 wait "$SERVER_PID" 2>/dev/null || true
