@@ -62,6 +62,9 @@ func TestOracle(t *testing.T) {
 		{"characterize", []string{"characterize", "-levels", "8", "-samples", "5"}},
 		{"covert", []string{"covert", "-bits", "64"}},
 		{"applicability-hostile", []string{"-faults", "hostile", "applicability"}},
+		// Trains 100-tree forests on gap-carrying hostile-fault captures:
+		// the only go test golden that pins random-forest output.
+		{"robustness", []string{"robustness"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -80,6 +81,12 @@ func Train(cfg Config, X [][]float64, Y []int, classes int) (*Forest, error) {
 		if len(x) != nFeat {
 			return nil, fmt.Errorf("rforest: sample %d has %d features, want %d", i, len(x), nFeat)
 		}
+		// The split search orders values by comparison, which NaN defeats.
+		for j, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("rforest: sample %d feature %d is %v, want finite", i, j, v)
+			}
+		}
 	}
 	for i, y := range Y {
 		if y < 0 || y >= classes {
@@ -96,19 +103,9 @@ func Train(cfg Config, X [][]float64, Y []int, classes int) (*Forest, error) {
 	f := &Forest{cfg: cfg, features: nFeat, classes: classes}
 	f.trees = make([]tree, cfg.Trees)
 	f.importance = make([]float64, nFeat)
-	b := &builder{cfg: cfg, X: X, Y: Y, classes: classes,
-		importance: make([]float64, nFeat)}
+	b := newBuilder(cfg, X, Y, classes)
 	for t := range f.trees {
-		// Bootstrap: sample len(X) indices with replacement.
-		idx := make([]int, len(X))
-		for i := range idx {
-			idx[i] = cfg.Rand.Intn(len(X))
-		}
-		b.nodes = nil
-		b.total = len(idx)
-		b.grow(idx, 0)
-		f.trees[t] = tree{nodes: b.nodes}
-		b.nodes = nil
+		f.trees[t] = b.tree()
 	}
 	// Normalize the accumulated impurity decreases to sum to 1.
 	var total float64
@@ -130,56 +127,151 @@ func (f *Forest) Importances() []float64 {
 	return append([]float64(nil), f.importance...)
 }
 
-// builder grows one tree.
+// presortMin is the node size, in distinct samples, from which a split
+// is searched on the presorted columns. A smaller node sorts its sampled
+// features directly, which is cheaper than keeping every column
+// partitioned below it.
+const presortMin = 64
+
+// builder grows the trees of one Train call. Each feature column is
+// sorted once; each tree filters the sorted columns down to its bootstrap
+// draw, and each split partitions them stably, so no large node sorts.
+// All scratch is reused across nodes and trees.
+//
+// The forest is the one a per-node sort over all classes would grow, bit
+// for bit: a split depends only on the label counts at distinct-value
+// boundaries, which the order of tied values never reaches, and a class
+// absent from a node adds 0 to its Gini sum.
 type builder struct {
-	cfg        Config
-	X          [][]float64
-	Y          []int
-	classes    int
-	nodes      []node
-	total      int       // bootstrap sample size, for importance weights
+	cfg    Config
+	y      []int
+	xt     [][]float64 // xt[f][s] = X[s][f]
+	sorted [][]int32   // sorted[f]: every sample, ascending by xt[f]
+
+	// Per tree.
+	weight    []float64 // bootstrap multiplicity per sample; they sum to len(X)
+	cols      [][]int32 // cols[f]: drawn samples ascending by xt[f]; each node owns one [lo,hi)
+	nodes     []node
+	leafProba []float64 // leaf class distributions, in node order
+
+	// Per node, dead once the node's split is chosen.
+	hist, left, right []float64
+	present           []int // classes with a nonzero count, ascending
+	feats             []int
+	pairs             []pair
+	goLeft            []bool
+	spill             []int32
+
 	importance []float64 // accumulated impurity decrease per feature
 }
 
-// grow builds the subtree over the given sample indices and returns its
-// node index.
-func (b *builder) grow(idx []int, depth int) int32 {
-	hist := make([]float64, b.classes)
-	for _, i := range idx {
-		hist[b.Y[i]]++
+type pair struct {
+	v float64
+	s int32
+}
+
+func newBuilder(cfg Config, X [][]float64, Y []int, classes int) *builder {
+	n, nFeat := len(X), len(X[0])
+	b := &builder{
+		cfg:        cfg,
+		y:          Y,
+		xt:         make([][]float64, nFeat),
+		sorted:     make([][]int32, nFeat),
+		weight:     make([]float64, n),
+		cols:       make([][]int32, nFeat),
+		hist:       make([]float64, classes),
+		left:       make([]float64, classes),
+		right:      make([]float64, classes),
+		feats:      make([]int, nFeat),
+		pairs:      make([]pair, n),
+		goLeft:     make([]bool, n),
+		spill:      make([]int32, 0, n),
+		importance: make([]float64, nFeat),
 	}
-	pure := 0
-	for _, c := range hist {
-		if c > 0 {
-			pure++
+	xt, sorted, cols := make([]float64, nFeat*n), make([]int32, nFeat*n), make([]int32, nFeat*n)
+	for f := range b.xt {
+		xf, order := xt[f*n:(f+1)*n], sorted[f*n:(f+1)*n]
+		for s, x := range X {
+			xf[s] = x[f]
+			b.pairs[s] = pair{v: x[f], s: int32(s)}
+		}
+		slices.SortFunc(b.pairs, byValue)
+		for i, p := range b.pairs {
+			order[i] = p.s
+		}
+		b.xt[f], b.sorted[f], b.cols[f] = xf, order, cols[f*n:(f+1)*n]
+	}
+	return b
+}
+
+// byValue orders pairs by ascending value; Train has rejected NaN.
+func byValue(p, q pair) int {
+	switch {
+	case p.v < q.v:
+		return -1
+	case p.v > q.v:
+		return 1
+	}
+	return 0
+}
+
+// tree draws a bootstrap sample and grows one tree on it.
+func (b *builder) tree() tree {
+	clear(b.weight)
+	for range b.weight {
+		b.weight[b.cfg.Rand.Intn(len(b.weight))]++
+	}
+	m := 0
+	for f, order := range b.sorted {
+		col := b.cols[f][:0]
+		for _, s := range order {
+			if b.weight[s] > 0 {
+				col = append(col, s)
+			}
+		}
+		m = len(col)
+	}
+	b.nodes, b.leafProba = b.nodes[:0], b.leafProba[:0]
+	b.grow(0, m, 0)
+	// Copy out of the scratch, cutting the leaf distributions from one slab.
+	nodes := append([]node(nil), b.nodes...)
+	proba := append([]float64(nil), b.leafProba...)
+	k := len(b.hist)
+	for i := range nodes {
+		if nodes[i].feature < 0 {
+			nodes[i].proba, proba = proba[:k:k], proba[k:]
 		}
 	}
+	return tree{nodes: nodes}
+}
+
+// grow builds the subtree over the samples in [lo,hi) of the columns and
+// returns its node index.
+func (b *builder) grow(lo, hi, depth int) int32 {
+	n := b.histogram(lo, hi)
 	id := int32(len(b.nodes))
 	b.nodes = append(b.nodes, node{feature: -1})
-	if pure <= 1 || depth >= b.cfg.MaxDepth || len(idx) < 2*b.cfg.MinLeaf {
-		b.leaf(id, hist, len(idx))
+	minLeaf := float64(b.cfg.MinLeaf)
+	if len(b.present) <= 1 || depth >= b.cfg.MaxDepth || n < 2*minLeaf {
+		b.leaf(n)
 		return id
 	}
-	feat, thr, ok := b.bestSplit(idx, hist)
+	presorted := hi-lo >= presortMin
+	feat, thr, ok := b.bestSplit(lo, hi, n, presorted)
 	if !ok {
-		b.leaf(id, hist, len(idx))
+		b.leaf(n)
 		return id
 	}
-	var left, right []int
-	for _, i := range idx {
-		if b.X[i][feat] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) < b.cfg.MinLeaf || len(right) < b.cfg.MinLeaf {
-		b.leaf(id, hist, len(idx))
+	nl, ml := b.divide(lo, hi, feat, thr)
+	nr := n - nl
+	if nl < minLeaf || nr < minLeaf {
+		b.leaf(n)
 		return id
 	}
-	b.accumulateImportance(feat, hist, left, right)
-	l := b.grow(left, depth+1)
-	r := b.grow(right, depth+1)
+	b.accumulateImportance(feat, n, nl, nr)
+	b.partition(lo, hi, presorted)
+	l := b.grow(lo, lo+ml, depth+1)
+	r := b.grow(lo+ml, hi, depth+1)
 	b.nodes[id].feature = feat
 	b.nodes[id].threshold = thr
 	b.nodes[id].left = l
@@ -187,71 +279,84 @@ func (b *builder) grow(idx []int, depth int) int32 {
 	return id
 }
 
-// accumulateImportance records the split's weighted Gini decrease.
-func (b *builder) accumulateImportance(feat int, hist []float64, left, right []int) {
-	n := float64(len(left) + len(right))
-	lh := make([]float64, b.classes)
-	rh := make([]float64, b.classes)
-	for _, i := range left {
-		lh[b.Y[i]]++
+// histogram fills b.hist and b.present for the samples in [lo,hi) and
+// returns their bootstrap count.
+func (b *builder) histogram(lo, hi int) float64 {
+	clear(b.hist)
+	n := 0.0
+	for _, s := range b.cols[0][lo:hi] {
+		w := b.weight[s]
+		b.hist[b.y[s]] += w
+		n += w
 	}
-	for _, i := range right {
-		rh[b.Y[i]]++
+	b.present = b.present[:0]
+	for c, v := range b.hist {
+		if v > 0 {
+			b.present = append(b.present, c)
+		}
 	}
-	nl, nr := float64(len(left)), float64(len(right))
-	decrease := gini(hist, n) - nl/n*gini(lh, nl) - nr/n*gini(rh, nr)
+	return n
+}
+
+// accumulateImportance records the split's weighted Gini decrease; b.left
+// and b.right hold the children's histograms.
+func (b *builder) accumulateImportance(feat int, n, nl, nr float64) {
+	decrease := gini(b.hist, n) - nl/n*gini(b.left, nl) - nr/n*gini(b.right, nr)
 	if decrease > 0 {
-		b.importance[feat] += n / float64(b.total) * decrease
+		b.importance[feat] += n / float64(len(b.weight)) * decrease
 	}
 }
 
-func (b *builder) leaf(id int32, hist []float64, n int) {
-	proba := make([]float64, len(hist))
-	if n > 0 {
-		for i, c := range hist {
-			proba[i] = c / float64(n)
-		}
+func (b *builder) leaf(n float64) {
+	for _, c := range b.hist {
+		b.leafProba = append(b.leafProba, c/n)
 	}
-	b.nodes[id].proba = proba
+}
+
+// featureSubset samples cfg.FeaturesPerSplit distinct features: the
+// prefix of rand.Perm, built in a reused buffer with the same Intn calls.
+func (b *builder) featureSubset() []int {
+	m := b.feats
+	for i := range m {
+		j := b.cfg.Rand.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m[:b.cfg.FeaturesPerSplit]
 }
 
 // bestSplit searches a random feature subset for the threshold with the
-// lowest weighted Gini impurity.
-func (b *builder) bestSplit(idx []int, hist []float64) (feat int, thr float64, ok bool) {
-	n := float64(len(idx))
+// lowest weighted Gini impurity. A presorted node reads each feature's
+// order from its column; a smaller one sorts its sample list.
+func (b *builder) bestSplit(lo, hi int, n float64, presorted bool) (feat int, thr float64, ok bool) {
 	bestGini := math.Inf(1)
-
-	// Sample cfg.FeaturesPerSplit distinct features (partial shuffle).
-	feats := b.cfg.Rand.Perm(len(b.X[0]))[:b.cfg.FeaturesPerSplit]
-
-	type pair struct {
-		v float64
-		y int
-	}
-	pairs := make([]pair, len(idx))
-	leftHist := make([]float64, b.classes)
-	rightHist := make([]float64, b.classes)
-
-	for _, f := range feats {
-		for i, s := range idx {
-			pairs[i] = pair{v: b.X[s][f], y: b.Y[s]}
+	pairs := b.pairs[:hi-lo]
+	for _, f := range b.featureSubset() {
+		col, xf := b.cols[0], b.xt[f]
+		if presorted {
+			col = b.cols[f]
 		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
-		for i := range leftHist {
-			leftHist[i] = 0
-			rightHist[i] = hist[i]
+		for i, s := range col[lo:hi] {
+			pairs[i] = pair{v: xf[s], s: s}
 		}
+		if !presorted {
+			slices.SortFunc(pairs, byValue)
+		}
+		left, right := b.left, b.right
+		clear(left)
+		copy(right, b.hist)
 		// Sweep split positions between distinct values.
+		nl := 0.0
 		for i := 0; i < len(pairs)-1; i++ {
-			leftHist[pairs[i].y]++
-			rightHist[pairs[i].y]--
+			s := pairs[i].s
+			w, c := b.weight[s], b.y[s]
+			left[c] += w
+			right[c] -= w
+			nl += w
 			if pairs[i].v == pairs[i+1].v {
 				continue
 			}
-			nl := float64(i + 1)
-			nr := n - nl
-			g := nl/n*gini(leftHist, nl) + nr/n*gini(rightHist, nr)
-			if g < bestGini {
+			if g := splitGini(left, right, b.present, nl, n-nl, n); g < bestGini {
 				bestGini = g
 				feat = f
 				thr = (pairs[i].v + pairs[i+1].v) / 2
@@ -260,6 +365,66 @@ func (b *builder) bestSplit(idx []int, hist []float64) (feat int, thr float64, o
 		}
 	}
 	return feat, thr, ok
+}
+
+// splitGini is nl/n*gini(left, nl) + nr/n*gini(right, nr) with both
+// sums taken over the present classes only. The skipped classes have
+// zero counts and subtract 0*0, so the result is the same float.
+func splitGini(left, right []float64, present []int, nl, nr, n float64) float64 {
+	gl, gr := 1.0, 1.0
+	for _, c := range present {
+		pl, pr := left[c]/nl, right[c]/nr
+		gl -= pl * pl
+		gr -= pr * pr
+	}
+	return nl/n*gl + nr/n*gr
+}
+
+// divide sends each sample in [lo,hi) to a side of thr on feat, recording
+// it in b.goLeft and the children's histograms in b.left and b.right. It
+// returns the left child's bootstrap count and its number of distinct
+// samples. The side comes from the comparison, not from the boundary the
+// threshold was chosen at: the midpoint of two adjacent floats can round
+// onto the upper one.
+func (b *builder) divide(lo, hi, feat int, thr float64) (nl float64, ml int) {
+	clear(b.left)
+	clear(b.right)
+	xf := b.xt[feat]
+	for _, s := range b.cols[0][lo:hi] {
+		w, c := b.weight[s], b.y[s]
+		left := xf[s] <= thr
+		b.goLeft[s] = left
+		if left {
+			b.left[c] += w
+			nl += w
+			ml++
+		} else {
+			b.right[c] += w
+		}
+	}
+	return nl, ml
+}
+
+// partition reorders [lo,hi) of the columns stably, left-going samples
+// first. Below presortMin only the sample list cols[0] is kept: no node
+// under a small one reads the other columns.
+func (b *builder) partition(lo, hi int, presorted bool) {
+	cols := b.cols[:1]
+	if presorted {
+		cols = b.cols
+	}
+	for _, col := range cols {
+		seg, k, spill := col[lo:hi], 0, b.spill[:0]
+		for _, s := range seg {
+			if b.goLeft[s] {
+				seg[k] = s
+				k++
+			} else {
+				spill = append(spill, s)
+			}
+		}
+		copy(seg[k:], spill)
+	}
 }
 
 // gini computes the Gini impurity of a class histogram with total n.

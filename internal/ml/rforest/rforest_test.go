@@ -45,6 +45,9 @@ func TestTrainValidation(t *testing.T) {
 		{"zero width", Config{Rand: rng()}, [][]float64{{}, {}}, Y, 2},
 		{"too many feats/split", Config{Rand: rng(), FeaturesPerSplit: 10}, X, Y, 2},
 		{"negative trees", Config{Rand: rng(), Trees: -1}, X, Y, 2},
+		{"NaN feature", Config{Rand: rng()}, [][]float64{{1, 2}, {3, math.NaN()}}, Y, 2},
+		{"+Inf feature", Config{Rand: rng()}, [][]float64{{math.Inf(1), 2}, {3, 4}}, Y, 2},
+		{"-Inf feature", Config{Rand: rng()}, [][]float64{{1, 2}, {math.Inf(-1), 4}}, Y, 2},
 	}
 	for _, c := range cases {
 		if _, err := Train(c.cfg, c.x, c.y, c.cls); err == nil {
