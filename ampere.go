@@ -280,8 +280,8 @@ func Survey(b *Board, a *Attacker, duration time.Duration) ([]SurveyRow, error) 
 // registry: counters (sysfs reads, INA226 conversions, captures
 // collected, engine ticks), gauges (sim-time/wall-time ratio, progress),
 // histograms with p50/p95/p99 (attacker achieved sample rate, classifier
-// train/predict timings, per-component step latencies), recent spans,
-// and progress events.
+// train/predict timings, span durations), recent spans, and progress
+// events.
 type ObsSnapshot = obs.Snapshot
 
 // ObsHistogramStat is the summary of one snapshot histogram.
@@ -298,10 +298,9 @@ func Snapshot() ObsSnapshot { return obs.Default.Snapshot() }
 // running experiment, so call it between experiments, not during one.
 func ResetMetrics() { obs.Default.Reset() }
 
-// ServeObs serves the observability endpoints (/metrics OpenMetrics
-// text, /metrics/snapshot JSON, /healthz, /debug/vars expvar, /trace
-// Chrome trace-event JSON, /debug/pprof profiling) on addr (":0" picks
-// a free port). It returns the bound address and a shutdown function.
+// ServeObs serves the observability endpoints (/metrics/snapshot JSON,
+// /trace Chrome trace-event JSON, /debug/pprof profiling) on addr (":0"
+// picks a free port). It returns the bound address and a shutdown function.
 // The server stops when ctx is cancelled or shutdown is called,
 // whichever comes first; either way in-flight handlers are drained
 // gracefully rather than the listener goroutine leaking for the process

@@ -27,7 +27,6 @@
 //	covert [-bits]             PL->PS covert transmission over the sensor
 //	robustness [-profile]      accuracy-vs-fault-rate sweep under injected faults
 //	runs [-ledger]             list, filter and diff recorded run manifests
-//	top [-addr]                live terminal dashboard of a running attack
 //	resume <checkpoint>        continue an interrupted supervised run
 //
 // The global -faults flag (none|flaky-sysfs|stale-sensor|noisy-sched|
@@ -118,8 +117,8 @@ var faultSpec struct {
 func main() { os.Exit(run()) }
 
 // run is main behind an exit code, so the ledger, trace export and
-// obs-hold deferred work all still happen when a command fails or is
-// interrupted — a cancelled run flushes everything it measured.
+// snapshot all still happen when a command fails or is interrupted — a
+// cancelled run flushes everything it measured.
 func run() int {
 	// Global observability flags precede the command:
 	//
@@ -128,8 +127,7 @@ func run() int {
 	// -obs prints a metrics snapshot after the command; -obs-addr serves
 	// the obs HTTP endpoints while it runs.
 	obsText := flag.Bool("obs", false, "print an observability snapshot after the command")
-	obsAddr := flag.String("obs-addr", "", "expose /metrics, /metrics/snapshot, /healthz, /trace, /debug/vars and /debug/pprof on this address while the command runs")
-	obsHold := flag.Duration("obs-hold", 0, "keep the -obs-addr server up this long after the command completes (for scraping a finished run)")
+	obsAddr := flag.String("obs-addr", "", "expose /metrics/snapshot, /trace and /debug/pprof on this address while the command runs")
 	logLevel := flag.String("log-level", "warn", "structured log level: debug|info|warn|error")
 	logFormat := flag.String("log-format", "text", "structured log format: text|json")
 	faultsName := flag.String("faults", "none", "fault profile injected into every simulated board: "+strings.Join(faults.PresetNames(), "|"))
@@ -143,7 +141,7 @@ func run() int {
 		os.Exit(2)
 	}
 	cmd, args := flag.Arg(0), flag.Args()[1:]
-	if err := (runFlags{FaultIntensity: *faultIntensity, ObsHold: *obsHold}).validate(); err != nil {
+	if err := (runFlags{FaultIntensity: *faultIntensity}).validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "amperebleed: %v\n", err)
 		return 2
 	}
@@ -167,30 +165,13 @@ func run() int {
 	runCtx, stopSignals := watchSignals(context.Background(), sigCh, os.Exit)
 	defer stopSignals()
 	if *obsAddr != "" {
-		serveCtx, stopServe := context.WithCancel(context.Background())
-		bound, shutdown, err := obs.Serve(serveCtx, *obsAddr, obs.Default)
+		bound, shutdown, err := obs.Serve(context.Background(), *obsAddr, obs.Default)
 		if err != nil {
-			stopServe()
 			fmt.Fprintf(os.Stderr, "amperebleed: obs server: %v\n", err)
 			return 1
 		}
-		// Health rules watch the run while the server is up; violations
-		// land in the structured log at warn and on /healthz.
-		watchLog := olog.L("obs.watch")
-		watcher := obs.Watch()
-		watcher.OnViolation(func(v obs.Violation) {
-			watchLog.Warn("health rule violated", "rule", v.Rule, "detail", v.Detail)
-		})
-		go watcher.Run(serveCtx, time.Second)
-		defer func() {
-			if *obsHold > 0 {
-				fmt.Fprintf(os.Stderr, "obs: holding http://%s for %v after command exit\n", bound, *obsHold)
-				time.Sleep(*obsHold)
-			}
-			stopServe()
-			shutdown()
-		}()
-		fmt.Fprintf(os.Stderr, "obs: serving http://%s/metrics (OpenMetrics), /metrics/snapshot, /healthz and /debug/pprof/\n", bound)
+		defer shutdown()
+		fmt.Fprintf(os.Stderr, "obs: serving http://%s/metrics/snapshot, /trace and /debug/pprof/\n", bound)
 	}
 	switch cmd {
 	case "boards":
@@ -227,8 +208,6 @@ func run() int {
 		err = cmdCovert(args, profile)
 	case "runs":
 		err = cmdRuns(args)
-	case "top":
-		err = cmdTop(args, profile)
 	case "resume":
 		err = cmdResume(runCtx, args)
 	case "help", "-h", "--help":
@@ -322,12 +301,9 @@ func usage() {
 global flags (before the command):
   -obs            print an observability snapshot (metrics, spans, events)
                   after the command completes
-  -obs-addr ADDR  expose /metrics (OpenMetrics text), /metrics/snapshot
-                  (JSON), /healthz, /trace (Chrome trace-event JSON),
-                  /debug/vars (expvar) and /debug/pprof on ADDR while the
+  -obs-addr ADDR  expose /metrics/snapshot (JSON), /trace (Chrome
+                  trace-event JSON) and /debug/pprof on ADDR while the
                   command runs
-  -obs-hold DUR   keep the -obs-addr server up DUR after the command
-                  completes, so a finished run can still be scraped
   -log-level L    structured log level: debug|info|warn|error (warn)
   -log-format F   structured log format: text|json (text)
   -faults NAME    inject sensor/scheduler faults into every simulated
@@ -357,9 +333,6 @@ commands:
   detect        watch the FPGA sensor and report workload transitions
   covert        transmit bits over the FPGA->CPU covert channel
   runs          list, filter and diff run-ledger manifests
-  top           live terminal dashboard (-addr polls a running
-                -obs-addr server; without -addr a demo workload runs
-                in-process; -once renders a single frame and exits)
   resume        continue an interrupted supervised run from its
                 checkpoint file; completed shards replay, the result is
                 byte-identical to an uninterrupted run`)

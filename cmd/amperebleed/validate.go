@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // runFlags gathers the flag values every command path must validate
@@ -20,16 +19,10 @@ import (
 type runFlags struct {
 	// FaultIntensity is the global -fault-intensity scale factor.
 	FaultIntensity float64
-	// ObsHold is the global -obs-hold duration.
-	ObsHold time.Duration
 	// Parallel is a subcommand's -parallel worker count, where 0
 	// selects the command's documented default (serial protocol or
 	// GOMAXPROCS).
 	Parallel int
-	// Top marks a `top` invocation; TopInterval is its -interval refresh
-	// period, only constrained when Top is set.
-	Top         bool
-	TopInterval time.Duration
 }
 
 // validate returns the first problem found, phrased in terms of the
@@ -41,14 +34,8 @@ func (f runFlags) validate() error {
 	if f.FaultIntensity < 0 {
 		return fmt.Errorf("-fault-intensity must be >= 0 (got %v)", f.FaultIntensity)
 	}
-	if f.ObsHold < 0 {
-		return fmt.Errorf("-obs-hold must be >= 0 (got %v)", f.ObsHold)
-	}
 	if f.Parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (0 selects the command's default; got %d)", f.Parallel)
-	}
-	if f.Top && f.TopInterval <= 0 {
-		return fmt.Errorf("-interval must be > 0 (got %v)", f.TopInterval)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestRunFlagsValidate(t *testing.T) {
@@ -14,19 +13,15 @@ func TestRunFlagsValidate(t *testing.T) {
 		wantErr string // empty = valid
 	}{
 		{name: "zero value", flags: runFlags{}},
-		{name: "typical", flags: runFlags{FaultIntensity: 1, ObsHold: time.Second, Parallel: 8}},
+		{name: "typical", flags: runFlags{FaultIntensity: 1, Parallel: 8}},
 		{name: "zero intensity disables faults", flags: runFlags{FaultIntensity: 0}},
 		{name: "fractional intensity", flags: runFlags{FaultIntensity: 0.25}},
 		{name: "negative intensity", flags: runFlags{FaultIntensity: -0.5}, wantErr: "-fault-intensity must be >= 0"},
 		{name: "NaN intensity", flags: runFlags{FaultIntensity: math.NaN()}, wantErr: "-fault-intensity must be finite"},
 		{name: "Inf intensity", flags: runFlags{FaultIntensity: math.Inf(1)}, wantErr: "-fault-intensity must be finite"},
-		{name: "negative obs-hold", flags: runFlags{ObsHold: -time.Second}, wantErr: "-obs-hold must be >= 0"},
 		{name: "negative parallel", flags: runFlags{Parallel: -1}, wantErr: "-parallel must be >= 0"},
 		{name: "parallel zero is the default selector", flags: runFlags{Parallel: 0}},
 		{name: "first error wins", flags: runFlags{FaultIntensity: -1, Parallel: -1}, wantErr: "-fault-intensity"},
-		{name: "top with interval", flags: runFlags{Top: true, TopInterval: time.Second}},
-		{name: "top zero interval", flags: runFlags{Top: true}, wantErr: "-interval must be > 0"},
-		{name: "top negative interval", flags: runFlags{Top: true, TopInterval: -time.Second}, wantErr: "-interval must be > 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

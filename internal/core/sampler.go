@@ -26,12 +26,6 @@ var (
 	cGaps       = obs.C("core.sampler.gaps")
 	cReresolves = obs.C("core.sampler.reresolves")
 	cBackoffNs  = obs.C("core.sampler.backoff_ns")
-	// gConsecGaps tracks the current consecutive-gap run length of the
-	// most recently gapping sampler; the obs.Watch consecutive-gap
-	// ceiling rule reads it to flag a sampler that has stopped
-	// delivering data entirely (as opposed to absorbing scattered
-	// faults, which the gap-ratio rule covers).
-	gConsecGaps = obs.G("core.sampler.consecutive_gaps")
 
 	samplerLog = olog.L("core.sampler")
 )
@@ -139,7 +133,7 @@ func NewSampler(b *board.SoC, attacker *Attacker, ch Channel, interval time.Dura
 }
 
 // Breaker exposes the sampler's circuit breaker (nil without fault
-// injection), for tests and watch rules.
+// injection), for tests.
 func (s *Sampler) Breaker() *resilience.Breaker { return s.breaker }
 
 // SetPolicy overrides the retry policy (normalized with WithDefaults).
@@ -187,12 +181,11 @@ func (s *Sampler) deadErr() error {
 		s.ch.Label, s.ch.Kind, s.consecGaps, ErrChannelDead)
 }
 
-// gap records one lost sample and advances the consecutive-gap run the
-// watch rules monitor.
+// gap records one lost sample and advances the consecutive-gap run
+// MaxConsecutiveGaps bounds.
 func (s *Sampler) gap(ctx context.Context, cause string) {
 	cGaps.Inc()
 	s.consecGaps++
-	gConsecGaps.Set(float64(s.consecGaps))
 	samplerLog.DebugContext(ctx, "sample lost",
 		"channel", s.ch.Label, "kind", string(s.ch.Kind),
 		"cause", cause, "consecutive", s.consecGaps)
@@ -211,10 +204,7 @@ func (s *Sampler) gap(ctx context.Context, cause string) {
 // good ends the consecutive-gap run on a successful read.
 func (s *Sampler) good() {
 	cSamples.Inc()
-	if s.consecGaps != 0 {
-		s.consecGaps = 0
-		gConsecGaps.Set(0)
-	}
+	s.consecGaps = 0
 }
 
 // Read reads the channel now, with retry but without advancing the

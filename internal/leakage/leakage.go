@@ -17,8 +17,8 @@ import (
 )
 
 // Channel-health gauges: every successful assessment records its
-// outcome so a live /metrics/snapshot (and the run ledger) shows the
-// channel's current quality without re-running the analysis.
+// outcome so the obs snapshot (and the run ledger) shows the channel's
+// quality without re-running the analysis.
 var (
 	gaugeSNR  = obs.G("leakage.snr")
 	gaugeTVLA = obs.G("leakage.tvla_t")

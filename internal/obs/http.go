@@ -3,8 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"expvar"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -12,11 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// publishOnce guards the expvar publication of the Default registry:
-// expvar.Publish panics on duplicate names, and tests may build several
-// handlers.
-var publishOnce sync.Once
 
 // traceExporter renders a snapshot as a Chrome trace-event JSON
 // document for the /trace endpoint. It lives here as a pluggable hook
@@ -45,80 +38,21 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 
 // NewHandler returns the observability HTTP handler:
 //
-//	/metrics            OpenMetrics/Prometheus text exposition
-//	/metrics/snapshot   JSON Snapshot of the registry (what `top` polls)
-//	/healthz            watch-rule verdict (200 ok / 503 with violations;
-//	                    ?verbose=1 for the full JSON verdict list)
+//	/metrics/snapshot   JSON Snapshot of the registry
 //	/trace              Chrome trace-event JSON of spans and events
 //	                    (Perfetto-loadable; 501 unless obs/export is linked in)
-//	/debug/vars         expvar (Go runtime memstats + the obs snapshot)
 //	/debug/pprof/...    net/http/pprof profiling endpoints
 //
-// All registry endpoints are GET/HEAD-only (405 otherwise) and set
+// The registry endpoints are GET/HEAD-only (405 otherwise) and set
 // explicit Content-Type headers. The handler is mounted on its own mux
 // so importing this package never touches http.DefaultServeMux.
 func NewHandler(r *Registry) http.Handler {
-	if r == Default {
-		publishOnce.Do(func() {
-			expvar.Publish("obs", expvar.Func(func() any { return Default.Snapshot() }))
-		})
-	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", getOnly(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", OpenMetricsContentType)
-		_ = r.WriteOpenMetrics(w)
-	}))
 	mux.HandleFunc("/metrics/snapshot", getOnly(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(r.Snapshot())
-	}))
-	mux.HandleFunc("/healthz", getOnly(func(w http.ResponseWriter, req *http.Request) {
-		verbose := req.URL.Query().Get("verbose") == "1"
-		watcher := r.health.Load()
-		if watcher == nil {
-			if verbose {
-				w.Header().Set("Content-Type", "application/json; charset=utf-8")
-				fmt.Fprintln(w, `{"healthy": true, "verdicts": []}`)
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			fmt.Fprintln(w, "ok (no watch rules installed)")
-			return
-		}
-		verdicts := watcher.Verdicts()
-		failed := 0
-		for _, v := range verdicts {
-			if !v.OK {
-				failed++
-			}
-		}
-		if verbose {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			if failed > 0 {
-				w.WriteHeader(http.StatusServiceUnavailable)
-			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(struct {
-				Healthy  bool      `json:"healthy"`
-				Verdicts []Verdict `json:"verdicts"`
-			}{Healthy: failed == 0, Verdicts: verdicts})
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if failed == 0 {
-			fmt.Fprintln(w, "ok")
-			return
-		}
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintf(w, "unhealthy: %d rule(s) violated\n", failed)
-		for _, v := range verdicts {
-			if !v.OK {
-				fmt.Fprintf(w, "  %s [%s]: %s\n", v.Rule, v.Window, v.Detail)
-			}
-		}
 	}))
 	mux.HandleFunc("/trace", getOnly(func(w http.ResponseWriter, req *http.Request) {
 		f := traceExporter.Load()
@@ -134,7 +68,6 @@ func NewHandler(r *Registry) http.Handler {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		_, _ = w.Write(data)
 	}))
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

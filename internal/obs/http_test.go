@@ -40,21 +40,39 @@ func TestHandlerSnapshotEndpoint(t *testing.T) {
 	}
 }
 
-func TestHandlerPprofAndExpvar(t *testing.T) {
+func TestHandlerPprof(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(NewRegistry()))
 	defer srv.Close()
-	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
-		resp, err := http.Get(srv.URL + path)
+	resp, err := http.Get(srv.URL + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/pprof/ status = %d", resp.StatusCode)
+	}
+	if len(body) == 0 {
+		t.Fatal("/debug/pprof/ returned an empty body")
+	}
+}
+
+// TestHandlerMethodGuard pins the read-only contract: non-GET requests
+// on the registry endpoints get 405 with an Allow header.
+func TestHandlerMethodGuard(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(NewRegistry()))
+	defer srv.Close()
+	for _, path := range []string{"/metrics/snapshot", "/trace"} {
+		resp, err := http.Post(srv.URL+path, "text/plain", strings.NewReader("x"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status = %d", path, resp.StatusCode)
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("POST %s status = %d, want 405", path, resp.StatusCode)
 		}
-		if len(body) == 0 {
-			t.Fatalf("%s returned an empty body", path)
+		if allow := resp.Header.Get("Allow"); allow != "GET, HEAD" {
+			t.Fatalf("POST %s Allow = %q, want \"GET, HEAD\"", path, allow)
 		}
 	}
 }

@@ -9,8 +9,8 @@
 // at runtime, as were the simulation engine's throughput (sim-time /
 // wall-time ratio) and the cost of the classifier's train/predict
 // phases. Every internal package records into the process-wide Default
-// registry; cmd/amperebleed exposes it over HTTP (expvar + pprof +
-// /metrics/snapshot) and as a text snapshot, and the public
+// registry; cmd/amperebleed exposes it over HTTP (/metrics/snapshot,
+// /trace and pprof) and as a text snapshot, and the public
 // ampere.Snapshot API returns it programmatically.
 //
 // Primitives are built for hot paths: a Counter.Add is one atomic add,
@@ -246,8 +246,6 @@ type Registry struct {
 	hists    map[string]*Histogram
 	events   eventRing
 	spans    spanRing
-	// health is the watcher /healthz consults; set by Registry.Watch.
-	health atomic.Pointer[Watcher]
 }
 
 // NewRegistry returns an empty registry.

@@ -1,7 +1,7 @@
 // Package olog is the repository's structured logging facade, a thin
 // correlation layer over log/slog. The attack pipeline's interesting
-// events — a sample lost to retry exhaustion, a shard panic, a health
-// rule firing — were previously either silent or buried in the bounded
+// events — a sample lost to retry exhaustion, a shard panic, a channel
+// declared dead — were previously either silent or buried in the bounded
 // obs event ring; olog gives them leveled, machine-parseable output
 // that a log pipeline can join against the run ledger and trace
 // timeline, because every record automatically carries:

@@ -50,25 +50,14 @@ type Engine struct {
 
 	// Observability. Counters aggregate across every live engine (the
 	// fingerprinting pipeline runs many boards in parallel); the ratio
-	// gauge is per-Run, last writer wins. Per-component step latencies
-	// are sampled every stepSampleEvery ticks so the instrumentation
-	// stays off the hot path.
-	tickCount   uint64
-	wallInRun   time.Duration
-	simInRun    time.Duration
-	obsTicks    *obs.Counter
-	obsSimNs    *obs.Counter
-	obsWallNs   *obs.Counter
-	obsRatio    *obs.Gauge
-	obsTickNs   *obs.Histogram
-	obsStepHist []*obs.Histogram // parallel to parts
+	// gauge is per-Run, last writer wins.
+	wallInRun time.Duration
+	simInRun  time.Duration
+	obsTicks  *obs.Counter
+	obsSimNs  *obs.Counter
+	obsWallNs *obs.Counter
+	obsRatio  *obs.Gauge
 }
-
-// stepSampleEvery is the tick sampling period for per-component step
-// latency histograms: one timed tick in every 128 keeps the overhead of
-// the extra clock reads around a percent while still collecting
-// thousands of samples per multi-second experiment.
-const stepSampleEvery = 128
 
 // DefaultStep is the engine resolution used by the experiments: 100 µs,
 // fine enough to resolve the 2 ms minimum INA226 conversion window and
@@ -89,7 +78,6 @@ func NewEngine(dt time.Duration, seed int64) (*Engine, error) {
 		obsSimNs:  obs.C("sim.simtime_ns"),
 		obsWallNs: obs.C("sim.walltime_ns"),
 		obsRatio:  obs.G("sim.ratio"),
-		obsTickNs: obs.H("sim.tick_ns"),
 	}, nil
 }
 
@@ -122,7 +110,6 @@ func (e *Engine) Register(name string, s Steppable) error {
 	}
 	e.names[name] = true
 	e.parts = append(e.parts, s)
-	e.obsStepHist = append(e.obsStepHist, obs.H("sim.step."+name))
 	return nil
 }
 
@@ -151,32 +138,11 @@ func (e *Engine) Stream(name string) *rand.Rand {
 
 // Tick advances the simulation by one step.
 func (e *Engine) Tick() {
-	e.tickCount++
-	if e.tickCount%stepSampleEvery == 0 {
-		e.tickSampled()
-	} else {
-		for _, p := range e.parts {
-			p.Step(e.now, e.dt)
-		}
+	for _, p := range e.parts {
+		p.Step(e.now, e.dt)
 	}
 	e.now += e.dt
 	e.obsTicks.Inc()
-}
-
-// tickSampled is Tick with per-component wall-clock timing; it runs on
-// one tick in every stepSampleEvery. One clock read per component
-// boundary: component i is charged the interval between boundary i and
-// i+1.
-func (e *Engine) tickSampled() {
-	tickStart := time.Now()
-	prev := tickStart
-	for i, p := range e.parts {
-		p.Step(e.now, e.dt)
-		now := time.Now()
-		e.obsStepHist[i].Observe(float64(now.Sub(prev).Nanoseconds()))
-		prev = now
-	}
-	e.obsTickNs.Observe(float64(prev.Sub(tickStart).Nanoseconds()))
 }
 
 // account records a completed Run/RunUntil stretch in the obs layer:
