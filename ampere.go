@@ -317,7 +317,9 @@ func WriteTrace(w io.Writer) error {
 	return export.Write(w, obs.Default.Snapshot())
 }
 
-// ModelZoo returns the 39 DNN architectures of the fingerprinting suite.
+// ModelZoo builds and returns the 39 DNN architectures of the
+// fingerprinting suite. Every call builds all 39 afresh and the caller
+// owns them; LoadZooModel builds just the one it deploys.
 func ModelZoo() []*DNNModel { return dpu.Zoo() }
 
 // Fig3Models returns the six models whose traces Fig. 3 plots.

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -97,19 +98,28 @@ func NewAttacker(fs *sysfs.FS, cred sysfs.Cred) (*Attacker, error) {
 	return &Attacker{fs: fs, cred: cred}, nil
 }
 
-// Discover lists the INA226 sensors visible through hwmon, in directory
-// order — the attacker's reconnaissance step.
+// Discover lists the INA226 sensors visible through hwmon, in numeric
+// hwmon<N> order — the attacker's reconnaissance step. Nothing is
+// cached: every call lists the class directory and reads each entry's
+// name and label attributes afresh, so a hotplug renumber between calls
+// is always seen.
 func (a *Attacker) Discover() ([]SensorInfo, error) {
-	dirs, err := a.fs.ReadDir(hwmon.ClassDir)
+	names, err := a.fs.ReadDir(hwmon.ClassDir)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(dirs, func(i, j int) bool {
-		return hwmonIndex(dirs[i]) < hwmonIndex(dirs[j])
-	})
+	type entry struct {
+		index int
+		name  string
+	}
+	dirs := make([]entry, len(names))
+	for i, d := range names {
+		dirs[i] = entry{hwmonIndex(d), d}
+	}
+	sort.Slice(dirs, func(i, j int) bool { return dirs[i].index < dirs[j].index })
 	var out []SensorInfo
 	for _, d := range dirs {
-		dir := hwmon.ClassDir + "/" + d
+		dir := hwmon.ClassDir + "/" + d.name
 		name, err := a.fs.ReadFile(a.cred, dir+"/name")
 		if err != nil {
 			continue // not readable or not a sensor dir
@@ -130,9 +140,17 @@ func (a *Attacker) Discover() ([]SensorInfo, error) {
 	return out, nil
 }
 
+// hwmonIndex returns N of a "hwmon<N>" directory name, and 0 for any
+// other name.
 func hwmonIndex(name string) int {
-	n := 0
-	fmt.Sscanf(name, "hwmon%d", &n)
+	digits, ok := strings.CutPrefix(name, "hwmon")
+	if !ok {
+		return 0
+	}
+	n, err := strconv.Atoi(digits)
+	if err != nil {
+		return 0
+	}
 	return n
 }
 

@@ -204,67 +204,10 @@ func captureSeed(root int64, model string, rep int) int64 {
 // channel. seed is the capture's shard seed (captureSeed of model/rep);
 // ctx is polled between the warmup and capture stretches.
 func captureOne(ctx context.Context, cfg FingerprintConfig, modelName string, rep int, seed int64) (*Capture, error) {
-	b, err := board.NewZCU102(board.Config{
-		Seed:           seed,
-		UpdateInterval: cfg.UpdateInterval,
-		Faults:         cfg.Faults,
-	})
+	b, recorders, interval, err := captureRig(cfg, modelName, seed)
 	if err != nil {
 		return nil, err
 	}
-	// Victim: deploy the DPU and start the query loop.
-	queries, err := imagenet.New(b.Engine().Stream("queries"))
-	if err != nil {
-		return nil, err
-	}
-	engine, err := dpu.NewEngine(dpu.EngineConfig{
-		Queries:        queries,
-		SetCPUFullUtil: b.CPUFull().SetUtil,
-		SetCPULowUtil:  b.CPULow().SetUtil,
-		SetDDRUtil:     b.DDR().SetUtil,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := b.Fabric().Place(engine, b.Fabric().SpreadEvenly()); err != nil {
-		return nil, err
-	}
-	m, err := dpu.ZooModel(modelName)
-	if err != nil {
-		return nil, err
-	}
-	if err := engine.LoadModel(m); err != nil {
-		return nil, err
-	}
-
-	// Attacker: one recorder per channel at the hwmon update interval.
-	attacker, err := NewAttacker(b.Sysfs(), sysfs.Nobody)
-	if err != nil {
-		return nil, err
-	}
-	dev, err := b.Sensor(board.SensorFPGA)
-	if err != nil {
-		return nil, err
-	}
-	interval := dev.UpdateInterval()
-	recorders := make(map[Channel]*trace.Recorder, len(cfg.Channels))
-	for _, ch := range cfg.Channels {
-		rec, err := attacker.NewRecorder(ch, interval)
-		if err != nil {
-			return nil, err
-		}
-		// Size the trace for the nominal capture plus the top-up budget
-		// below, so the sampling loop never regrows the backing array.
-		expect := int((cfg.TraceDuration+interval)/interval) + 1
-		rec.Reserve(expect + expect/4 + 2)
-		if inj := b.FaultInjector(); inj != nil {
-			rec.SetPolicy(recorderHooks(attacker, ch, interval,
-				b.Engine().Stream(fmt.Sprintf("backoff/%s/%s", ch.Label, ch.Kind))))
-			rec.SetFaults(inj.SamplerFaults(fmt.Sprintf("recorder/%s/%s", ch.Label, ch.Kind)))
-		}
-		recorders[ch] = rec
-	}
-
 	b.Run(cfg.Warmup)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -338,6 +281,75 @@ func captureOne(ctx context.Context, cfg FingerprintConfig, modelName string, re
 	}
 	obs.C("core.captures").Inc()
 	return cap, nil
+}
+
+// captureRig wires one capture's board: the victim DPU running
+// modelName and, on the attacker side, one reserved recorder per
+// channel at the hwmon update interval. It is everything captureOne
+// does before simulated time first advances.
+func captureRig(cfg FingerprintConfig, modelName string, seed int64) (*board.ZCU102, map[Channel]*trace.Recorder, time.Duration, error) {
+	b, err := board.NewZCU102(board.Config{
+		Seed:           seed,
+		UpdateInterval: cfg.UpdateInterval,
+		Faults:         cfg.Faults,
+	})
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	// Victim: deploy the DPU and start the query loop.
+	queries, err := imagenet.New(b.Engine().Stream("queries"))
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	engine, err := dpu.NewEngine(dpu.EngineConfig{
+		Queries:        queries,
+		SetCPUFullUtil: b.CPUFull().SetUtil,
+		SetCPULowUtil:  b.CPULow().SetUtil,
+		SetDDRUtil:     b.DDR().SetUtil,
+	})
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if err := b.Fabric().Place(engine, b.Fabric().SpreadEvenly()); err != nil {
+		return nil, nil, 0, err
+	}
+	m, err := dpu.ZooModel(modelName)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if err := engine.LoadModel(m); err != nil {
+		return nil, nil, 0, err
+	}
+
+	// Attacker: one recorder per channel at the hwmon update interval.
+	attacker, err := NewAttacker(b.Sysfs(), sysfs.Nobody)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	dev, err := b.Sensor(board.SensorFPGA)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	interval := dev.UpdateInterval()
+	recorders := make(map[Channel]*trace.Recorder, len(cfg.Channels))
+	for _, ch := range cfg.Channels {
+		rec, err := attacker.NewRecorder(ch, interval)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		// Size the trace for the nominal capture plus captureOne's
+		// top-up budget, so the sampling loop never regrows the backing
+		// array.
+		expect := int((cfg.TraceDuration+interval)/interval) + 1
+		rec.Reserve(expect + expect/4 + 2)
+		if inj := b.FaultInjector(); inj != nil {
+			rec.SetPolicy(recorderHooks(attacker, ch, interval,
+				b.Engine().Stream(fmt.Sprintf("backoff/%s/%s", ch.Label, ch.Kind))))
+			rec.SetFaults(inj.SamplerFaults(fmt.Sprintf("recorder/%s/%s", ch.Label, ch.Kind)))
+		}
+		recorders[ch] = rec
+	}
+	return b, recorders, interval, nil
 }
 
 // AccuracyCell is one Table III cell.

@@ -72,8 +72,10 @@ func TestZooWorkloadsAreRealistic(t *testing.T) {
 }
 
 func TestZooModelLookupError(t *testing.T) {
-	if _, err := ZooModel("NoSuchNet"); err == nil {
-		t.Fatal("unknown model accepted")
+	for _, name := range []string{"NoSuchNet", "", "resnet-50", "ResNet-50 ", "VGG"} {
+		if m, err := ZooModel(name); err == nil || m != nil {
+			t.Errorf("ZooModel(%q) = %v, %v; want an error", name, m, err)
+		}
 	}
 }
 

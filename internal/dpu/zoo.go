@@ -2,68 +2,86 @@ package dpu
 
 import "fmt"
 
-// Zoo returns the 39 image-recognition models the fingerprinting
+// zooEntry names one model of the fingerprinting suite and the
+// constructor that builds it.
+type zooEntry struct {
+	name  string
+	build func(name string) *Model
+}
+
+// zoo lists the 39 image-recognition models the fingerprinting
 // experiment deploys, spanning 7 architecture families, mirroring the
 // complete Vitis AI Library image-recognition suite used in the paper.
+// It holds constructors, not models: Zoo and ZooModel build fresh ones
+// on every call.
 //
 // Layer workloads are derived from each architecture's published block
 // structure (channel widths, strides, block counts), so the relative
 // compute/memory proportions — the quantities the side channel sees —
 // track the real networks.
+var zoo = []zooEntry{
+	// --- VGG family (4) ---
+	{"VGG-11", func(n string) *Model { return vgg(n, []int{1, 1, 2, 2, 2}) }},
+	{"VGG-13", func(n string) *Model { return vgg(n, []int{2, 2, 2, 2, 2}) }},
+	{"VGG-16", func(n string) *Model { return vgg(n, []int{2, 2, 3, 3, 3}) }},
+	{"VGG-19", func(n string) *Model { return vgg(n, []int{2, 2, 4, 4, 4}) }},
+
+	// --- ResNet family (7) ---
+	{"ResNet-18", func(n string) *Model { return resnet(n, 224, false, [4]int{2, 2, 2, 2}, 1.0) }},
+	{"ResNet-34", func(n string) *Model { return resnet(n, 224, false, [4]int{3, 4, 6, 3}, 1.0) }},
+	{"ResNet-50", func(n string) *Model { return resnet(n, 224, true, [4]int{3, 4, 6, 3}, 1.0) }},
+	{"ResNet-101", func(n string) *Model { return resnet(n, 224, true, [4]int{3, 4, 23, 3}, 1.0) }},
+	{"ResNet-152", func(n string) *Model { return resnet(n, 224, true, [4]int{3, 8, 36, 3}, 1.0) }},
+	{"ResNet-V2-50", func(n string) *Model { return resnet(n, 299, true, [4]int{3, 4, 6, 3}, 1.0) }},
+	{"ResNet-V2-101", func(n string) *Model { return resnet(n, 299, true, [4]int{3, 4, 23, 3}, 1.0) }},
+
+	// --- Inception family (6) ---
+	{"Inception-V1", func(n string) *Model { return inception(n, 224, 2, []int{2, 5, 2}, 1.0) }},
+	{"Inception-V2", func(n string) *Model { return inception(n, 224, 3, []int{3, 5, 2}, 1.1) }},
+	{"Inception-V3", func(n string) *Model { return inception(n, 299, 3, []int{3, 5, 3}, 1.3) }},
+	{"Inception-V4", func(n string) *Model { return inception(n, 299, 4, []int{4, 7, 3}, 1.4) }},
+	{"Inception-ResNet-V2", func(n string) *Model { return inception(n, 299, 3, []int{5, 10, 5}, 1.2) }},
+	{"Xception", xception},
+
+	// --- MobileNet family (7) ---
+	{"MobileNet-V1-0.25", func(n string) *Model { return mobilenetV1(n, 128, 0.25) }},
+	{"MobileNet-V1-0.5", func(n string) *Model { return mobilenetV1(n, 160, 0.5) }},
+	{"MobileNet-V1", func(n string) *Model { return mobilenetV1(n, 224, 1.0) }},
+	{"MobileNet-V2-0.5", func(n string) *Model { return mobilenetV2(n, 224, 0.5) }},
+	{"MobileNet-V2", func(n string) *Model { return mobilenetV2(n, 224, 1.0) }},
+	{"MobileNet-V3-Small", func(n string) *Model { return mobilenetV3(n, 224, false) }},
+	{"MobileNet-V3-Large", func(n string) *Model { return mobilenetV3(n, 224, true) }},
+
+	// --- EfficientNet family (6) ---
+	{"EfficientNet-Lite0", func(n string) *Model { return efficientNetLite(n, 224, 1.0, 1.0) }},
+	{"EfficientNet-Lite1", func(n string) *Model { return efficientNetLite(n, 240, 1.0, 1.1) }},
+	{"EfficientNet-Lite2", func(n string) *Model { return efficientNetLite(n, 260, 1.1, 1.2) }},
+	{"EfficientNet-Lite3", func(n string) *Model { return efficientNetLite(n, 280, 1.2, 1.4) }},
+	{"EfficientNet-Lite4", func(n string) *Model { return efficientNetLite(n, 300, 1.4, 1.8) }},
+	{"EfficientNet-B0", func(n string) *Model { return efficientNetLite(n, 224, 1.0, 1.25) }},
+
+	// --- SqueezeNet family (3) ---
+	{"SqueezeNet-1.0", func(n string) *Model { return squeezenet(n, 7, 96) }},
+	{"SqueezeNet-1.1", func(n string) *Model { return squeezenet(n, 3, 64) }},
+	{"SqueezeNext-23", squeezenext},
+
+	// --- DenseNet family (6) ---
+	{"DenseNet-121", func(n string) *Model { return densenet(n, 224, 32, [4]int{6, 12, 24, 16}) }},
+	{"DenseNet-161", func(n string) *Model { return densenet(n, 224, 48, [4]int{6, 12, 36, 24}) }},
+	{"DenseNet-169", func(n string) *Model { return densenet(n, 224, 32, [4]int{6, 12, 32, 32}) }},
+	{"DenseNet-201", func(n string) *Model { return densenet(n, 224, 32, [4]int{6, 12, 48, 32}) }},
+	{"DenseNet-264", func(n string) *Model { return densenet(n, 224, 32, [4]int{6, 12, 64, 48}) }},
+	{"DenseNet-121-160", func(n string) *Model { return densenet(n, 160, 32, [4]int{6, 12, 24, 16}) }},
+}
+
+// Zoo builds and returns all 39 models of the fingerprinting suite, in
+// family order. Every call builds all 39 afresh (a few thousand layers
+// with formatted names), and the caller owns the returned models; to
+// deploy one model, call ZooModel instead.
 func Zoo() []*Model {
-	models := []*Model{
-		// --- VGG family (4) ---
-		vgg("VGG-11", []int{1, 1, 2, 2, 2}),
-		vgg("VGG-13", []int{2, 2, 2, 2, 2}),
-		vgg("VGG-16", []int{2, 2, 3, 3, 3}),
-		vgg("VGG-19", []int{2, 2, 4, 4, 4}),
-
-		// --- ResNet family (7) ---
-		resnet("ResNet-18", 224, false, [4]int{2, 2, 2, 2}, 1.0),
-		resnet("ResNet-34", 224, false, [4]int{3, 4, 6, 3}, 1.0),
-		resnet("ResNet-50", 224, true, [4]int{3, 4, 6, 3}, 1.0),
-		resnet("ResNet-101", 224, true, [4]int{3, 4, 23, 3}, 1.0),
-		resnet("ResNet-152", 224, true, [4]int{3, 8, 36, 3}, 1.0),
-		resnet("ResNet-V2-50", 299, true, [4]int{3, 4, 6, 3}, 1.0),
-		resnet("ResNet-V2-101", 299, true, [4]int{3, 4, 23, 3}, 1.0),
-
-		// --- Inception family (6) ---
-		inception("Inception-V1", 224, 2, []int{2, 5, 2}, 1.0),
-		inception("Inception-V2", 224, 3, []int{3, 5, 2}, 1.1),
-		inception("Inception-V3", 299, 3, []int{3, 5, 3}, 1.3),
-		inception("Inception-V4", 299, 4, []int{4, 7, 3}, 1.4),
-		inception("Inception-ResNet-V2", 299, 3, []int{5, 10, 5}, 1.2),
-		xception(),
-
-		// --- MobileNet family (7) ---
-		mobilenetV1("MobileNet-V1-0.25", 128, 0.25),
-		mobilenetV1("MobileNet-V1-0.5", 160, 0.5),
-		mobilenetV1("MobileNet-V1", 224, 1.0),
-		mobilenetV2("MobileNet-V2-0.5", 224, 0.5),
-		mobilenetV2("MobileNet-V2", 224, 1.0),
-		mobilenetV3("MobileNet-V3-Small", 224, false),
-		mobilenetV3("MobileNet-V3-Large", 224, true),
-
-		// --- EfficientNet family (6) ---
-		efficientNetLite("EfficientNet-Lite0", 224, 1.0, 1.0),
-		efficientNetLite("EfficientNet-Lite1", 240, 1.0, 1.1),
-		efficientNetLite("EfficientNet-Lite2", 260, 1.1, 1.2),
-		efficientNetLite("EfficientNet-Lite3", 280, 1.2, 1.4),
-		efficientNetLite("EfficientNet-Lite4", 300, 1.4, 1.8),
-		efficientNetLite("EfficientNet-B0", 224, 1.0, 1.25),
-
-		// --- SqueezeNet family (3) ---
-		squeezenet("SqueezeNet-1.0", 7, 96),
-		squeezenet("SqueezeNet-1.1", 3, 64),
-		squeezenext(),
-
-		// --- DenseNet family (6) ---
-		densenet("DenseNet-121", 224, 32, [4]int{6, 12, 24, 16}),
-		densenet("DenseNet-161", 224, 48, [4]int{6, 12, 36, 24}),
-		densenet("DenseNet-169", 224, 32, [4]int{6, 12, 32, 32}),
-		densenet("DenseNet-201", 224, 32, [4]int{6, 12, 48, 32}),
-		densenet("DenseNet-264", 224, 32, [4]int{6, 12, 64, 48}),
-		densenet("DenseNet-121-160", 160, 32, [4]int{6, 12, 24, 16}),
+	models := make([]*Model, len(zoo))
+	for i, e := range zoo {
+		models[i] = e.build(e.name)
 	}
 	return models
 }
@@ -82,11 +100,12 @@ func ZooFamilies() []string {
 	return out
 }
 
-// ZooModel returns the zoo model with the given name.
+// ZooModel builds and returns the zoo model with the given name. It
+// builds only that model, fresh on every call, and the caller owns it.
 func ZooModel(name string) (*Model, error) {
-	for _, m := range Zoo() {
-		if m.Name == name {
-			return m, nil
+	for _, e := range zoo {
+		if e.name == name {
+			return e.build(name), nil
 		}
 	}
 	return nil, fmt.Errorf("dpu: no zoo model %q", name)
@@ -194,8 +213,8 @@ func inception(name string, input, stemDepth int, mixed []int, width float64) *M
 }
 
 // xception builds the depthwise-separable Inception variant.
-func xception() *Model {
-	b := newBuilder("Xception", "Inception", 299, 299, 3)
+func xception(name string) *Model {
+	b := newBuilder(name, "Inception", 299, 299, 3)
 	b.conv(3, 2, 32)
 	b.conv(3, 1, 64)
 	for _, c := range []int{128, 256, 728} {
@@ -383,8 +402,8 @@ func squeezenet(name string, headK, headC int) *Model {
 
 // squeezenext builds the SqueezeNext-23 variant with split 1×3/3×1
 // convolutions.
-func squeezenext() *Model {
-	b := newBuilder("SqueezeNext-23", "SqueezeNet", 224, 224, 3)
+func squeezenext(name string) *Model {
+	b := newBuilder(name, "SqueezeNet", 224, 224, 3)
 	b.conv(7, 2, 64)
 	b.pool(3, 2)
 	stage := func(c, n, stride int) {

@@ -53,7 +53,8 @@ func DeployDPU(b *Board) (*DPU, error) {
 	return engine, nil
 }
 
-// LoadZooModel loads a zoo model by name onto a deployed DPU.
+// LoadZooModel builds the named zoo model, and only that one, and loads
+// it onto a deployed DPU. Each call builds a fresh model.
 func LoadZooModel(d *DPU, name string) error {
 	m, err := dpu.ZooModel(name)
 	if err != nil {
