@@ -4,8 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // UtilizationSource is a rail load controlled by a utilization fraction,
@@ -63,13 +64,13 @@ type BackgroundLoad struct {
 	sigma   float64 // diffusion strength, amps/√s
 	revert  float64 // mean-reversion rate, 1/s
 	maxAmps float64
-	rng     *rand.Rand
+	rng     *sim.Rand
 	current float64
 }
 
 // NewBackgroundLoad validates the parameters and returns a load sitting
 // at its mean.
-func NewBackgroundLoad(name string, mean, sigma, revert, max float64, rng *rand.Rand) (*BackgroundLoad, error) {
+func NewBackgroundLoad(name string, mean, sigma, revert, max float64, rng *sim.Rand) (*BackgroundLoad, error) {
 	if name == "" {
 		return nil, errors.New("board: background load needs a name")
 	}

@@ -61,9 +61,10 @@ var (
 
 // DeriveSeed mixes the root seed with a stream name: root XOR
 // FNV-1a(name). It is the same derivation sim.Engine.Stream uses for
-// component streams and runner.ShardSeed uses for shard seeds, so a
-// property's stream is decorrelated from every other property's while
-// the whole run remains a pure function of the root seed.
+// component streams and runner.ShardSeed uses for shard seeds, so each
+// property draws from its own stream while the whole run remains a
+// pure function of the root seed. (math/rand reduces the seed mod
+// 2³¹−1, so two names share a stream with probability about 2⁻³¹.)
 func DeriveSeed(root int64, name string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))

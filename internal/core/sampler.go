@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io/fs"
 	"math"
-	"math/rand"
 	"time"
 
 	"repro/internal/board"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/olog"
 	"repro/internal/resilience"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -288,7 +288,7 @@ func (s *Sampler) readRetry(ctx context.Context) (float64, error) {
 // the attacker's re-resolution path, and the decorrelated backoff
 // jitter stream; used by captureOne and covertOnce when a fault
 // profile is active.
-func recorderHooks(attacker *Attacker, ch Channel, interval time.Duration, jitter *rand.Rand) *trace.RetryPolicy {
+func recorderHooks(attacker *Attacker, ch Channel, interval time.Duration, jitter *sim.Rand) *trace.RetryPolicy {
 	p := DefaultRetryPolicy(interval)
 	p.Rand = jitter
 	p.Resolve = func() (func() (float64, error), error) {

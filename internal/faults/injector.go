@@ -2,7 +2,6 @@ package faults
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -120,7 +119,7 @@ func (in *Injector) SensorFaults(label string) ina226.FaultHooks {
 // samplerFaults implements trace.SampleFaults on one per-key stream.
 type samplerFaults struct {
 	p   Profile
-	rng *rand.Rand
+	rng *sim.Rand
 }
 
 func (s *samplerFaults) JitterDelay(interval time.Duration) time.Duration {
@@ -154,7 +153,7 @@ func (s *samplerFaults) DropoutLen() int {
 // SamplerFaults returns the scheduler fault hook for one sampling loop
 // (jitter + dropout bursts). key names the loop — use the recorded
 // channel, e.g. "sampler/u76/curr" — so concurrent recorders draw from
-// decorrelated streams.
+// separate named streams.
 func (in *Injector) SamplerFaults(key string) trace.SampleFaults {
 	if in.p.JitterRate <= 0 && in.p.DropoutRate <= 0 {
 		return nil

@@ -10,7 +10,8 @@ package imagenet
 
 import (
 	"errors"
-	"math/rand"
+
+	"repro/internal/sim"
 )
 
 // Typical ILSVRC dimensions: the distribution is centred near 500×375
@@ -24,11 +25,11 @@ const (
 
 // Source produces a deterministic stream of synthetic query images.
 type Source struct {
-	rng *rand.Rand
+	rng *sim.Rand
 }
 
 // New returns a source drawing from the given stream.
-func New(rng *rand.Rand) (*Source, error) {
+func New(rng *sim.Rand) (*Source, error) {
 	if rng == nil {
 		return nil, errors.New("imagenet: nil random stream")
 	}

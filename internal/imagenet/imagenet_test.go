@@ -1,9 +1,10 @@
 package imagenet
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -13,11 +14,11 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestDeterministicStream(t *testing.T) {
-	a, err := New(rand.New(rand.NewSource(3)))
+	a, err := New(sim.NewRand(3))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	b, _ := New(rand.New(rand.NewSource(3)))
+	b, _ := New(sim.NewRand(3))
 	for i := 0; i < 100; i++ {
 		aw, ah := a.Next()
 		bw, bh := b.Next()
@@ -28,7 +29,7 @@ func TestDeterministicStream(t *testing.T) {
 }
 
 func TestDimensionsRealistic(t *testing.T) {
-	s, _ := New(rand.New(rand.NewSource(5)))
+	s, _ := New(sim.NewRand(5))
 	var sumW, sumH int
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -62,7 +63,7 @@ func TestFixed(t *testing.T) {
 // Property: dimensions are always within the documented bounds.
 func TestBoundsProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		s, err := New(rand.New(rand.NewSource(seed)))
+		s, err := New(sim.NewRand(seed))
 		if err != nil {
 			return false
 		}

@@ -26,10 +26,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // Conversion-cycle and register-read counters, aggregated over every
@@ -87,7 +87,7 @@ type Config struct {
 	// Probe supplies the monitored rail. Both functions required.
 	Probe Probe
 	// Rand supplies the noise stream; required when any noise is set.
-	Rand *rand.Rand
+	Rand *sim.Rand
 }
 
 // Device is one simulated INA226.
@@ -98,7 +98,7 @@ type Device struct {
 	cal        uint16
 	interval   time.Duration
 	probe      Probe
-	rng        *rand.Rand
+	rng        *sim.Rand
 	nShunt     float64
 	nBus       float64
 

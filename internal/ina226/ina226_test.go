@@ -2,10 +2,11 @@ package ina226
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // fixedProbe returns a probe reading constant values.
@@ -47,7 +48,7 @@ func TestNewValidation(t *testing.T) {
 		func(c Config) Config { c.Probe.CurrentAmps = nil; return c },
 		func(c Config) Config { c.Probe.BusVolts = nil; return c },
 		func(c Config) Config { c.NoiseShuntVolts = 1e-6; return c }, // noise without rng
-		func(c Config) Config { c.NoiseShuntVolts = -1; c.Rand = rand.New(rand.NewSource(1)); return c },
+		func(c Config) Config { c.NoiseShuntVolts = -1; c.Rand = sim.NewRand(1); return c },
 		func(c Config) Config { c.UpdateInterval = time.Millisecond; return c },      // < 2ms
 		func(c Config) Config { c.UpdateInterval = 50 * time.Millisecond; return c }, // > 35ms
 		func(c Config) Config { c.ShuntOhms = 1000; return c },                       // cal register underflow
@@ -253,7 +254,7 @@ func TestShuntRegisterSaturates(t *testing.T) {
 }
 
 func TestNoiseAveragesOut(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	rng := sim.NewRand(11)
 	d, err := New(Config{
 		Label: "x", ShuntOhms: 0.002, CurrentLSB: 1e-3,
 		Probe:           fixedProbe(5, 0.85),

@@ -18,8 +18,9 @@ package power
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // Source is anything that draws current from a rail. Implementations are
@@ -53,7 +54,7 @@ type Rail struct {
 	static  float64 // static (leakage + bias) current in amps
 
 	noiseSigma float64 // gaussian current noise, amps RMS
-	rng        *rand.Rand
+	rng        *sim.Rand
 
 	sources []Source
 
@@ -75,7 +76,7 @@ type RailConfig struct {
 	// rail current each tick, in amps. Zero disables noise.
 	NoiseSigma float64
 	// Rand supplies the noise stream. Required when NoiseSigma > 0.
-	Rand *rand.Rand
+	Rand *sim.Rand
 }
 
 // NewRail validates cfg and returns a rail at its nominal voltage.

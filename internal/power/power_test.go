@@ -2,10 +2,11 @@ package power
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func newTestRail(t *testing.T, static float64) *Rail {
@@ -97,7 +98,7 @@ func TestRailCurrentBeforeStepIsZero(t *testing.T) {
 }
 
 func TestRailNoiseIsZeroMeanAndClamped(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
+	rng := sim.NewRand(3)
 	r, err := NewRail(RailConfig{
 		Name: "n", NominalVoltage: 0.85,
 		StaticCurrent: 1.0, NoiseSigma: 0.01, Rand: rng,

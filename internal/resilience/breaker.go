@@ -7,7 +7,7 @@
 // instead of reading the wall clock, so on the simulated sensor path it
 // runs on the sim clock and is fully deterministic under replay. Its
 // probe-scheduling jitter, which keeps many half-open breakers from
-// probing in lock step, draws from an injected *rand.Rand, expected to
+// probing in lock step, draws from an injected *sim.Rand, expected to
 // be a named stream of the simulation engine (seed ^ FNV-1a(name)),
 // keeping chaos runs byte-identical across worker counts.
 //
@@ -21,11 +21,11 @@ package resilience
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // Breaker metrics. Counters aggregate across every breaker in the
@@ -98,7 +98,7 @@ type BreakerConfig struct {
 	Now func() time.Duration
 	// Rand supplies the probe-scheduling jitter, typically a named sim
 	// RNG stream. Nil disables jitter.
-	Rand *rand.Rand
+	Rand *sim.Rand
 }
 
 func (cfg BreakerConfig) withDefaults() (BreakerConfig, error) {

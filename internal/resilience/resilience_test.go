@@ -2,10 +2,11 @@ package resilience
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // fakeClock is a hand-advanced clock for deterministic breaker tests.
@@ -137,7 +138,7 @@ func TestBreakerProbeJitterDeterministic(t *testing.T) {
 		clk := &fakeClock{}
 		b := newTestBreaker(t, clk, func(cfg *BreakerConfig) {
 			cfg.ProbeJitterFrac = 0.5
-			cfg.Rand = rand.New(rand.NewSource(seed))
+			cfg.Rand = sim.NewRand(seed)
 		})
 		var out []time.Duration
 		for trip := 0; trip < 5; trip++ {

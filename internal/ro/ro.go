@@ -19,10 +19,10 @@ package ro
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/sim"
 )
 
 // Config describes a bank of ring oscillators.
@@ -52,7 +52,7 @@ type Config struct {
 	// fabric.RegionActivity).
 	LocalActivity func(fabric.Region) (float64, error)
 	// Rand supplies the jitter stream; required when JitterHz > 0.
-	Rand *rand.Rand
+	Rand *sim.Rand
 	// UtilizationPerRO is the logic occupied by one oscillator+counter;
 	// zero means 8 LUTs and 32 FFs.
 	UtilizationPerRO fabric.Resources
@@ -179,17 +179,20 @@ func (b *Bank) Sample() []int {
 }
 
 // SampleMean is Sample reduced to the mean count across the bank, the
-// aggregate statistic the Fig. 2 comparison uses.
+// aggregate statistic the Fig. 2 comparison uses. It reads and resets
+// the counters in place, carrying the fractional phase as Sample does,
+// so it allocates nothing.
 func (b *Bank) SampleMean() float64 {
-	counts := b.Sample()
-	if len(counts) == 0 {
+	if len(b.phase) == 0 {
 		return 0
 	}
 	sum := 0
-	for _, c := range counts {
+	for i, p := range b.phase {
+		c := int(p)
 		sum += c
+		b.phase[i] = p - float64(c)
 	}
-	return float64(sum) / float64(len(counts))
+	return float64(sum) / float64(len(b.phase))
 }
 
 // Frequency returns the last computed frequency of oscillator i.

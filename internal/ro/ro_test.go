@@ -2,11 +2,11 @@ package ro
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/sim"
 )
 
 func fixedVolts(v float64) func() float64 { return func() float64 { return v } }
@@ -99,7 +99,7 @@ func TestPhaseCarryRecoverySubCount(t *testing.T) {
 func TestJitterRequiresAndUsesRand(t *testing.T) {
 	b := newBank(t, Config{
 		Count: 1, NominalVolts: 0.85, Volts: fixedVolts(0.85),
-		JitterHz: 1e6, Rand: rand.New(rand.NewSource(5)),
+		JitterHz: 1e6, Rand: sim.NewRand(5),
 	})
 	seen := map[int]bool{}
 	for i := 0; i < 50; i++ {
@@ -196,3 +196,58 @@ func (h *hotCircuit) CircuitName() string           { return "hot" }
 func (h *hotCircuit) Utilization() fabric.Resources { return fabric.Resources{LUTs: 1} }
 func (h *hotCircuit) Step(now, dt time.Duration)    {}
 func (h *hotCircuit) ActiveElements() float64       { return h.active }
+
+// jitteredTwins returns two banks driven by identical jitter streams, so
+// they hold the same phases step for step.
+func jitteredTwins(t *testing.T) (*Bank, *Bank) {
+	t.Helper()
+	mk := func() *Bank {
+		return newBank(t, Config{
+			Count: 7, NominalVolts: 0.85, Volts: fixedVolts(0.84),
+			JitterHz: 3e5, Rand: sim.NewRand(13),
+		})
+	}
+	return mk(), mk()
+}
+
+// TestSampleMeanMatchesSample: SampleMean reads and resets the counters
+// in place, and must equal the mean of Sample's counts on a twin bank
+// while leaving the same fractional carry behind.
+func TestSampleMeanMatchesSample(t *testing.T) {
+	a, b := jitteredTwins(t)
+	for i := 0; i < 200; i++ {
+		dt := time.Duration(1+i%5) * 37 * time.Microsecond
+		a.Step(0, dt)
+		b.Step(0, dt)
+		counts := b.Sample()
+		sum := 0
+		for _, c := range counts {
+			sum += c
+		}
+		want := float64(sum) / float64(len(counts))
+		if got := a.SampleMean(); got != want {
+			t.Fatalf("sample %d: SampleMean = %v, mean of Sample = %v", i, got, want)
+		}
+		for k := range a.phase {
+			if a.phase[k] != b.phase[k] {
+				t.Fatalf("sample %d: RO %d carry %v vs %v", i, k, a.phase[k], b.phase[k])
+			}
+		}
+	}
+}
+
+// TestSampleMeanZeroAllocs guards the Fig. 2 sampling loop: one
+// SampleMean per sample must not allocate.
+func TestSampleMeanZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	b, _ := jitteredTwins(t)
+	allocs := testing.AllocsPerRun(200, func() {
+		b.Step(0, time.Millisecond)
+		b.SampleMean()
+	})
+	if allocs != 0 {
+		t.Fatalf("Step+SampleMean allocated %v objects/op, want 0", allocs)
+	}
+}

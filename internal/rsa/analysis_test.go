@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func TestSearchSpaceBitsKnownValues(t *testing.T) {
@@ -110,8 +112,8 @@ func TestGenerateKeyPairValidation(t *testing.T) {
 func TestRealKeyDrivesCircuit(t *testing.T) {
 	// End to end: a genuine RSA private key in the victim circuit, with
 	// the verified datapath decrypting a ciphertext correctly.
-	rng := rand.New(rand.NewSource(77))
-	kp, err := GenerateKeyPair(128, rng)
+	stream := sim.NewRand(77)
+	kp, err := GenerateKeyPair(128, rand.New(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestRealKeyDrivesCircuit(t *testing.T) {
 		Bits:               128,
 		ClockHz:            1e6,
 		CyclesPerIteration: 2,
-		Rand:               rng,
+		Rand:               stream,
 		Verify:             true,
 	})
 	if err != nil {

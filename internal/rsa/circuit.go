@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/sim"
 )
 
 // Default circuit parameters.
@@ -63,8 +64,9 @@ type CircuitConfig struct {
 	// it enabled the circuit's mean current no longer depends on the
 	// key's Hamming weight (see ladder.go).
 	Ladder bool
-	// Rand draws the random plaintexts the victim encrypts. Required.
-	Rand *rand.Rand
+	// Rand draws the random plaintexts the victim encrypts, typically
+	// a named engine stream. Required.
+	Rand *sim.Rand
 	// Verify enables the real modular arithmetic alongside the activity
 	// model, so the simulated datapath provably computes
 	// plaintext^exponent mod modulus. It slows simulation roughly 100×;
@@ -87,10 +89,11 @@ type Circuit struct {
 	activity    float64 // mean active elements over the last tick
 
 	// real datapath (Verify mode)
-	plain  *big.Int
-	acc    *big.Int // running result
-	square *big.Int // running base square chain
-	last   *big.Int // result of the last completed exponentiation
+	bigRand *rand.Rand // cfg.Rand wrapped for big.Int.Rand
+	plain   *big.Int
+	acc     *big.Int // running result
+	square  *big.Int // running base square chain
+	last    *big.Int // result of the last completed exponentiation
 
 	exponentiations uint64
 }
@@ -139,6 +142,9 @@ func NewCircuit(cfg CircuitConfig) (*Circuit, error) {
 	}
 
 	c := &Circuit{cfg: cfg, secsPerCycle: 1 / cfg.ClockHz}
+	if cfg.Verify {
+		c.bigRand = rand.New(cfg.Rand)
+	}
 	c.bits = make([]bool, cfg.Bits)
 	for i := 0; i < cfg.Bits; i++ {
 		c.bits[i] = cfg.Exponent.Bit(i) == 1
@@ -153,7 +159,7 @@ func (c *Circuit) startExponentiation() {
 	c.iter = 0
 	c.cycleInIter = 0
 	if c.cfg.Verify {
-		c.plain = new(big.Int).Rand(c.cfg.Rand, c.cfg.Modulus)
+		c.plain = new(big.Int).Rand(c.bigRand, c.cfg.Modulus)
 		if c.plain.Sign() == 0 {
 			c.plain.SetInt64(1)
 		}

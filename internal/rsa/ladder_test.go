@@ -2,10 +2,11 @@ package rsa
 
 import (
 	"math/big"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func ladderCfg(exp int64, verify bool) CircuitConfig {
@@ -15,7 +16,7 @@ func ladderCfg(exp int64, verify bool) CircuitConfig {
 		Bits:               16,
 		ClockHz:            1e6,
 		CyclesPerIteration: 10,
-		Rand:               rand.New(rand.NewSource(7)),
+		Rand:               sim.NewRand(7),
 		Verify:             verify,
 		Ladder:             true,
 	}
@@ -92,7 +93,7 @@ func TestLadderEquivalenceProperty(t *testing.T) {
 			c, err := NewCircuit(CircuitConfig{
 				Exponent: big.NewInt(exp), Modulus: big.NewInt(99991),
 				Bits: 8, ClockHz: 1e6, CyclesPerIteration: 2,
-				Rand:   rand.New(rand.NewSource(seed)),
+				Rand:   sim.NewRand(seed),
 				Verify: true, Ladder: ladder,
 			})
 			if err != nil {

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func rng() *rand.Rand { return rand.New(rand.NewSource(7)) }
@@ -110,7 +112,7 @@ func smallCfg(t *testing.T, exp int64, verify bool) CircuitConfig {
 		Bits:               16,
 		ClockHz:            1e6,
 		CyclesPerIteration: 10,
-		Rand:               rng(),
+		Rand:               sim.NewRand(7),
 		Verify:             verify,
 	}
 }
@@ -137,7 +139,7 @@ func TestNewCircuitValidation(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	c := newCircuit(t, CircuitConfig{
-		Exponent: big.NewInt(5), Modulus: big.NewInt(101), Rand: rng(),
+		Exponent: big.NewInt(5), Modulus: big.NewInt(101), Rand: sim.NewRand(7),
 	})
 	if c.Weight() != 2 {
 		t.Fatalf("Weight = %d", c.Weight())
@@ -276,7 +278,7 @@ func TestExponentProperty(t *testing.T) {
 func TestDatapathProperty(t *testing.T) {
 	f := func(seed int64, e uint8) bool {
 		exp := int64(e)%255 + 1
-		r := rand.New(rand.NewSource(seed))
+		r := sim.NewRand(seed)
 		cfg := CircuitConfig{
 			Exponent: big.NewInt(exp), Modulus: big.NewInt(99991),
 			Bits: 8, ClockHz: 1e6, CyclesPerIteration: 2,

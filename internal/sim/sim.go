@@ -11,14 +11,16 @@
 // must never use the global math/rand state; they request a named stream
 // from the engine so that an experiment's outcome depends only on the
 // root seed and the component names, not on registration order or
-// goroutine scheduling.
+// goroutine scheduling. A named stream is a *Rand: it reproduces
+// math/rand's sequence, rand.New(rand.NewSource(seed ^ FNV-1a(name))),
+// value for value, through concrete methods rather than the *rand.Rand
+// → rand.Source interface call on every draw.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"time"
 
 	"repro/internal/obs"
@@ -46,7 +48,7 @@ type Engine struct {
 	seed    int64
 	parts   []Steppable
 	names   map[string]bool
-	streams map[string]*rand.Rand
+	streams map[string]*Rand
 
 	// Observability. Counters aggregate across every live engine (the
 	// fingerprinting pipeline runs many boards in parallel); the ratio
@@ -73,7 +75,7 @@ func NewEngine(dt time.Duration, seed int64) (*Engine, error) {
 		dt:        dt,
 		seed:      seed,
 		names:     make(map[string]bool),
-		streams:   make(map[string]*rand.Rand),
+		streams:   make(map[string]*Rand),
 		obsTicks:  obs.C("sim.ticks"),
 		obsSimNs:  obs.C("sim.simtime_ns"),
 		obsWallNs: obs.C("sim.walltime_ns"),
@@ -121,17 +123,18 @@ func (e *Engine) MustRegister(name string, s Steppable) {
 }
 
 // Stream returns the deterministic random stream for the given name,
-// creating it on first use. The stream seed mixes the engine's root seed
-// with an FNV-1a hash of the name, so distinct components get decorrelated
-// streams while the whole simulation stays a pure function of the root
-// seed.
-func (e *Engine) Stream(name string) *rand.Rand {
+// creating it on first use. The stream is math/rand's sequence for the
+// seed root ^ FNV-1a(name), so the whole simulation stays a pure
+// function of the root seed. Distinct names are not guaranteed distinct
+// streams: math/rand reduces a seed mod 2³¹−1, so two of k names share
+// a stream with probability about k²/2³².
+func (e *Engine) Stream(name string) *Rand {
 	if r, ok := e.streams[name]; ok {
 		return r
 	}
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	r := rand.New(rand.NewSource(e.seed ^ int64(h.Sum64())))
+	r := NewRand(e.seed ^ int64(h.Sum64()))
 	e.streams[name] = r
 	return r
 }

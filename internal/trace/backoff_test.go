@@ -1,9 +1,10 @@
 package trace
 
 import (
-	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func TestNextBackoffDoublingWithoutRand(t *testing.T) {
@@ -20,7 +21,7 @@ func TestNextBackoffDoublingWithoutRand(t *testing.T) {
 
 func TestNextBackoffDecorrelatedJitterBounds(t *testing.T) {
 	p := RetryPolicy{}.WithDefaults(time.Millisecond)
-	p.Rand = rand.New(rand.NewSource(1))
+	p.Rand = sim.NewRand(1)
 	prev := p.BaseBackoff
 	for i := 0; i < 1000; i++ {
 		next := p.NextBackoff(prev)
@@ -40,7 +41,7 @@ func TestNextBackoffDecorrelatedJitterBounds(t *testing.T) {
 func TestNextBackoffJitterDeterministicPerSeed(t *testing.T) {
 	seq := func(seed int64) []time.Duration {
 		p := RetryPolicy{}.WithDefaults(time.Millisecond)
-		p.Rand = rand.New(rand.NewSource(seed))
+		p.Rand = sim.NewRand(seed)
 		out := make([]time.Duration, 0, 32)
 		b := p.BaseBackoff
 		for i := 0; i < 32; i++ {

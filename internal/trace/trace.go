@@ -17,13 +17,13 @@ import (
 	"fmt"
 	"io/fs"
 	"math"
-	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/sysfs"
 )
 
@@ -227,7 +227,7 @@ type RetryPolicy struct {
 	// samplers retrying against the same faulty sensor spread out
 	// instead of hammering it in lockstep. Feed it a named simulation
 	// RNG stream to keep runs reproducible. Nil keeps plain doubling.
-	Rand *rand.Rand
+	Rand *sim.Rand
 }
 
 // NextBackoff returns the delay that follows prev under this policy:
