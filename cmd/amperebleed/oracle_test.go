@@ -65,6 +65,10 @@ func TestOracle(t *testing.T) {
 		// Trains 100-tree forests on gap-carrying hostile-fault captures:
 		// the only go test golden that pins random-forest output.
 		{"robustness", []string{"robustness"}},
+		// The only commands that read the misc-rail sensors, which no
+		// attack channel uses.
+		{"sensors", []string{"sensors"}},
+		{"survey", []string{"survey"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
