@@ -393,18 +393,20 @@ func Wire(spec Spec, cfg Config) (*SoC, error) {
 		if err := b.addSensor(cfg, sd.label, sd.shunt, ina226.Probe{
 			CurrentAmps: rail.Current,
 			BusVolts:    rail.Voltage,
-		}); err != nil {
+		}, false); err != nil {
 			return nil, err
 		}
 	}
-	// --- ...and the board's remaining rails, carrying fixed bias loads. ---
+	// --- ...and the board's remaining rails, carrying fixed bias loads.
+	// Their probes read only their own stream and constants, so they are
+	// deferred: integrated when read, not on every tick. ---
 	for _, m := range miscRailsFor(spec) {
 		m := m
 		rng := eng.Stream("misc/" + m.label)
 		if err := b.addSensor(cfg, m.label, psShuntOhms, ina226.Probe{
 			CurrentAmps: func() float64 { return m.amps + rng.NormFloat64()*0.001 },
 			BusVolts:    func() float64 { return m.volts },
-		}); err != nil {
+		}, true); err != nil {
 			return nil, err
 		}
 	}
@@ -429,7 +431,7 @@ func Wire(spec Spec, cfg Config) (*SoC, error) {
 	return b, nil
 }
 
-func (b *SoC) addSensor(cfg Config, label string, shunt float64, probe ina226.Probe) error {
+func (b *SoC) addSensor(cfg Config, label string, shunt float64, probe ina226.Probe, deferred bool) error {
 	dev, err := ina226.New(ina226.Config{
 		Label:           label,
 		ShuntOhms:       shunt,
@@ -439,6 +441,7 @@ func (b *SoC) addSensor(cfg Config, label string, shunt float64, probe ina226.Pr
 		NoiseBusVolts:   50e-6,
 		Probe:           probe,
 		Rand:            b.eng.Stream("ina226/" + label),
+		Deferred:        deferred,
 	})
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ina226"
 	"repro/internal/sim"
 )
 
@@ -172,6 +173,45 @@ func equalBools(a, b []bool) bool {
 		}
 	}
 	return true
+}
+
+// TestSensorFaultsDrawOrder pins the latch hooks to their streams: a
+// stale decision is one Float64 on the stale stream; a flip decision is
+// Float64, then Intn(4) for the register, then Intn(16) for the bit, on
+// the flip stream, and the hook returns exactly that bit as its mask.
+func TestSensorFaultsDrawOrder(t *testing.T) {
+	const seed, label, rate = 5, "ina226_u78", 0.5
+	eng, err := sim.NewEngine(100*time.Microsecond, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(Profile{StaleRate: rate, BitFlipRate: rate}, eng).SensorFaults(label)
+	ref, err := sim.NewEngine(100*time.Microsecond, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, flip := ref.Stream("faults/ina226/stale/"+label), ref.Stream("faults/ina226/flip/"+label)
+	flips := 0
+	for i := 0; i < 200; i++ {
+		if got, want := h.SkipLatch(), stale.Float64() < rate; got != want {
+			t.Fatalf("latch %d: SkipLatch = %v, want %v", i, got, want)
+		}
+		var want ina226.LatchedRegs
+		if flip.Float64() < rate {
+			reg, bit := flip.Intn(4), int32(1)<<uint(flip.Intn(16))
+			*[]*int32{&want.Shunt, &want.Bus, &want.Current, &want.Power}[reg] = bit
+			flips++
+		}
+		if got := h.FlipLatch(); got != want {
+			t.Fatalf("latch %d: FlipLatch = %+v, want %+v", i, got, want)
+		}
+	}
+	if flips == 0 {
+		t.Fatal("no latch flipped a bit")
+	}
+	if h := New(Profile{SysfsErrorRate: 1}, eng).SensorFaults(label); h.SkipLatch != nil || h.FlipLatch != nil {
+		t.Error("profile without latch faults installed latch hooks")
+	}
 }
 
 func TestSamplerFaultsNilWhenDisabled(t *testing.T) {

@@ -44,8 +44,8 @@ func TestCorruptLatchMutatesOneRegister(t *testing.T) {
 	run(clean, 40*time.Millisecond)
 
 	dirty := newDev(t, 2, 0.85)
-	dirty.SetFaults(FaultHooks{CorruptLatch: func(regs *LatchedRegs) {
-		regs.Current ^= 1 << 9
+	dirty.SetFaults(FaultHooks{FlipLatch: func() LatchedRegs {
+		return LatchedRegs{Current: 1 << 9}
 	}})
 	run(dirty, 40*time.Millisecond)
 

@@ -88,6 +88,17 @@ type Config struct {
 	Probe Probe
 	// Rand supplies the noise stream; required when any noise is set.
 	Rand *sim.Rand
+	// Deferred keeps the latch schedule on the tick (fault draws, the
+	// update counter, the conversion counter) but integrates the analog
+	// inputs only when something can observe them: the first register
+	// access after a run of ticks replays them in order (see sync).
+	//
+	// Precondition: the probe reads nothing but its own random stream
+	// and constants, and no other component draws from that stream or
+	// from Rand. The replay then consumes every stream exactly as the
+	// per-tick integration would, and the registers come out bit for
+	// bit the same.
+	Deferred bool
 }
 
 // Device is one simulated INA226.
@@ -128,6 +139,17 @@ type Device struct {
 	// the cached value is bit-identical to recomputing it.
 	lastDt  time.Duration
 	lastSec float64
+
+	// Deferred integration (Config.Deferred). accTime stays the latch
+	// schedule's clock; the replay runs its own clock from syncTime,
+	// accTime as of the last sync, over pend ticks of lastDt. latchAt
+	// is the pending-tick index (1-based) of the last latch that was
+	// not skipped, 0 if none, and latchMask that latch's flip mask.
+	deferred  bool
+	pend      int
+	syncTime  time.Duration
+	latchAt   int
+	latchMask LatchedRegs
 }
 
 // New validates cfg and returns a device with all registers zero.
@@ -174,23 +196,25 @@ func New(cfg Config) (*Device, error) {
 		nShunt:     cfg.NoiseShuntVolts,
 		nBus:       cfg.NoiseBusVolts,
 		configReg:  cfgDefault,
+		deferred:   cfg.Deferred,
 	}
 	d.encodeIntervalInConfig()
 	return d, nil
 }
 
-// LatchedRegs is the set of registers written by one conversion latch,
-// exposed to fault hooks so injected corruption happens exactly at the
-// latch boundary — the point where a real device's analog glitch or
-// I2C bit error would enter the digital domain.
+// LatchedRegs holds one value per register written by a conversion
+// latch. FlipLatch returns one as an XOR mask, so injected corruption
+// happens exactly at the latch boundary — the point where a real
+// device's analog glitch or I2C bit error would enter the digital
+// domain — without depending on the values it corrupts.
 type LatchedRegs struct {
 	Shunt, Bus, Current, Power int32
 }
 
 // FaultHooks are the sensor-level fault-injection points (see
-// internal/faults). Both hooks are optional; they run inside latch(),
-// so every decision is a deterministic function of the device's
-// conversion schedule.
+// internal/faults). Both hooks are optional; they run at the latch on
+// the tick, so every decision is a deterministic function of the
+// device's conversion schedule, deferred or not.
 type FaultHooks struct {
 	// SkipLatch, when it returns true, drops the pending conversion:
 	// the registers keep their previous (stale) values, the update
@@ -198,9 +222,12 @@ type FaultHooks struct {
 	// stall — the "stale value between conversion intervals" failure
 	// mode of the hwmon stack.
 	SkipLatch func() bool
-	// CorruptLatch may mutate the freshly computed registers before
-	// they are latched (e.g. flip a bit), modeling conversion glitches.
-	CorruptLatch func(*LatchedRegs)
+	// FlipLatch returns an XOR mask applied to the freshly computed
+	// registers before they are latched (e.g. one flipped bit),
+	// modeling conversion glitches. It is returned by value: the mask
+	// is drawn at the latch and applied when the registers are
+	// computed, and a latch with a hook installed does not allocate.
+	FlipLatch func() LatchedRegs
 }
 
 // SetFaults installs the fault hooks; the zero FaultHooks removes them.
@@ -233,6 +260,7 @@ func (d *Device) SetUpdateInterval(v time.Duration) error {
 		return fmt.Errorf("ina226 %s: update interval %v outside [%v,%v]",
 			d.label, v, MinUpdateInterval, MaxUpdateInterval)
 	}
+	d.sync()
 	d.interval = v
 	d.encodeIntervalInConfig()
 	return nil
@@ -261,8 +289,26 @@ func (d *Device) encodeIntervalInConfig() {
 func (d *Device) Updates() uint64 { return d.updates }
 
 // Step implements sim.Steppable: integrate the analog inputs and latch
-// the registers when the update window closes.
+// the registers when the update window closes. A deferred device only
+// counts the tick and keeps the latch schedule; sync integrates later.
 func (d *Device) Step(now, dt time.Duration) {
+	if dt != d.lastDt {
+		d.sync() // pending ticks replay at the dt they were stepped with
+		d.lastDt, d.lastSec = dt, dt.Seconds()
+	}
+	if d.deferred {
+		d.pend++
+	} else {
+		d.integrate()
+	}
+	d.accTime += dt
+	if d.accTime >= d.interval {
+		d.latch()
+	}
+}
+
+// integrate adds one tick of the analog inputs to the window.
+func (d *Device) integrate() {
 	vShunt := d.probe.CurrentAmps() * d.shuntOhms
 	vBus := d.probe.BusVolts()
 	if d.nShunt > 0 {
@@ -271,32 +317,70 @@ func (d *Device) Step(now, dt time.Duration) {
 	if d.nBus > 0 {
 		vBus += d.rng.NormFloat64() * d.nBus
 	}
-	if dt != d.lastDt {
-		d.lastDt, d.lastSec = dt, dt.Seconds()
-	}
-	sec := d.lastSec
-	d.accShunt += vShunt * sec
-	d.accBus += vBus * sec
-	d.accTime += dt
-	if d.accTime >= d.interval {
-		d.latch()
-	}
+	d.accShunt += vShunt * d.lastSec
+	d.accBus += vBus * d.lastSec
 }
 
-// latch converts the averaged analog inputs to register values using the
-// datasheet pipeline and resets the integration window.
+// latch closes the update window: it draws the fault decisions and
+// advances the counters, then converts the window's inputs, or, on a
+// deferred device, records the latch for sync to convert.
 func (d *Device) latch() {
-	window := d.accTime.Seconds()
-	meanShunt := d.accShunt / window
-	meanBus := d.accBus / window
-	d.accShunt, d.accBus, d.accTime = 0, 0, 0
-
+	window := d.accTime
+	d.accTime = 0
 	if d.faults.SkipLatch != nil && d.faults.SkipLatch() {
 		// Stale-latch fault: the conversion result is lost; readers keep
 		// seeing the previous registers and update count for another
 		// whole interval.
+		if !d.deferred {
+			d.accShunt, d.accBus = 0, 0
+		}
 		return
 	}
+	var mask LatchedRegs
+	if d.faults.FlipLatch != nil {
+		mask = d.faults.FlipLatch()
+	}
+	d.updates++
+	obsConversions.Inc()
+	if d.deferred {
+		d.latchAt, d.latchMask = d.pend, mask
+		return
+	}
+	d.convert(window, mask)
+}
+
+// sync replays a deferred device's pending ticks in order: the probe
+// and noise draws and the window resets of each tick, on a clock of its
+// own. Only the last recorded latch is converted, since each latch
+// overwrites every register and the alert flag. Every accessor that
+// observes analog-derived state, or changes what the replay depends on
+// (interval, calibration, alert configuration, dt), calls it first.
+func (d *Device) sync() {
+	if d.pend == 0 {
+		return
+	}
+	t := d.syncTime
+	for i := 1; i <= d.pend; i++ {
+		d.integrate()
+		t += d.lastDt
+		if t >= d.interval {
+			if i == d.latchAt {
+				d.convert(t, d.latchMask)
+			}
+			d.accShunt, d.accBus, t = 0, 0, 0
+		}
+	}
+	d.syncTime, d.pend, d.latchAt = t, 0, 0
+}
+
+// convert turns a window's integrated inputs into register values using
+// the datasheet pipeline, applies the latch's flip mask, resets the
+// window's accumulators and evaluates the alert.
+func (d *Device) convert(window time.Duration, mask LatchedRegs) {
+	sec := window.Seconds()
+	meanShunt := d.accShunt / sec
+	meanBus := d.accBus / sec
+	d.accShunt, d.accBus = 0, 0
 
 	shunt := clampReg(math.Round(meanShunt / ShuntLSB))
 	bus := clampReg(math.Round(meanBus / BusLSB))
@@ -310,17 +394,10 @@ func (d *Device) latch() {
 	if power < 0 {
 		power = 0
 	}
-	if d.faults.CorruptLatch != nil {
-		// The LatchedRegs value is built (and escapes to the heap) only
-		// when a corrupt-latch hook is installed; the fault-free tick
-		// path stays allocation-free.
-		regs := LatchedRegs{Shunt: shunt, Bus: bus, Current: current, Power: power}
-		d.faults.CorruptLatch(&regs)
-		shunt, bus, current, power = regs.Shunt, regs.Bus, regs.Current, regs.Power
-	}
-	d.shuntReg, d.busReg, d.currentReg, d.powerReg = shunt, bus, current, power
-	d.updates++
-	obsConversions.Inc()
+	d.shuntReg = shunt ^ mask.Shunt
+	d.busReg = bus ^ mask.Bus
+	d.currentReg = current ^ mask.Current
+	d.powerReg = power ^ mask.Power
 	d.evaluateAlert()
 }
 
@@ -349,6 +426,7 @@ type Readings struct {
 
 // Read returns the currently latched measurements.
 func (d *Device) Read() Readings {
+	d.sync()
 	obsRegisterReads.Inc()
 	return Readings{
 		CurrentAmps: float64(d.currentReg) * d.currentLSB,
@@ -359,13 +437,13 @@ func (d *Device) Read() Readings {
 }
 
 // RegShunt returns the raw shunt-voltage register.
-func (d *Device) RegShunt() int32 { return d.shuntReg }
+func (d *Device) RegShunt() int32 { d.sync(); return d.shuntReg }
 
 // RegBus returns the raw bus-voltage register.
-func (d *Device) RegBus() int32 { return d.busReg }
+func (d *Device) RegBus() int32 { d.sync(); return d.busReg }
 
 // RegCurrent returns the raw current register.
-func (d *Device) RegCurrent() int32 { return d.currentReg }
+func (d *Device) RegCurrent() int32 { d.sync(); return d.currentReg }
 
 // RegPower returns the raw power register.
-func (d *Device) RegPower() int32 { return d.powerReg }
+func (d *Device) RegPower() int32 { d.sync(); return d.powerReg }

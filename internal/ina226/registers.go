@@ -72,6 +72,7 @@ const (
 
 // ReadRegister reads a register over the (simulated) I2C interface.
 func (d *Device) ReadRegister(r Register) (uint16, error) {
+	d.sync()
 	switch r {
 	case RegConfig:
 		return d.configReg, nil
@@ -101,6 +102,7 @@ func (d *Device) ReadRegister(r Register) (uint16, error) {
 // WriteRegister writes a register over the (simulated) I2C interface.
 // Only the writable registers of the real device accept writes.
 func (d *Device) WriteRegister(r Register, v uint16) error {
+	d.sync()
 	switch r {
 	case RegConfig:
 		if v&(1<<cfgResetBit) != 0 {
@@ -139,7 +141,7 @@ func (d *Device) reset() {
 	d.maskEnable = 0
 	d.alertLimit = 0
 	d.shuntReg, d.busReg, d.currentReg, d.powerReg = 0, 0, 0, 0
-	d.accShunt, d.accBus, d.accTime = 0, 0, 0
+	d.accShunt, d.accBus, d.accTime, d.syncTime = 0, 0, 0, 0
 	d.applyConfig()
 }
 
@@ -192,7 +194,7 @@ func (d *Device) evaluateAlert() {
 }
 
 // Alert reports whether the alert function fired at the last latch.
-func (d *Device) Alert() bool { return d.maskEnable&AlertFunctionFlag != 0 }
+func (d *Device) Alert() bool { d.sync(); return d.maskEnable&AlertFunctionFlag != 0 }
 
 // ShuntLimitFromAmps converts a current bound into an alert-limit
 // register value for the shunt-voltage alert functions.

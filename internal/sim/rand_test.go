@@ -129,7 +129,7 @@ func BenchmarkNormFloat64(b *testing.B) {
 // the per-component cost every freshly wired board pays ~40 times.
 func BenchmarkStream(b *testing.B) {
 	b.ReportAllocs()
-	e := MustNewEngine(DefaultStep, 1)
+	e := MustNewEngine(500*time.Microsecond, 1)
 	const name = "ina226/fpga"
 	for i := 0; i < b.N; i++ {
 		delete(e.streams, name)

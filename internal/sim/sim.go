@@ -61,11 +61,6 @@ type Engine struct {
 	obsRatio  *obs.Gauge
 }
 
-// DefaultStep is the engine resolution used by the experiments: 100 µs,
-// fine enough to resolve the 2 ms minimum INA226 conversion window and
-// coarse enough to simulate multi-second traces quickly.
-const DefaultStep = 100 * time.Microsecond
-
 // NewEngine returns an engine with the given tick size and root seed.
 func NewEngine(dt time.Duration, seed int64) (*Engine, error) {
 	if dt <= 0 {
