@@ -69,6 +69,13 @@ func TestOracle(t *testing.T) {
 		// attack channel uses.
 		{"sensors", []string{"sensors"}},
 		{"survey", []string{"survey"}},
+		// The FPGA rail's static current enters every tick of the
+		// Fig. 4 capture.
+		{"rsa", []string{"rsa", "-samples", "1000"}},
+		// The only go test golden that pins the TVLA t statistic.
+		{"leakage", []string{"leakage"}},
+		// A per-layer DPU schedule, pinned nowhere else.
+		{"profile", []string{"profile"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
