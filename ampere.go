@@ -175,36 +175,6 @@ type SurveyRow = core.SurveyRow
 // CovertConfig parameterizes a covert-channel transmission.
 type CovertConfig = core.CovertConfig
 
-// Detector is an online CUSUM workload-transition detector.
-type Detector = core.Detector
-
-// DetectorConfig parameterizes a Detector.
-type DetectorConfig = core.DetectorConfig
-
-// DetectorEvent is one detected workload transition.
-type DetectorEvent = core.Event
-
-// NewDetector returns an online workload detector over current samples
-// taken at the given interval.
-func NewDetector(cfg DetectorConfig, interval time.Duration) (*Detector, error) {
-	return core.NewDetector(cfg, interval)
-}
-
-// FamilyResult reports model- and family-level fingerprinting accuracy.
-type FamilyResult = core.FamilyResult
-
-// EvaluateFamilies cross-validates one channel/duration at both the
-// exact-architecture and architecture-family granularity.
-func EvaluateFamilies(cfg FingerprintConfig, caps []*Capture, ch Channel, d time.Duration) (*FamilyResult, error) {
-	return core.EvaluateFamilies(cfg, caps, ch, d)
-}
-
-// EstimateInferencePeriod recovers the victim's inference-loop period
-// from a capture's dominant spectral component.
-func EstimateInferencePeriod(capt *Capture, ch Channel) (time.Duration, bool, error) {
-	return core.EstimateInferencePeriod(capt, ch)
-}
-
 // SaveCaptures writes captures as JSON for offline analysis.
 func SaveCaptures(w io.Writer, caps []*Capture) error { return core.SaveCaptures(w, caps) }
 

@@ -329,82 +329,6 @@ func BenchmarkExtension_Interference(b *testing.B) {
 	}
 }
 
-// BenchmarkExtension_FamilyAccuracy scores the fingerprinting attack at
-// the architecture-family granularity over all 39 models: when the
-// classifier misses the exact model, it almost always stays within the
-// right family.
-func BenchmarkExtension_FamilyAccuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := FingerprintConfig{
-			TracesPerModel: 10,
-			TraceDuration:  2 * time.Second,
-			Durations:      []time.Duration{2 * time.Second},
-			Channels:       []Channel{{Label: SensorFPGA, Kind: Current}},
-		}
-		caps, err := CollectDPUTraces(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := EvaluateFamilies(cfg, caps, cfg.Channels[0], 2*time.Second)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Families != 7 {
-			b.Fatalf("families = %d, want 7", res.Families)
-		}
-		if res.FamilyTop1 < res.ModelTop1 {
-			b.Fatalf("family %v < model %v", res.FamilyTop1, res.ModelTop1)
-		}
-		if i == 0 {
-			fmt.Printf("Extension: FPGA-current top-1 = %.3f exact model, %.3f architecture family (7 families)\n",
-				res.ModelTop1, res.FamilyTop1)
-		}
-	}
-}
-
-// BenchmarkExtension_ThermalResidue measures the second-order channel:
-// after a workload stops, the die's temperature keeps the idle current
-// elevated, so an attacker can tell a recently-busy FPGA from a cold one.
-func BenchmarkExtension_ThermalResidue(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		idle := func(heat bool) float64 {
-			brd, err := NewBoard(BoardConfig{Seed: 3, EnableThermal: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			virus, err := DeployPowerVirus(brd)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if heat {
-				if err := virus.SetActiveGroups(160); err != nil {
-					b.Fatal(err)
-				}
-				brd.Run(30 * time.Second)
-				if err := virus.SetActiveGroups(0); err != nil {
-					b.Fatal(err)
-				}
-			} else {
-				brd.Run(30 * time.Second)
-			}
-			brd.Run(200 * time.Millisecond)
-			dev, err := brd.Sensor(SensorFPGA)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return dev.Read().CurrentAmps
-		}
-		hot, cold := idle(true), idle(false)
-		if hot <= cold {
-			b.Fatalf("no residue: hot %v A <= cold %v A", hot, cold)
-		}
-		if i == 0 {
-			fmt.Printf("Extension: thermal residue after 30 s of load = +%.0f mA idle (%.0f sensor LSBs) vs a cold die\n",
-				(hot-cold)*1000, (hot-cold)*1000)
-		}
-	}
-}
-
 // BenchmarkExtension_CovertChannel measures the channel used as a
 // PL-to-PS covert channel: OOK over the power-virus amplitude, decoded
 // by the unprivileged receiver, at the default and root-retuned sensor

@@ -15,7 +15,6 @@
 //	sensors                    discover hwmon sensors and print live readings
 //	survey                     rank sensors by variation under victim load
 //	watch [-channel] [-n]      poll one channel like the attack loop does
-//	detect                     CUSUM workload-transition detection
 //	export [-dir]              snapshot the sysfs tree to a real directory
 //
 // Extensions:
@@ -202,8 +201,6 @@ func run() int {
 		err = cmdRobustness(args)
 	case "export":
 		err = cmdExport(args)
-	case "detect":
-		err = cmdDetect(args)
 	case "covert":
 		err = cmdCovert(args, profile)
 	case "runs":
@@ -330,7 +327,6 @@ commands:
   applicability run the attack loop on all 8 Table I boards
   robustness    sweep a fault profile and plot accuracy vs fault rate
   export        snapshot the simulated sysfs tree to a real directory
-  detect        watch the FPGA sensor and report workload transitions
   covert        transmit bits over the FPGA->CPU covert channel
   runs          list, filter and diff run-ledger manifests
   resume        continue an interrupted supervised run from its
@@ -861,65 +857,6 @@ func cmdExport(args []string) error {
 		return err
 	}
 	fmt.Printf("sysfs snapshot written to %s\n", *dir)
-	return nil
-}
-
-func cmdDetect(args []string) error {
-	fs := flag.NewFlagSet("detect", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "board seed")
-	n := fs.Int("n", 60, "hwmon updates to watch")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	noteRun(*seed, 0)
-	b, err := board.NewZCU102(board.Config{Seed: *seed})
-	if err != nil {
-		return err
-	}
-	olog.SetSimClock(b.Engine())
-	array, err := virus.New(virus.Config{})
-	if err != nil {
-		return err
-	}
-	if err := array.Deploy(b.Fabric()); err != nil {
-		return err
-	}
-	atk, err := core.NewAttacker(b.Sysfs(), sysfs.Nobody)
-	if err != nil {
-		return err
-	}
-	probe, err := atk.Probe(core.Channel{Label: board.SensorFPGA, Kind: core.Current})
-	if err != nil {
-		return err
-	}
-	dev, err := b.Sensor(board.SensorFPGA)
-	if err != nil {
-		return err
-	}
-	interval := dev.UpdateInterval()
-	det, err := core.NewDetector(core.DetectorConfig{}, interval)
-	if err != nil {
-		return err
-	}
-	// Scripted victim: on at 1/3 of the window, off at 2/3.
-	for i := 0; i < *n; i++ {
-		switch i {
-		case *n / 3:
-			_ = array.SetActiveGroups(60)
-		case 2 * *n / 3:
-			_ = array.SetActiveGroups(0)
-		}
-		b.Run(interval)
-		v, err := probe()
-		if err != nil {
-			return err
-		}
-		if ev := det.Push(v); ev != nil {
-			fmt.Printf("t=%8s  %s -> new level %.3f A\n",
-				ev.At.Round(time.Millisecond), ev.Kind, ev.Level)
-		}
-	}
-	fmt.Printf("%d transitions detected over %d samples\n", len(det.Events()), *n)
 	return nil
 }
 

@@ -109,40 +109,6 @@ func TestVersalFabricFitsBiggerVirus(t *testing.T) {
 	}
 }
 
-func TestThermalDriftOnBoard(t *testing.T) {
-	hot, err := NewZCU102(Config{Seed: 3, EnableThermal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hot.Thermal() == nil {
-		t.Fatal("Thermal() nil with EnableThermal")
-	}
-	cold, err := NewZCU102(Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Thermal() != nil {
-		t.Fatal("Thermal() non-nil without EnableThermal")
-	}
-	// Heat the thermal board with a full-load circuit for 30 s, then idle.
-	c := &constCircuit{active: 160000}
-	hot.Fabric().MustPlace(c, []fabric.Region{{Row: 0, Col: 0}})
-	hot.Run(30 * time.Second)
-	if hot.Thermal().TemperatureC() < 26 {
-		t.Fatalf("junction T = %v after 30 s at full load", hot.Thermal().TemperatureC())
-	}
-	c.active = 0
-	hot.Run(200 * time.Millisecond)
-	cold.Run(200 * time.Millisecond)
-	devHot, _ := hot.Sensor(SensorFPGA)
-	devCold, _ := cold.Sensor(SensorFPGA)
-	// Thermal residue: the recently-busy board idles above the cold one.
-	if devHot.Read().CurrentAmps <= devCold.Read().CurrentAmps {
-		t.Fatalf("no thermal residue: hot idle %v A vs cold idle %v A",
-			devHot.Read().CurrentAmps, devCold.Read().CurrentAmps)
-	}
-}
-
 type bigCircuit struct{}
 
 func (c *bigCircuit) CircuitName() string           { return "big" }

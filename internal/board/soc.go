@@ -87,12 +87,6 @@ type Config struct {
 	UpdateInterval time.Duration
 	// DisableStabilizer runs the FPGA rail unregulated (ablation).
 	DisableStabilizer bool
-	// EnableThermal adds the die's thermal mass: sustained PL load heats
-	// the junction and the FPGA rail's leakage drifts upward with
-	// temperature (≈+0.4 %/K, τ=10 s). Off by default so the calibrated
-	// experiments stay drift-free; the thermal-residue extension turns
-	// it on.
-	EnableThermal bool
 	// Faults, when non-nil and enabled, injects the profile's fault mix
 	// into the whole sensor stack: transient sysfs read errors, INA226
 	// stale latches and bit flips, regulator transients, and hwmon
@@ -189,8 +183,6 @@ type SoC struct {
 	cpuFull *UtilizationSource
 	cpuLow  *UtilizationSource
 	ddr     *UtilizationSource
-
-	thermal *power.ThermalMass // nil unless Config.EnableThermal
 
 	sensors map[string]*ina226.Device
 
@@ -364,18 +356,6 @@ func Wire(spec Spec, cfg Config) (*SoC, error) {
 		eng.MustRegister("rail/"+string(id), b.rails[id])
 		eng.MustRegister("reg/"+string(id), b.regs[id])
 	}
-	if cfg.EnableThermal {
-		b.thermal, err = power.NewThermalMass(power.ThermalConfig{Rail: fpgaRail})
-		if err != nil {
-			return nil, err
-		}
-		eng.MustRegister("thermal/"+string(RailFPGA), b.thermal)
-		// The PS sysmon exposes the die temperature through hwmon too —
-		// another unprivileged window onto the same physical state.
-		if _, err := hw.RegisterTemperature("sysmon_ps", b.thermal.TemperatureC); err != nil {
-			return nil, err
-		}
-	}
 
 	// --- Sensors: the four sensitive ones (Table II)... ---
 	sensitive := []struct {
@@ -507,10 +487,6 @@ func (b *SoC) Sensor(label string) (*ina226.Device, error) {
 
 // SensorCount returns the number of integrated sensors.
 func (b *SoC) SensorCount() int { return len(b.sensors) }
-
-// Thermal returns the FPGA die's thermal mass, or nil when the board
-// was built without Config.EnableThermal.
-func (b *SoC) Thermal() *power.ThermalMass { return b.thermal }
 
 // FaultInjector returns the board's fault injector, or nil when the
 // board was built without an enabled Config.Faults profile.

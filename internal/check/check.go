@@ -2,12 +2,12 @@
 // a pure-stdlib Forall runner with typed generators, bounded
 // deterministic shrinking, and a labels/classification report.
 //
-// The numeric core of the reproduction (CUSUM detection, TVLA t-tests,
-// period estimation, gap-aware DSP) fails silently when it fails —
-// a wrong number, not a crash — which is exactly the class of bug
-// example tests miss. Property and metamorphic suites state each
-// contract once ("variance is shift-invariant", "the decoder inverts
-// the encoder at zero noise") and hold it across randomized inputs.
+// The numeric core of the reproduction (TVLA t-tests, spectra,
+// gap-aware DSP) fails silently when it fails — a wrong number, not a
+// crash — which is exactly the class of bug example tests miss.
+// Property and metamorphic suites state each contract once ("variance
+// is shift-invariant", "the decoder inverts the encoder at zero noise")
+// and hold it across randomized inputs.
 //
 // # Determinism
 //

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/board"
 	"repro/internal/faults"
 	"repro/internal/trace"
 )
@@ -92,10 +91,10 @@ type TraceConfig struct {
 }
 
 // PeriodicTraces generates traces of n = bin·period samples carrying
-// offset + A·sin(2π·bin·j/n), so the planted period lands exactly on
-// spectrum bin `bin` and DominantPeriod should return PeriodSamples.
-// Periods are >= 8 samples and bins >= 2, keeping the planted bin
-// within core's maxBins = n/4 search range. No Shrink: a smaller trace
+// offset + A·sin(2π·bin·j/n), so the planted tone of PeriodSamples
+// samples lands exactly on spectrum bin `bin`. Periods are >= 8 samples
+// and bins >= 2, keeping the planted bin at most n/8, far below the
+// Nyquist limit. No Shrink: a smaller trace
 // would have a different planted period, which is not "the same bug,
 // simpler" — failures replay via the seed instead.
 func PeriodicTraces(cfg TraceConfig) Gen[PeriodicTrace] {
@@ -228,51 +227,6 @@ func FaultProfiles() Gen[faults.Profile] {
 			return fmt.Sprintf("faults.Profile{sysfs=%.3f stale=%.3f flip=%.4f jitter=%.3f/%.2f dropout=%.4f/%d hotplug=%.2f reg=%.2f/%.3fV}",
 				p.SysfsErrorRate, p.StaleRate, p.BitFlipRate, p.JitterRate, p.JitterFrac,
 				p.DropoutRate, p.DropoutLen, p.HotplugRate, p.RegTransientRate, p.RegTransientVolts)
-		},
-	}
-}
-
-// BoardConfigs generates legal simulated-board configurations: a
-// random seed, an update interval inside the INA226's [2 ms, 35 ms]
-// legal range, and the stabilizer/thermal toggles. Shrinking moves the
-// toggles to their defaults and the seed toward 1.
-func BoardConfigs() Gen[board.Config] {
-	return Gen[board.Config]{
-		Generate: func(r *rand.Rand, _ int) board.Config {
-			return board.Config{
-				Seed:              1 + r.Int63n(1_000_000),
-				UpdateInterval:    time.Duration(2+r.Intn(34)) * time.Millisecond,
-				DisableStabilizer: r.Intn(4) == 0,
-				EnableThermal:     r.Intn(4) == 0,
-			}
-		},
-		Shrink: func(c board.Config) []board.Config {
-			var out []board.Config
-			if c.DisableStabilizer {
-				q := c
-				q.DisableStabilizer = false
-				out = append(out, q)
-			}
-			if c.EnableThermal {
-				q := c
-				q.EnableThermal = false
-				out = append(out, q)
-			}
-			if c.UpdateInterval > 2*time.Millisecond {
-				q := c
-				q.UpdateInterval = 2 * time.Millisecond
-				out = append(out, q)
-			}
-			if c.Seed != 1 {
-				q := c
-				q.Seed = 1
-				out = append(out, q)
-			}
-			return out
-		},
-		Describe: func(c board.Config) string {
-			return fmt.Sprintf("board.Config{Seed:%d UpdateInterval:%s DisableStabilizer:%v EnableThermal:%v}",
-				c.Seed, c.UpdateInterval, c.DisableStabilizer, c.EnableThermal)
 		},
 	}
 }

@@ -249,25 +249,6 @@ func TestFaultProfilesShrinkZeroesOneRate(t *testing.T) {
 	}
 }
 
-func TestBoardConfigsAreLegal(t *testing.T) {
-	g := BoardConfigs()
-	r := rng(11)
-	for i := 0; i < 200; i++ {
-		c := g.Generate(r, 50)
-		if c.UpdateInterval < 2*time.Millisecond || c.UpdateInterval > 35*time.Millisecond {
-			t.Fatalf("update interval %s outside INA226 legal range", c.UpdateInterval)
-		}
-		if c.Seed < 1 {
-			t.Fatalf("seed %d < 1", c.Seed)
-		}
-		for _, s := range g.Shrink(c) {
-			if s == c {
-				t.Fatal("shrink candidate identical to input")
-			}
-		}
-	}
-}
-
 func TestFloatDescribe(t *testing.T) {
 	if got := FloatDescribe([]float64{1.5, math.NaN()}); got != "[1.5 NaN]" {
 		t.Fatalf("FloatDescribe = %q", got)

@@ -1,186 +1,13 @@
 package core_test
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/trace"
 )
-
-// detectorInput pairs a random valid detector config with a
-// zero-variance sample stream contaminated by NaN/Inf glitches.
-type detectorInput struct {
-	cfg      core.DetectorConfig
-	interval time.Duration
-	level    float64
-	samples  []float64
-}
-
-func genDetectorInput() check.Gen[detectorInput] {
-	return check.Gen[detectorInput]{
-		Generate: func(r *rand.Rand, _ int) detectorInput {
-			level := 0.1 + 2*r.Float64()
-			n := 20 + r.Intn(200)
-			samples := make([]float64, n)
-			for i := range samples {
-				switch {
-				case r.Float64() < 0.05:
-					samples[i] = math.NaN()
-				case r.Float64() < 0.02:
-					samples[i] = math.Inf(1 - 2*r.Intn(2))
-				default:
-					samples[i] = level
-				}
-			}
-			return detectorInput{
-				cfg: core.DetectorConfig{
-					DriftAmps:       0.001 + 0.1*r.Float64(),
-					ThresholdAmps:   0.01 + 0.5*r.Float64(),
-					BaselineSamples: 1 + r.Intn(16),
-				},
-				interval: time.Duration(1+r.Intn(35)) * time.Millisecond,
-				level:    level,
-				samples:  samples,
-			}
-		},
-	}
-}
-
-// TestPropCUSUMNeverFiresOnZeroVariance: a constant current level —
-// even interrupted by NaN/Inf sensor glitches — must produce no
-// events for any valid config. A false positive here would mean the
-// workload detector hallucinates FPGA activity from noise-free rails.
-func TestPropCUSUMNeverFiresOnZeroVariance(t *testing.T) {
-	check.Forall(t, genDetectorInput(), func(c *check.T, in detectorInput) {
-		det, err := core.NewDetector(in.cfg, in.interval)
-		if err != nil {
-			c.Fatalf("NewDetector(%+v): %v", in.cfg, err)
-		}
-		glitches := 0
-		for _, s := range in.samples {
-			if math.IsNaN(s) || math.IsInf(s, 0) {
-				glitches++
-			}
-			if ev := det.Push(s); ev != nil {
-				c.Fatalf("detector fired %s at %s on zero-variance input (level %v, %d glitches)",
-					ev.Kind, ev.At, in.level, glitches)
-			}
-		}
-		c.Classify(glitches > 0, "glitched")
-		if len(det.Events()) != 0 {
-			c.Errorf("Events() non-empty after glitch-only stream")
-		}
-	})
-}
-
-// TestPropCUSUMDetectsPlantedStep: metamorphic direction check — a
-// step well above drift+threshold must fire exactly one Rise within
-// the post-step window.
-func TestPropCUSUMDetectsPlantedStep(t *testing.T) {
-	g := check.Gen[detectorInput]{
-		Generate: func(r *rand.Rand, _ int) detectorInput {
-			return detectorInput{
-				cfg: core.DetectorConfig{
-					DriftAmps:       0.005 + 0.02*r.Float64(),
-					ThresholdAmps:   0.02 + 0.08*r.Float64(),
-					BaselineSamples: 1 + r.Intn(8),
-				},
-				interval: time.Duration(1+r.Intn(35)) * time.Millisecond,
-				level:    0.1 + r.Float64(),
-			}
-		},
-	}
-	check.Forall(t, g, func(c *check.T, in detectorInput) {
-		det, err := core.NewDetector(in.cfg, in.interval)
-		if err != nil {
-			c.Fatalf("NewDetector: %v", err)
-		}
-		for i := 0; i < in.cfg.BaselineSamples+5; i++ {
-			if ev := det.Push(in.level); ev != nil {
-				c.Fatalf("fired before the step: %+v", ev)
-			}
-		}
-		// Step by double the full trigger budget: must fire within a
-		// few samples.
-		step := in.level + 2*(in.cfg.DriftAmps+in.cfg.ThresholdAmps)
-		fired := false
-		for i := 0; i < 10; i++ {
-			if ev := det.Push(step); ev != nil {
-				if ev.Kind != core.Rise {
-					c.Errorf("planted rise detected as %s", ev.Kind)
-				}
-				fired = true
-				break
-			}
-		}
-		if !fired {
-			c.Errorf("planted step %v->%v never detected (cfg %+v)", in.level, step, in.cfg)
-		}
-	})
-}
-
-// TestPropPeriodEstimateMatchesPlanted: EstimateInferencePeriod must
-// recover the generator's planted period exactly — the planted tone
-// sits on an integer bin, so n/bestBin is the integer period and the
-// duration is period × interval with no rounding.
-func TestPropPeriodEstimateMatchesPlanted(t *testing.T) {
-	gen := check.PeriodicTraces(check.TraceConfig{Noise: 0.05})
-	ch := core.Channel{Label: "ina226_u76", Kind: core.Current}
-	check.Forall(t, gen, func(c *check.T, p check.PeriodicTrace) {
-		capt := &core.Capture{
-			Model:  "prop",
-			Traces: map[core.Channel]*trace.Trace{ch: p.Trace},
-		}
-		period, ok, err := core.EstimateInferencePeriod(capt, ch)
-		if err != nil {
-			c.Fatalf("EstimateInferencePeriod: %v", err)
-		}
-		if !ok {
-			c.Fatalf("no period found for planted tone (bin %d, period %d)", p.Bin, p.PeriodSamples)
-		}
-		want := time.Duration(p.PeriodSamples) * p.Trace.Interval
-		if period != want {
-			c.Errorf("estimated %s, planted %s (bin %d, n %d)", period, want, p.Bin, len(p.Trace.Samples))
-		}
-	})
-}
-
-// TestPropPeriodEstimateGapTolerant: the estimate survives a moderate
-// gap rate (the hostile-profile regime) within one bin of the truth.
-func TestPropPeriodEstimateGapTolerant(t *testing.T) {
-	gen := check.PeriodicTraces(check.TraceConfig{GapRate: 0.1})
-	ch := core.Channel{Label: "ina226_u76", Kind: core.Current}
-	check.Forall(t, gen, func(c *check.T, p check.PeriodicTrace) {
-		n := len(p.Trace.Samples)
-		if p.Gaps > n/4 {
-			c.Discard() // beyond design tolerance
-		}
-		capt := &core.Capture{
-			Model:  "prop",
-			Traces: map[core.Channel]*trace.Trace{ch: p.Trace},
-		}
-		period, ok, err := core.EstimateInferencePeriod(capt, ch)
-		if err != nil {
-			c.Fatalf("EstimateInferencePeriod: %v", err)
-		}
-		if !ok {
-			c.Label("below-noise-floor")
-			return
-		}
-		// Allow the peak to smear to an adjacent bin under gap loss.
-		got := float64(period) / float64(p.Trace.Interval)
-		lo := float64(n) / float64(p.Bin+1)
-		hi := float64(n) / float64(max(p.Bin-1, 1))
-		if got < lo-1e-9 || got > hi+1e-9 {
-			c.Errorf("estimate %v samples outside [%v, %v] around planted %d (gaps %d/%d)",
-				got, lo, hi, p.PeriodSamples, p.Gaps, n)
-		}
-	})
-}
 
 // TestPropCovertZeroNoiseZeroBER: the end-to-end contract of the
 // covert channel — encode → simulated board → decode recovers every

@@ -334,74 +334,6 @@ func TestCollectDPUTracesDeterministic(t *testing.T) {
 	}
 }
 
-func TestEvaluateFamilies(t *testing.T) {
-	cfg := FingerprintConfig{
-		// Two models from each of two families.
-		Models:         []string{"ResNet-18", "ResNet-50", "VGG-16", "VGG-19"},
-		TracesPerModel: 6,
-		TraceDuration:  time.Second,
-		Durations:      []time.Duration{time.Second},
-		Folds:          3,
-		Trees:          25,
-		Channels:       []Channel{{Label: board.SensorFPGA, Kind: Current}},
-	}
-	caps, err := CollectDPUTraces(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := EvaluateFamilies(cfg, caps, cfg.Channels[0], time.Second)
-	if err != nil {
-		t.Fatalf("EvaluateFamilies: %v", err)
-	}
-	if res.Families != 2 {
-		t.Fatalf("Families = %d", res.Families)
-	}
-	// Family accuracy is never below model accuracy, by construction.
-	if res.FamilyTop1 < res.ModelTop1 {
-		t.Fatalf("family %v < model %v", res.FamilyTop1, res.ModelTop1)
-	}
-	if res.FamilyTop1 < 0.9 {
-		t.Fatalf("family accuracy = %v on well-separated families", res.FamilyTop1)
-	}
-}
-
-func TestEstimateInferencePeriod(t *testing.T) {
-	// Root-retuned sensors (2 ms) resolve VGG-19's ~60 ms query loop.
-	cfg := FingerprintConfig{
-		Models:         []string{"VGG-19"},
-		TracesPerModel: 1,
-		TraceDuration:  3 * time.Second,
-		Durations:      []time.Duration{3 * time.Second},
-		Folds:          1,
-		Channels:       []Channel{{Label: board.SensorFPGA, Kind: Current}},
-		UpdateInterval: 2 * time.Millisecond,
-	}
-	caps, err := CollectDPUTraces(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	period, ok, err := EstimateInferencePeriod(caps[0], cfg.Channels[0])
-	if err != nil {
-		t.Fatalf("EstimateInferencePeriod: %v", err)
-	}
-	if !ok {
-		t.Fatal("no periodic component found in a DPU trace")
-	}
-	// VGG-19's query period is tens of ms; the estimate should land in
-	// that regime (harmonics may halve it).
-	if period < 15*time.Millisecond || period > 300*time.Millisecond {
-		t.Fatalf("estimated period = %v, want tens of ms", period)
-	}
-
-	// Error paths.
-	if _, _, err := EstimateInferencePeriod(nil, cfg.Channels[0]); err == nil {
-		t.Fatal("nil capture accepted")
-	}
-	if _, _, err := EstimateInferencePeriod(caps[0], Channel{Label: "zz"}); err == nil {
-		t.Fatal("missing channel accepted")
-	}
-}
-
 func TestCapturePersistenceRoundTrip(t *testing.T) {
 	cfg := FingerprintConfig{
 		Models:         []string{"MobileNet-V1", "VGG-19"},

@@ -64,7 +64,6 @@ type Engine struct {
 	cfg EngineConfig
 
 	model   *Model
-	program *Program // non-nil when executing compiled microcode
 	running bool
 
 	segments []segment
@@ -129,27 +128,6 @@ func (e *Engine) LoadModel(m *Model) error {
 		return err
 	}
 	e.model = m
-	e.program = nil
-	e.running = true
-	e.segments = nil
-	e.segIdx = 0
-	e.segDone = 0
-	return nil
-}
-
-// LoadProgram deploys a compiled instruction stream instead of the
-// layer-granular schedule: LOAD/SAVE phases become pure memory traffic
-// and CONV bursts pure compute, the finer-grained alternation a real
-// DPU exhibits between its double-buffered tiles.
-func (e *Engine) LoadProgram(p *Program) error {
-	if p == nil {
-		return errors.New("dpu: nil program")
-	}
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	e.model = p.Model
-	e.program = p
 	e.running = true
 	e.segments = nil
 	e.segIdx = 0
@@ -184,20 +162,8 @@ func (e *Engine) scheduleQuery() {
 		cpuFull: 0.85, cpuLow: 0.30, ddr: 0.15,
 	})
 
-	// Phase 2: the compute schedule — instruction stream when a program
-	// is loaded, per-layer roofline otherwise.
+	// Phase 2: the compute schedule, one per-layer roofline segment.
 	cycleRate := e.cfg.MACsPerCycle * e.cfg.ClockHz
-	if e.program != nil {
-		segs = e.scheduleProgram(segs, cycleRate)
-		segs = append(segs, segment{
-			dur: time.Millisecond, elements: e.cfg.IdleElements,
-			cpuFull: 0.30, cpuLow: 0.15, ddr: 0.05,
-		})
-		e.segments = segs
-		e.segIdx = 0
-		e.segDone = 0
-		return
-	}
 	for _, l := range m.Layers {
 		eff := e.cfg.ConvEfficiency
 		switch l.Type {
@@ -246,45 +212,6 @@ func (e *Engine) scheduleQuery() {
 	e.segments = segs
 	e.segIdx = 0
 	e.segDone = 0
-}
-
-// scheduleProgram lowers the instruction stream into segments.
-func (e *Engine) scheduleProgram(segs []segment, cycleRate float64) []segment {
-	for _, in := range e.program.Instrs {
-		switch in.Op {
-		case OpLoad, OpSave, OpPool:
-			dur := float64(in.Bytes) / e.cfg.DDRBandwidth
-			if dur <= 0 {
-				continue
-			}
-			segs = append(segs, segment{
-				dur:      time.Duration(dur * float64(time.Second)),
-				elements: e.cfg.IdleElements,
-				cpuFull:  0.08, cpuLow: 0.15, ddr: 0.95,
-			})
-		case OpConv:
-			eff := e.cfg.ConvEfficiency
-			if in.DWConv {
-				eff = e.cfg.DWConvEfficiency
-			}
-			dur := float64(in.MACs) / (cycleRate * eff)
-			if dur <= 0 {
-				continue
-			}
-			segs = append(segs, segment{
-				dur:      time.Duration(dur * float64(time.Second)),
-				elements: e.cfg.IdleElements + e.cfg.PeakElements,
-				cpuFull:  0.10, cpuLow: 0.12, ddr: 0.10,
-			})
-		case OpEnd:
-			// Interrupt + CPU softmax, as in the layer schedule.
-			segs = append(segs, segment{
-				dur: 500 * time.Microsecond, elements: e.cfg.IdleElements,
-				cpuFull: 0.6, cpuLow: 0.2, ddr: 0.05,
-			})
-		}
-	}
-	return segs
 }
 
 // CircuitName implements fabric.Circuit.

@@ -59,7 +59,7 @@ func valueAttr(path string) bool {
 			return true
 		}
 	}
-	return strings.HasSuffix(path, "/temp1_input")
+	return false
 }
 
 // SysfsReadFault is the hook for sysfs.FS.SetReadFault: each read of a

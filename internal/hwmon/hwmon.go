@@ -171,60 +171,17 @@ func (s *Subsystem) Renumber(n int) error {
 	return nil
 }
 
-// TempDriverName is the "name" attribute of temperature nodes (the
-// ZCU102's PS sysmon exposes die temperature the same way).
-const TempDriverName = "sysmon"
-
-// RegisterTemperature exposes a die-temperature source as the next
-// hwmonN node with the standard temp1_input attribute (millidegrees
-// Celsius, world-readable). Like the current sensors, it is an
-// unprivileged side channel: it reveals the thermal residue of recent
-// FPGA activity.
-func (s *Subsystem) RegisterTemperature(label string, tempC func() float64) (*Entry, error) {
-	if tempC == nil {
-		return nil, errors.New("hwmon: nil temperature source")
-	}
-	if _, dup := s.byLabel[label]; dup {
-		return nil, fmt.Errorf("hwmon: label %q already registered", label)
-	}
-	e := &Entry{Index: len(s.entries), Label: label}
-	e.Dir = fmt.Sprintf("%s/hwmon%d", ClassDir, e.Index)
-	labelStr := label + "\n"
-	attrs := map[string]sysfs.Attr{
-		"name": {Mode: sysfs.ModeRO, Show: func() (string, error) {
-			return TempDriverName + "\n", nil
-		}},
-		"label": {Mode: sysfs.ModeRO, Show: func() (string, error) {
-			return labelStr, nil
-		}},
-		"temp1_input": {Mode: sysfs.ModeRO, Show: cachedMilli(tempC)},
-	}
-	e.attrs = attrs
-	for name, a := range attrs {
-		if err := s.fs.AddAttr(e.Attr(name), a); err != nil {
-			return nil, err
-		}
-	}
-	s.entries = append(s.entries, e)
-	s.byLabel[label] = e
-	return e, nil
-}
-
 // ValueAttrs are the measurement attributes the mitigation locks down.
 var ValueAttrs = []string{"curr1_input", "in1_input", "power1_input"}
 
 // RestrictToRoot applies the paper's mitigation (Sec. V) to one sensor:
-// its measurement attributes become readable by root only. Temperature
-// nodes are locked down via their temp1_input attribute.
+// its measurement attributes become readable by root only.
 func (s *Subsystem) RestrictToRoot(label string) error {
 	e, ok := s.byLabel[label]
 	if !ok {
 		return fmt.Errorf("hwmon: unknown label %q", label)
 	}
-	for _, a := range append([]string{"temp1_input"}, ValueAttrs...) {
-		if !s.fs.Exists(e.Attr(a)) {
-			continue
-		}
+	for _, a := range ValueAttrs {
 		if err := s.fs.SetMode(e.Attr(a), sysfs.ModeRootOnly); err != nil {
 			return err
 		}
@@ -279,7 +236,7 @@ func cachedInt(v func() float64, scale float64) func() (string, error) {
 	}
 }
 
-// cachedMilli is cachedInt in thousandths (mA, mV, m°C).
+// cachedMilli is cachedInt in thousandths (mA, mV).
 func cachedMilli(v func() float64) func() (string, error) {
 	return cachedInt(v, 1e3)
 }

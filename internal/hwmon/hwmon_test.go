@@ -230,63 +230,6 @@ func TestDiscoveryViaGlob(t *testing.T) {
 	}
 }
 
-func TestRegisterTemperature(t *testing.T) {
-	sub, tree := mkSubsystem(t)
-	temp := 25.0
-	e, err := sub.RegisterTemperature("sysmon_ps", func() float64 { return temp })
-	if err != nil {
-		t.Fatalf("RegisterTemperature: %v", err)
-	}
-	raw, err := tree.ReadFile(sysfs.Nobody, e.Attr("temp1_input"))
-	if err != nil {
-		t.Fatalf("unprivileged temp read: %v", err)
-	}
-	if strings.TrimSpace(raw) != "25000" { // millidegrees
-		t.Fatalf("temp1_input = %q, want 25000", raw)
-	}
-	temp = 37.5
-	raw, _ = tree.ReadFile(sysfs.Nobody, e.Attr("temp1_input"))
-	if strings.TrimSpace(raw) != "37500" {
-		t.Fatalf("temp1_input = %q, want 37500", raw)
-	}
-	name, _ := tree.ReadFile(sysfs.Nobody, e.Attr("name"))
-	if strings.TrimSpace(name) != "sysmon" {
-		t.Fatalf("name = %q", name)
-	}
-	// Mitigation covers temperature nodes too.
-	if err := sub.RestrictToRoot("sysmon_ps"); err != nil {
-		t.Fatalf("RestrictToRoot: %v", err)
-	}
-	if _, err := tree.ReadFile(sysfs.Nobody, e.Attr("temp1_input")); !errors.Is(err, fs.ErrPermission) {
-		t.Fatalf("temp readable after mitigation: %v", err)
-	}
-	// Validation.
-	if _, err := sub.RegisterTemperature("x", nil); err == nil {
-		t.Fatal("nil source accepted")
-	}
-	if _, err := sub.RegisterTemperature("sysmon_ps", func() float64 { return 0 }); err == nil {
-		t.Fatal("duplicate label accepted")
-	}
-}
-
-func TestRestrictAllWithMixedNodes(t *testing.T) {
-	sub, tree := mkSubsystem(t)
-	if _, err := sub.Register(mkSensor(t, "ina226_u79", 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sub.RegisterTemperature("sysmon_ps", func() float64 { return 30 }); err != nil {
-		t.Fatal(err)
-	}
-	// Must not fail on the temp node's missing curr1_input.
-	if err := sub.RestrictAllToRoot(); err != nil {
-		t.Fatalf("RestrictAllToRoot: %v", err)
-	}
-	e, _ := sub.ByLabel("sysmon_ps")
-	if _, err := tree.ReadFile(sysfs.Nobody, e.Attr("temp1_input")); !errors.Is(err, fs.ErrPermission) {
-		t.Fatal("temp node not restricted")
-	}
-}
-
 func TestNegativeFormatting(t *testing.T) {
 	if got := formatMilli(-0.0015); strings.TrimSpace(got) != "-2" {
 		t.Fatalf("formatMilli(-0.0015) = %q, want -2", got)

@@ -58,8 +58,7 @@ type Rail struct {
 
 	sources []Source
 
-	current     float64 // last computed total current, amps
-	staticScale float64 // leakage multiplier, set by a ThermalMass
+	current float64 // last computed total current, amps
 }
 
 // RailConfig describes a rail.
@@ -97,13 +96,12 @@ func NewRail(cfg RailConfig) (*Rail, error) {
 		return nil, fmt.Errorf("power: rail %s: noise requires a random stream", cfg.Name)
 	}
 	return &Rail{
-		name:        cfg.Name,
-		nominal:     cfg.NominalVoltage,
-		voltage:     cfg.NominalVoltage,
-		static:      cfg.StaticCurrent,
-		noiseSigma:  cfg.NoiseSigma,
-		rng:         cfg.Rand,
-		staticScale: 1,
+		name:       cfg.Name,
+		nominal:    cfg.NominalVoltage,
+		voltage:    cfg.NominalVoltage,
+		static:     cfg.StaticCurrent,
+		noiseSigma: cfg.NoiseSigma,
+		rng:        cfg.Rand,
 	}, nil
 }
 
@@ -126,21 +124,8 @@ func (r *Rail) Current() float64 { return r.current }
 // Power returns the instantaneous rail power in watts (V · I, Eq. 2).
 func (r *Rail) Power() float64 { return r.voltage * r.current }
 
-// StaticCurrent returns the rail's always-on current component at the
-// reference temperature.
+// StaticCurrent returns the rail's always-on current component.
 func (r *Rail) StaticCurrent() float64 { return r.static }
-
-// SetStaticScale sets the leakage multiplier applied to the static
-// current (1 at the reference temperature); driven by a ThermalMass.
-func (r *Rail) SetStaticScale(s float64) {
-	if s < 0 {
-		s = 0
-	}
-	r.staticScale = s
-}
-
-// StaticScale returns the present leakage multiplier.
-func (r *Rail) StaticScale() float64 { return r.staticScale }
 
 // Attach adds a source to the rail. Attaching the same source twice is
 // rejected so aggregate current cannot silently double-count.
@@ -171,7 +156,7 @@ func (r *Rail) Sources() int { return len(r.sources) }
 // tick. Negative totals (possible only through pathological noise draws)
 // are clamped to zero, as a physical rail never sources current back.
 func (r *Rail) Step(now, dt time.Duration) {
-	total := r.static * r.staticScale
+	total := r.static
 	for _, s := range r.sources {
 		total += s.Current()
 	}

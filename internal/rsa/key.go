@@ -57,23 +57,6 @@ func HammingWeight(x *big.Int) int {
 	return n
 }
 
-// PaperKeySet returns the 17 exponents of Fig. 4: Hamming weights
-// 1, 64, 128, ..., 1024 over 1024 bits.
-func PaperKeySet(rng *rand.Rand) ([]*big.Int, error) {
-	if rng == nil {
-		return nil, errors.New("rsa: nil random stream")
-	}
-	keys := make([]*big.Int, 0, 17)
-	for _, hw := range PaperHammingWeights() {
-		k, err := ExponentWithHammingWeight(1024, hw, rng)
-		if err != nil {
-			return nil, err
-		}
-		keys = append(keys, k)
-	}
-	return keys, nil
-}
-
 // PaperHammingWeights returns the 17 weights used in Fig. 4.
 func PaperHammingWeights() []int {
 	ws := make([]int, 0, 17)

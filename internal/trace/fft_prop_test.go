@@ -2,7 +2,6 @@ package trace_test
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -155,152 +154,5 @@ func TestSpectrumClampsAtNyquist(t *testing.T) {
 	}
 	if len(refOver) != 50 {
 		t.Fatalf("SpectrumGoertzel(99) returned %d bins, want 50", len(refOver))
-	}
-}
-
-// aliasTrace reproduces the capture that exposed the Nyquist bug:
-// 64 samples of a bin-5 tone over a DC offset with mild Gaussian noise
-// (seed 27). Before the clamp, DominantPeriod(63, ...) computed Goertzel
-// magnitudes past Nyquist; the mirror bin 59 — mathematically equal to
-// bin 5 for real input — came out a few ulps larger and won the strict
-// peak search, so the estimated period was 64/59 ≈ 1.08 samples instead
-// of 64/5 = 12.8.
-func aliasTrace() *trace.Trace {
-	const n, tone = 64, 5
-	rng := rand.New(rand.NewSource(27))
-	samples := make([]float64, n)
-	for i := range samples {
-		samples[i] = 2 + math.Sin(2*math.Pi*tone*float64(i)/float64(n)) + 0.05*rng.NormFloat64()
-	}
-	return &trace.Trace{Interval: time.Millisecond, Samples: samples}
-}
-
-// oldUnclampedDominantBin is the pre-fix peak search: per-bin Goertzel
-// with no Nyquist clamp. Kept inline as the regression oracle proving
-// the committed trace really does trip the old behaviour.
-func oldUnclampedDominantBin(samples []float64, bins int) int {
-	n := len(samples)
-	mean := 0.0
-	for _, s := range samples {
-		mean += s
-	}
-	mean /= float64(n)
-	best, bestMag := 0, 0.0
-	for k := 1; k <= bins; k++ {
-		w := 2 * math.Pi * float64(k) / float64(n)
-		coeff := 2 * math.Cos(w)
-		var s0, s1, s2 float64
-		for _, x := range samples {
-			s0 = (x - mean) + coeff*s1 - s2
-			s2 = s1
-			s1 = s0
-		}
-		re := s1 - s2*math.Cos(w)
-		im := s2 * math.Sin(w)
-		if m := math.Sqrt(re*re+im*im) * 2 / float64(n); m > bestMag {
-			best, bestMag = k, m
-		}
-	}
-	return best
-}
-
-// TestDominantPeriodAliasRegression pins the Nyquist-clamp fix with the
-// planted tone whose alias previously won the peak search.
-func TestDominantPeriodAliasRegression(t *testing.T) {
-	tr := aliasTrace()
-	n := len(tr.Samples)
-	if got := oldUnclampedDominantBin(tr.Samples, n-1); got != n-5 {
-		t.Fatalf("regression oracle: old peak search picked bin %d, want alias %d — trace no longer reproduces the bug", got, n-5)
-	}
-	period, ok, err := tr.DominantPeriod(n-1, 2.0)
-	if err != nil {
-		t.Fatalf("DominantPeriod: %v", err)
-	}
-	if !ok {
-		t.Fatal("DominantPeriod found no structure in a planted tone")
-	}
-	if want := float64(n) / 5; period != want {
-		t.Fatalf("DominantPeriod = %v samples, want %v (alias must not win)", period, want)
-	}
-}
-
-// TestDominantPeriodFloorExcludesPeak pins the noise-floor bugfix with
-// table-driven cases at the old/new decision boundary. Magnitudes are
-// controlled by planting integer-bin tones (no leakage), so each case's
-// floor is known analytically.
-func TestDominantPeriodFloorExcludesPeak(t *testing.T) {
-	const n = 64
-	mk := func(tones map[int]float64) *trace.Trace {
-		samples := make([]float64, n)
-		for i := range samples {
-			v := 3.0
-			for bin, amp := range tones {
-				v += amp * math.Sin(2*math.Pi*float64(bin)*float64(i)/float64(n))
-			}
-			samples[i] = v
-		}
-		return &trace.Trace{Interval: time.Millisecond, Samples: samples}
-	}
-	cases := []struct {
-		name       string
-		tones      map[int]float64
-		maxBins    int
-		floorRatio float64
-		wantOK     bool
-		wantPeriod float64
-	}{
-		{
-			// mags ≈ [0, 1.0, 0.3, 0.3]: old floor (1.6/4)·3 = 1.2 > 1.0
-			// suppressed the detection; new floor (0.6/3)·3 = 0.6 < 1.0
-			// detects it. This is the boundary case the fix exists for.
-			name:       "boundary-peak-now-detected",
-			tones:      map[int]float64{2: 1.0, 3: 0.3, 4: 0.3},
-			maxBins:    4,
-			floorRatio: 3.0,
-			wantOK:     true,
-			wantPeriod: n / 2.0,
-		},
-		{
-			// A strong lone tone passes under both definitions.
-			name:       "strong-peak-detected-either-way",
-			tones:      map[int]float64{4: 1.0, 7: 0.01},
-			maxBins:    8,
-			floorRatio: 3.0,
-			wantOK:     true,
-			wantPeriod: n / 4.0,
-		},
-		{
-			// Near-equal tones: peak ≈ floor, rejected under both.
-			name:       "flat-spectrum-still-rejected",
-			tones:      map[int]float64{2: 0.5, 3: 0.5, 4: 0.5, 5: 0.52},
-			maxBins:    5,
-			floorRatio: 3.0,
-			wantOK:     false,
-		},
-		{
-			// maxBins=1 leaves no non-peak bins: floor 0, any nonzero
-			// peak is trivially dominant (old code divided the peak into
-			// its own floor and could still reject it).
-			name:       "single-bin-nonzero-peak",
-			tones:      map[int]float64{1: 0.2},
-			maxBins:    1,
-			floorRatio: 100.0,
-			wantOK:     true,
-			wantPeriod: n,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			period, ok, err := mk(tc.tones).DominantPeriod(tc.maxBins, tc.floorRatio)
-			if err != nil {
-				t.Fatalf("DominantPeriod: %v", err)
-			}
-			if ok != tc.wantOK {
-				t.Fatalf("ok = %v, want %v (period %v)", ok, tc.wantOK, period)
-			}
-			if ok && math.Abs(period-tc.wantPeriod) > 1e-6 {
-				t.Fatalf("period = %v, want %v", period, tc.wantPeriod)
-			}
-		})
 	}
 }

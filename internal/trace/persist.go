@@ -1,19 +1,14 @@
 package trace
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"strconv"
 	"time"
 )
 
-// Persistence for captured traces: CSV for spreadsheet-style analysis
-// of a single trace, JSON for lossless round trips of the full
-// structure. The offline phase of the fingerprinting attack records
-// once and analyzes many times; these formats are the handoff.
+// Persistence for captured traces: JSON for lossless round trips of the
+// full structure. The offline phase of the fingerprinting attack records
+// once and analyzes many times; this format is the handoff.
 
 // jsonTrace is the stable serialized form. Samples are pointers so a
 // lost-sample gap (NaN, which JSON cannot encode) round-trips as null;
@@ -59,69 +54,4 @@ func (t *Trace) UnmarshalJSON(data []byte) error {
 		}
 	}
 	return nil
-}
-
-// WriteCSV writes the trace as `time_s,value` rows with a header.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	if t.Interval <= 0 {
-		return errors.New("trace: non-positive interval")
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time_s", "value"}); err != nil {
-		return err
-	}
-	for i, s := range t.Samples {
-		ts := time.Duration(i) * t.Interval
-		err := cw.Write([]string{
-			strconv.FormatFloat(ts.Seconds(), 'f', 6, 64),
-			strconv.FormatFloat(s, 'g', -1, 64),
-		})
-		if err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV reads a trace written by WriteCSV. The sampling interval is
-// recovered from the first two timestamps (a single-sample trace needs
-// the interval supplied by the caller afterwards).
-func ReadCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) < 2 {
-		return nil, errors.New("trace: CSV has no samples")
-	}
-	if rows[0][0] != "time_s" {
-		return nil, fmt.Errorf("trace: unexpected CSV header %v", rows[0])
-	}
-	tr := &Trace{}
-	times := make([]float64, 0, len(rows)-1)
-	for i, row := range rows[1:] {
-		if len(row) != 2 {
-			return nil, fmt.Errorf("trace: CSV row %d has %d fields", i+1, len(row))
-		}
-		ts, err := strconv.ParseFloat(row[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV row %d time: %w", i+1, err)
-		}
-		v, err := strconv.ParseFloat(row[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV row %d value: %w", i+1, err)
-		}
-		times = append(times, ts)
-		tr.Samples = append(tr.Samples, v)
-	}
-	if len(times) >= 2 {
-		dt := times[1] - times[0]
-		if dt <= 0 {
-			return nil, errors.New("trace: non-increasing CSV timestamps")
-		}
-		tr.Interval = time.Duration(dt * float64(time.Second))
-	}
-	return tr, nil
 }

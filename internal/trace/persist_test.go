@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -29,51 +28,5 @@ func TestJSONRejectsBadInterval(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(`{bad json`), &out); err == nil {
 		t.Fatal("garbage accepted")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	in := &Trace{Interval: time.Millisecond, Samples: []float64{1.5, 2.25, 3}}
-	var sb strings.Builder
-	if err := in.WriteCSV(&sb); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	if !strings.HasPrefix(sb.String(), "time_s,value\n") {
-		t.Fatalf("missing header:\n%s", sb.String())
-	}
-	out, err := ReadCSV(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
-	}
-	if out.Interval != time.Millisecond {
-		t.Fatalf("interval = %v", out.Interval)
-	}
-	for i := range in.Samples {
-		if out.Samples[i] != in.Samples[i] {
-			t.Fatalf("samples = %v", out.Samples)
-		}
-	}
-}
-
-func TestWriteCSVValidation(t *testing.T) {
-	var sb strings.Builder
-	if err := (&Trace{}).WriteCSV(&sb); err == nil {
-		t.Fatal("zero interval accepted")
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"time_s,value\n", // header only
-		"bogus,header\n1,2\n",
-		"time_s,value\nnotanumber,1\n",
-		"time_s,value\n0.0,notanumber\n",
-		"time_s,value\n0.0,1\n0.0,2\n", // non-increasing time
-	}
-	for i, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
 	}
 }

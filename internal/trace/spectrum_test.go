@@ -62,37 +62,6 @@ func TestSpectrumErrors(t *testing.T) {
 	}
 }
 
-func TestDominantPeriod(t *testing.T) {
-	// 8 periods over 256 samples -> period = 32 samples.
-	tr := sine(256, 8, 1.0, 5.0)
-	period, ok, err := tr.DominantPeriod(16, 2.0)
-	if err != nil {
-		t.Fatalf("DominantPeriod: %v", err)
-	}
-	if !ok {
-		t.Fatal("tone not detected")
-	}
-	if math.Abs(period-32) > 0.5 {
-		t.Fatalf("period = %v samples, want 32", period)
-	}
-}
-
-func TestDominantPeriodRejectsNoise(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	samples := make([]float64, 512)
-	for i := range samples {
-		samples[i] = rng.NormFloat64()
-	}
-	tr := &Trace{Interval: time.Millisecond, Samples: samples}
-	_, ok, err := tr.DominantPeriod(16, 4.0)
-	if err != nil {
-		t.Fatalf("DominantPeriod: %v", err)
-	}
-	if ok {
-		t.Fatal("white noise reported as periodic")
-	}
-}
-
 func TestSpectrumMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	samples := make([]float64, 128)
