@@ -1,8 +1,14 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/board"
+	"repro/internal/ml/crossval"
+	"repro/internal/ml/features"
+	"repro/internal/ml/rforest"
 )
 
 // BenchmarkCaptureSetup measures one capture's rig set-up — the board,
@@ -18,6 +24,39 @@ func BenchmarkCaptureSetup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := captureRig(cfg, models[i%len(models)], int64(i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFingerprintCell times the classifier work of one Table III
+// cell on real folds: 10-fold cross-validated 10-tree forests over the
+// FPGA current channel's features of 39 models x 10 one-second
+// captures, the traffic of bench's table3 workload. The captures and
+// feature vectors are built once, outside the timer.
+func BenchmarkFingerprintCell(b *testing.B) {
+	cfg := FingerprintConfig{TracesPerModel: 10, TraceDuration: time.Second,
+		Durations: []time.Duration{time.Second}, Trees: 10}
+	cfg.fillDefaults()
+	captures, err := CollectDPUTraces(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ch := Channel{Label: board.SensorFPGA, Kind: Current}
+	var ds features.Dataset
+	for _, c := range captures {
+		vec, err := features.FromTraceWithSpectrum(c.Traces[ch], cfg.Bins, cfg.SpectralBins)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds.Add(vec, c.Model)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(1))
+		forest := rforest.Config{Trees: cfg.Trees, MaxDepth: cfg.MaxDepth, Rand: rng}
+		if _, err := crossval.Evaluate(&ds, forest, cfg.Folds, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -36,14 +36,22 @@ type Rand struct {
 	// cycle's outputs are vec[606], vec[605], …, vec[0].
 	vec [rngLen]uint64
 	// pos counts the outputs left in the current cycle; a draw at
-	// zero refills first.
+	// zero refills first. Below zero (pendingSeed), the stream is not
+	// seeded yet and vec[0] holds its seed.
 	pos int
 }
 
-// NewRand returns a stream seeded like rand.NewSource(seed).
+// pendingSeed is pos for a stream whose seeding NewRand deferred to the
+// first draw. The draw decrements it below -1, which a refill at the
+// end of a seeded cycle (pos -1) never reaches.
+const pendingSeed = -2
+
+// NewRand returns a stream seeded like rand.NewSource(seed). Seeding
+// runs on the first draw, so a stream that is never drawn from costs an
+// allocation and no more.
 func NewRand(seed int64) *Rand {
 	r := new(Rand)
-	r.Seed(seed)
+	r.vec[0], r.pos = uint64(seed), pendingSeed
 	return r
 }
 
@@ -100,11 +108,15 @@ func rotate(i int) int {
 
 // refill advances the register one whole cycle, math/rand's
 // vec[feed] += vec[tap] 607 times in the order it runs them, and points
-// pos at the cycle's first output. It stays out of line so that Uint64,
-// and Int63 and Uint32 through it, inline into the callers' draw loops.
+// pos at the cycle's first output; a stream NewRand left unseeded is
+// seeded first. It stays out of line so that Uint64, and Int63 and
+// Uint32 through it, inline into the callers' draw loops.
 //
 //go:noinline
 func (r *Rand) refill() {
+	if r.pos < -1 {
+		r.Seed(int64(r.vec[0]))
+	}
 	v := &r.vec
 	for i := rngLen - 1; i >= rngLen-rngTap; i-- {
 		v[i] += v[i-(rngLen-rngTap)]

@@ -77,10 +77,39 @@ func genBound(r *rand.Rand) int64 {
 	}
 }
 
-// diffCase is a seed and an interleaving of draws.
+// diffCase is a seed, how the sim.Rand under test reaches it, and an
+// interleaving of draws.
 type diffCase struct {
-	seed int64
-	ops  []op
+	seed  int64
+	start int
+	ops   []op
+}
+
+// How a diffCase's sim.Rand is set up: NewRand(seed); NewRand of
+// another seed, then Seed(seed) before the first draw; or the zero
+// value, then Seed(seed).
+const (
+	startNew = iota
+	startReseeded
+	startZero
+	numStarts
+)
+
+var startNames = [numStarts]string{"NewRand", "NewRand+Seed", "zero+Seed"}
+
+// newStream returns the sim.Rand c starts from.
+func newStream(c diffCase) *sim.Rand {
+	switch c.start {
+	case startReseeded:
+		r := sim.NewRand(c.seed ^ 0x5eed)
+		r.Seed(c.seed)
+		return r
+	case startZero:
+		r := new(sim.Rand)
+		r.Seed(c.seed)
+		return r
+	}
+	return sim.NewRand(c.seed)
 }
 
 // genOps generates cases whose draws span at least three 607-word
@@ -91,7 +120,7 @@ func genOps(kinds int) check.Gen[diffCase] {
 	const minOps = 3*607 + 1
 	return check.Gen[diffCase]{
 		Generate: func(r *rand.Rand, _ int) diffCase {
-			c := diffCase{seed: genSeed(r), ops: make([]op, minOps+r.Intn(600))}
+			c := diffCase{seed: genSeed(r), start: r.Intn(numStarts), ops: make([]op, minOps+r.Intn(600))}
 			for i := range c.ops {
 				k := r.Intn(kinds)
 				if k == opSeed && r.Intn(1000) != 0 {
@@ -113,7 +142,7 @@ func genOps(kinds int) check.Gen[diffCase] {
 		Shrink: func(c diffCase) []diffCase {
 			var out []diffCase
 			for n := len(c.ops) / 2; n >= 1 && n < len(c.ops); n = (n + len(c.ops)) / 2 {
-				out = append(out, diffCase{seed: c.seed, ops: append([]op(nil), c.ops[:n]...)})
+				out = append(out, diffCase{seed: c.seed, start: c.start, ops: append([]op(nil), c.ops[:n]...)})
 				if n == len(c.ops)-1 {
 					break
 				}
@@ -121,7 +150,7 @@ func genOps(kinds int) check.Gen[diffCase] {
 			return out
 		},
 		Describe: func(c diffCase) string {
-			return fmt.Sprintf("seed %d, %d ops ending %v", c.seed, len(c.ops), c.ops[len(c.ops)-1])
+			return fmt.Sprintf("seed %d via %s, %d ops ending %v", c.seed, startNames[c.start], len(c.ops), c.ops[len(c.ops)-1])
 		},
 	}
 }
@@ -181,10 +210,12 @@ func drawWrapped(r *rand.Rand, o op) uint64 {
 // TestPropRandMatchesMathRand is the differential contract behind every
 // engine stream: sim.Rand returns, bit for bit, what
 // rand.New(rand.NewSource(seed)) returns for any interleaving of the
-// methods the simulator calls, reseeding included.
+// methods the simulator calls, reseeding included, whether NewRand's
+// deferred seeding or Seed put the stream at seed.
 func TestPropRandMatchesMathRand(t *testing.T) {
 	check.Forall(t, genOps(numDirectOps), func(c *check.T, in diffCase) {
-		got, want := sim.NewRand(in.seed), rand.New(rand.NewSource(in.seed))
+		c.Label(startNames[in.start])
+		got, want := newStream(in), rand.New(rand.NewSource(in.seed))
 		reseeded := false
 		for i, o := range in.ops {
 			if g, w := draw(got, o), draw(want, o); g != w {
@@ -202,7 +233,8 @@ func TestPropRandMatchesMathRand(t *testing.T) {
 // as those that use Uint64.
 func TestPropWrappedRandMatchesMathRand(t *testing.T) {
 	check.Forall(t, genOps(numOps), func(c *check.T, in diffCase) {
-		got, want := rand.New(sim.NewRand(in.seed)), rand.New(rand.NewSource(in.seed))
+		c.Label(startNames[in.start])
+		got, want := rand.New(newStream(in)), rand.New(rand.NewSource(in.seed))
 		for i, o := range in.ops {
 			if g, w := drawWrapped(got, o), drawWrapped(want, o); g != w {
 				c.Fatalf("op %d %v: rand.New(sim.Rand) %#x, math/rand %#x", i, o, g, w)

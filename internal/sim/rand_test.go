@@ -6,10 +6,21 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // *Rand is a rand.Source64, so rand.New(r) reuses its Uint64 directly.
 var _ rand.Source64 = (*Rand)(nil)
+
+// TestRandSize pins the stream's size: the 607-word register and pos,
+// 4,864 bytes, the largest object of its allocation size class. A field
+// added for the deferred seeding would move every stream into the next
+// class, 512 bytes larger.
+func TestRandSize(t *testing.T) {
+	if got := unsafe.Sizeof(Rand{}); got != 4864 {
+		t.Fatalf("unsafe.Sizeof(Rand{}) = %d, want 4864", got)
+	}
+}
 
 // schrage is math/rand's seedrand: 48271·x mod (2³¹−1) by Schrage's
 // method, the division-based reference the folded version replaces.
@@ -125,14 +136,26 @@ func BenchmarkNormFloat64(b *testing.B) {
 	})
 }
 
-// BenchmarkStream times creating one named stream (hash, seed, cache),
-// the per-component cost every freshly wired board pays ~40 times.
+// BenchmarkStream times one named stream: creating it (hash, cache),
+// the per-component cost every freshly wired board pays ~40 times, and
+// creating it plus its first draw, which seeds it.
 func BenchmarkStream(b *testing.B) {
-	b.ReportAllocs()
-	e := MustNewEngine(500*time.Microsecond, 1)
 	const name = "ina226/fpga"
-	for i := 0; i < b.N; i++ {
-		delete(e.streams, name)
-		e.Stream(name)
+	for _, draw := range []bool{false, true} {
+		label := "create"
+		if draw {
+			label = "create+first-draw"
+		}
+		b.Run(label, func(b *testing.B) {
+			b.ReportAllocs()
+			e := MustNewEngine(500*time.Microsecond, 1)
+			for i := 0; i < b.N; i++ {
+				delete(e.streams, name)
+				r := e.Stream(name)
+				if draw {
+					r.Uint64()
+				}
+			}
+		})
 	}
 }
