@@ -569,7 +569,7 @@ func cmdCharacterize(ctx context.Context, args []string, profile *faults.Profile
 	levels := fs.Int("levels", 0, "activation levels (0 = paper's 161)")
 	samples := fs.Int("samples", 20, "hwmon updates averaged per level")
 	noStab := fs.Bool("no-stabilizer", false, "disable the VCCINT stabilizer (ablation)")
-	parallel := fs.Int("parallel", 0, "worker count of the sharded per-level sweep (0 = classic serial protocol; results are identical for any worker count >= 1)")
+	parallel := fs.Int("parallel", 0, "workers for the per-level shards (0 = GOMAXPROCS; results are identical for any worker count)")
 	checkpoint := fs.String("checkpoint", "", "run supervised with crash-safe checkpointing to this file (resumable with `amperebleed resume`)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -866,7 +866,7 @@ func cmdCovert(args []string, profile *faults.Profile) error {
 	bits := fs.Int("bits", 128, "payload bits")
 	symbol := fs.Int("symbol-updates", 1, "symbol duration in sensor updates")
 	interval := fs.Duration("update-interval", 0, "sensor update interval override (root)")
-	parallel := fs.Int("parallel", 0, "workers of the multi-channel chunked protocol (0 = classic single transmission; results are identical for any worker count >= 1)")
+	parallel := fs.Int("parallel", 0, "workers for the 32-bit payload chunk shards (0 = GOMAXPROCS; results are identical for any worker count)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

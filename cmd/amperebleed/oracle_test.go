@@ -64,12 +64,16 @@ var fingerprintArgs = []string{
 	"-traces", "10", "-folds", "5", "-duration", "2s",
 }
 
+// characterizeArgs is the reduced Fig. 2 sweep the characterize golden
+// and the checkpoint check share.
+var characterizeArgs = []string{"-levels", "8", "-samples", "5"}
+
 func TestOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		args []string // global flags, then the command and its flags
 	}{
-		{"characterize", []string{"characterize", "-levels", "8", "-samples", "5"}},
+		{"characterize", append([]string{"characterize"}, characterizeArgs...)},
 		{"covert", []string{"covert", "-bits", "64"}},
 		{"applicability-hostile", []string{"-faults", "hostile", "applicability"}},
 		// Trains 100-tree forests on gap-carrying hostile-fault captures:
@@ -132,5 +136,21 @@ func TestFingerprintRecordReplay(t *testing.T) {
 	replayed := runChild(t, append([]string{"fingerprint", "-load", path}, fingerprintArgs...)...)
 	if d := golden.FirstDiff(replayed, want); d != "" {
 		t.Errorf("-load run: %s", d)
+	}
+}
+
+// TestCharacterizeCheckpointReplay runs the characterize golden's sweep
+// supervised, with -checkpoint: the job engine must print the golden
+// figure, so the checkpointed and the plain command measure the same
+// sweep.
+func TestCharacterizeCheckpointReplay(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "characterize.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "characterize.ckpt")
+	got := runChild(t, append([]string{"characterize", "-checkpoint", path}, characterizeArgs...)...)
+	if d := golden.FirstDiff(got, want); d != "" {
+		t.Errorf("-checkpoint run: %s", d)
 	}
 }

@@ -125,7 +125,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *paperScale {
 			n = 10000
 		}
-		res, err := core.Characterize(core.CharacterizeConfig{Seed: *seed, SamplesPerLevel: n, Faults: profile})
+		res, err := core.Characterize(core.CharacterizeConfig{
+			Seed:            *seed,
+			SamplesPerLevel: n,
+			Parallelism:     *parallel,
+			Faults:          profile,
+		})
 		if err != nil {
 			return err
 		}
@@ -176,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *paperScale {
 			n = 100000
 		}
-		res, err := core.RSAHammingWeight(core.RSAConfig{Seed: *seed, Samples: n})
+		res, err := core.RSAHammingWeight(core.RSAConfig{Seed: *seed, Samples: n, Parallelism: *parallel})
 		if err != nil {
 			return err
 		}

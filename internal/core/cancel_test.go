@@ -59,7 +59,7 @@ func TestCaptureOneCancelsMidTrace(t *testing.T) {
 }
 
 func TestCovertOnceCancelsMidTransmission(t *testing.T) {
-	cfg := CovertConfig{Seed: 3, PayloadBits: 64, SymbolUpdates: 1, Groups: 40, ChunkBits: 32}
+	cfg := CovertConfig{Seed: 3, PayloadBits: 64, SymbolUpdates: 1, Groups: 40}
 	ctx := &countdownCtx{Context: context.Background(), n: 5}
 	if _, err := covertOnce(ctx, cfg, cfg.Seed, cfg.PayloadBits); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -124,9 +124,8 @@ func TestChaosCovertDeterministicAcrossWorkers(t *testing.T) {
 			for _, workers := range workerCounts {
 				res, err := CovertTransmit(CovertConfig{
 					Seed:          11,
-					PayloadBits:   24,
+					PayloadBits:   40, // chunks of 32 + 8
 					SymbolUpdates: 1,
-					ChunkBits:     8,
 					Parallelism:   workers,
 					Faults:        pf,
 				})

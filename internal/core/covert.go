@@ -53,22 +53,20 @@ type CovertConfig struct {
 	// default 35 ms caps the unprivileged channel at ~28.6 bps; a root
 	// accomplice retuning to 2 ms raises the ceiling to 500 bps.
 	UpdateInterval time.Duration
-	// Parallelism switches to the multi-channel protocol: the payload is
-	// split into fixed ChunkBits-sized chunks, each transmitted over its
-	// own board (a deterministic per-chunk seed), and the chunk shards
-	// run on this many workers. The chunking depends only on PayloadBits
-	// and ChunkBits, never on the worker count, so the aggregate result
-	// is bit-identical for any Parallelism >= 1. Zero keeps the classic
-	// single-transmission protocol.
+	// Parallelism is the worker count the chunk shards run on; zero means
+	// GOMAXPROCS. The payload is split into 32-bit chunks, each sent
+	// over its own board (a deterministic per-chunk seed), so the result
+	// is bit-identical for any worker count.
 	Parallelism int
-	// ChunkBits is the payload chunk size of the multi-channel protocol;
-	// zero means 32.
-	ChunkBits int
 	// Faults optionally injects a fault profile into the transmission
 	// board(s); the receiver then records unrecoverable samples as NaN
 	// gaps and the decoder works from the finite samples per symbol.
 	Faults *faults.Profile
 }
+
+// covertChunkBits is the payload chunk each board transmits; the last
+// chunk carries the remainder.
+const covertChunkBits = 32
 
 // CovertResult summarizes a transmission.
 type CovertResult struct {
@@ -120,8 +118,9 @@ func (s *covertSender) Step(now, dt time.Duration) {
 	_ = s.array.SetActiveGroups(level)
 }
 
-// CovertTransmit runs one end-to-end covert transmission and decodes it
-// with the unprivileged receiver.
+// CovertTransmit sends the payload over the covert channel, one
+// 32-bit chunk per board, and decodes every chunk with the unprivileged
+// receiver.
 func CovertTransmit(cfg CovertConfig) (*CovertResult, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -144,38 +143,16 @@ func CovertTransmit(cfg CovertConfig) (*CovertResult, error) {
 	if cfg.Groups < 1 || cfg.Groups > virus.DefaultGroups {
 		return nil, fmt.Errorf("core: groups %d outside [1,%d]", cfg.Groups, virus.DefaultGroups)
 	}
-	if cfg.Parallelism < 0 {
-		return nil, errors.New("core: negative parallelism")
-	}
-	if cfg.ChunkBits == 0 {
-		cfg.ChunkBits = 32
-	}
-	if cfg.ChunkBits < 1 {
-		return nil, errors.New("core: non-positive chunk size")
-	}
-	if cfg.Parallelism == 0 {
-		res, err := covertOnce(context.Background(), cfg, cfg.Seed, cfg.PayloadBits)
-		if err != nil {
-			return nil, err
-		}
-		observeCovert(res)
-		return res, nil
-	}
 
-	// Multi-channel protocol: fixed-size payload chunks, one board per
-	// chunk, aggregated error counts. The chunk layout is a function of
-	// the config alone, so the result does not depend on worker count.
+	// Fixed-size payload chunks, one board per chunk, aggregated error
+	// counts. The chunk layout is a function of the config alone, so the
+	// result does not depend on worker count.
 	var chunks []int
-	for remaining := cfg.PayloadBits; remaining > 0; remaining -= cfg.ChunkBits {
-		n := cfg.ChunkBits
-		if n > remaining {
-			n = remaining
-		}
-		chunks = append(chunks, n)
+	for remaining := cfg.PayloadBits; remaining > 0; remaining -= covertChunkBits {
+		chunks = append(chunks, min(remaining, covertChunkBits))
 	}
 	shards := make([]runner.Shard[*CovertResult], len(chunks))
 	for i, bits := range chunks {
-		bits := bits
 		shards[i] = runner.Shard[*CovertResult]{
 			Key: fmt.Sprintf("covert/chunk/%d", i),
 			Run: func(ctx context.Context, info runner.Info) (*CovertResult, error) {

@@ -13,12 +13,12 @@ import (
 // are functions of the campaign config alone, so every experiment that
 // routes through it must produce byte-identical results no matter how
 // many workers execute the shards or in what order they finish. These
-// regression tests pin that property across -parallel 1, 4, and 16 for
-// each sharded experiment.
+// regression tests pin that property across -parallel 0 (GOMAXPROCS),
+// 1, 4, and 16 for each sharded experiment.
 
-// workerCounts exercises fewer workers than shards, more workers than
-// shards, and the serial degenerate case.
-var workerCounts = []int{1, 4, 16}
+// workerCounts exercises the GOMAXPROCS default, fewer workers than
+// shards, more workers than shards, and the serial degenerate case.
+var workerCounts = []int{0, 1, 4, 16}
 
 // mustJSON canonicalizes a result for byte-level comparison.
 func mustJSON(t *testing.T, v any) []byte {
@@ -79,11 +79,11 @@ func TestCharacterizeDeterministicAcrossWorkers(t *testing.T) {
 func TestCovertDeterministicAcrossWorkers(t *testing.T) {
 	var want []byte
 	for _, workers := range workerCounts {
+		// 72 bits = chunks of 32 + 32 + 8: full and partial chunks.
 		res, err := CovertTransmit(CovertConfig{
 			Seed:          7,
-			PayloadBits:   24,
+			PayloadBits:   72,
 			SymbolUpdates: 1,
-			ChunkBits:     8,
 			Parallelism:   workers,
 		})
 		if err != nil {
@@ -140,22 +140,50 @@ func TestFingerprintDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCharacterizeShardedVsChunkSizeInvariant pins that the covert
-// chunked protocol's aggregate depends on the chunk layout but not the
-// worker schedule: same config, different worker counts, same BER.
+func TestRSAHammingWeightDeterministicAcrossWorkers(t *testing.T) {
+	var want []byte
+	for _, workers := range workerCounts {
+		// The repeated weight is a shard of its own.
+		res, err := RSAHammingWeight(RSAConfig{
+			Seed:        7,
+			Weights:     []int{512, 64, 512},
+			Samples:     200,
+			Parallelism: workers,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(res.Keys) != 3 {
+			t.Fatalf("workers=%d: %d keys, want 3", workers, len(res.Keys))
+		}
+		got := mustJSON(t, res)
+		if want == nil {
+			want = got
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: rsa result differs from workers=%d baseline", workers, workerCounts[0])
+		}
+	}
+}
+
+// TestCovertChunkLayoutIndependentOfWorkers pins that the covert
+// protocol's chunk layout, a trailing partial chunk included, depends on
+// the payload alone and not on the worker schedule: same config,
+// different worker counts, same BER.
 func TestCovertChunkLayoutIndependentOfWorkers(t *testing.T) {
-	base, err := CovertTransmit(CovertConfig{Seed: 3, PayloadBits: 20, SymbolUpdates: 1, ChunkBits: 6, Parallelism: 2})
+	base, err := CovertTransmit(CovertConfig{Seed: 3, PayloadBits: 40, SymbolUpdates: 1, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := CovertTransmit(CovertConfig{Seed: 3, PayloadBits: 20, SymbolUpdates: 1, ChunkBits: 6, Parallelism: 16})
+	again, err := CovertTransmit(CovertConfig{Seed: 3, PayloadBits: 40, SymbolUpdates: 1, Parallelism: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.BitsSent != again.BitsSent || base.BitErrors != again.BitErrors {
 		t.Errorf("chunked covert result changed with workers: %+v vs %+v", base, again)
 	}
-	if base.BitsSent != 20 {
-		t.Errorf("BitsSent = %d, want 20", base.BitsSent)
+	if base.BitsSent != 40 {
+		t.Errorf("BitsSent = %d, want 40", base.BitsSent)
 	}
 }

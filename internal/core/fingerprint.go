@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"repro/internal/board"
@@ -118,9 +117,6 @@ func (cfg *FingerprintConfig) fillDefaults() {
 	if cfg.Bins == 0 {
 		cfg.Bins = features.DefaultBins
 	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = runtime.GOMAXPROCS(0)
-	}
 }
 
 func (cfg *FingerprintConfig) validate() error {
@@ -132,9 +128,6 @@ func (cfg *FingerprintConfig) validate() error {
 		if d > cfg.TraceDuration {
 			return fmt.Errorf("core: duration %v exceeds capture length %v", d, cfg.TraceDuration)
 		}
-	}
-	if cfg.Parallelism < 1 {
-		return errors.New("core: non-positive parallelism")
 	}
 	return nil
 }

@@ -183,6 +183,7 @@ func Robustness(cfg RobustnessConfig) (*RobustnessResult, error) {
 		cov, err := CovertTransmit(CovertConfig{
 			Seed:        cfg.Seed,
 			PayloadBits: cfg.PayloadBits,
+			Parallelism: cfg.Parallelism,
 			Faults:      pf,
 		})
 		if err != nil {

@@ -1,18 +1,18 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/board"
 	"repro/internal/dpu"
 	"repro/internal/imagenet"
 	"repro/internal/rsa"
+	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/sysfs"
 )
@@ -36,7 +36,8 @@ type RSAConfig struct {
 	SampleInterval time.Duration
 	// Warmup before sampling starts; zero means 200 ms.
 	Warmup time.Duration
-	// Parallelism bounds concurrent per-key runs; zero means GOMAXPROCS.
+	// Parallelism is the worker count the per-key shards run on; zero
+	// means GOMAXPROCS. Results are bit-identical for any worker count.
 	Parallelism int
 	// VerifyDatapath runs the real modular arithmetic in the victim
 	// (slower; off by default — the activity schedule is identical).
@@ -108,32 +109,30 @@ func RSAHammingWeight(cfg RSAConfig) (*RSAResult, error) {
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 200 * time.Millisecond
 	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Parallelism < 1 {
-		return nil, errors.New("core: non-positive parallelism")
-	}
 
-	obs := make([]KeyObservation, len(cfg.Weights))
-	errs := make([]error, len(cfg.Weights))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Parallelism)
+	// One shard per listed key, keyed by position so a repeated weight is
+	// still its own shard; observeKey seeds each board from the weight.
+	shards := make([]runner.Shard[KeyObservation], len(cfg.Weights))
 	for i, w := range cfg.Weights {
-		wg.Add(1)
-		go func(i, w int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			obs[i], errs[i] = observeKey(cfg, w)
-		}(i, w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		shards[i] = runner.Shard[KeyObservation]{
+			Key: fmt.Sprintf("rsa/key/%d", i),
+			Run: func(context.Context, runner.Info) (KeyObservation, error) {
+				return observeKey(cfg, w)
+			},
 		}
 	}
+	results, err := runner.Run(context.Background(), runner.Config{
+		Name:    "rsa",
+		Seed:    cfg.Seed,
+		Workers: cfg.Parallelism,
+	}, shards)
+	if err != nil {
+		return nil, err
+	}
+	if err := runner.FirstErr(results); err != nil {
+		return nil, err
+	}
+	obs := runner.Values(results)
 	sort.Slice(obs, func(a, b int) bool { return obs[a].Weight < obs[b].Weight })
 
 	res := &RSAResult{Keys: obs}
