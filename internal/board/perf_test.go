@@ -1,11 +1,13 @@
 package board
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
 	"repro/internal/ina226"
+	"repro/internal/rsa"
 	"repro/internal/sysfs"
 	"repro/internal/trace"
 )
@@ -22,14 +24,37 @@ func newSteadyBoard(t testing.TB, cfg Config) *SoC {
 	return b
 }
 
+// placeRSA deploys Fig. 4's victim on b: the RSA-1024 square-and-
+// multiply circuit with a weight-512 key, spread over every region.
+func placeRSA(t testing.TB, b *SoC) {
+	t.Helper()
+	keyRng := rand.New(rand.NewSource(1))
+	exp, err := rsa.ExponentWithHammingWeight(1024, 512, keyRng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := rsa.Modulus(1024, keyRng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := rsa.NewCircuit(rsa.CircuitConfig{Exponent: exp, Modulus: mod, Rand: b.Engine().Stream("rsa-plaintexts")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Fabric().Place(c, b.Fabric().SpreadEvenly()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTickSteadyStateZeroAllocs pins the allocation contract: once
 // warmed up, the board tick loop — rails, regulators, the four stepped
 // INA226s, the 14 deferred ones and every latch — performs zero heap
 // allocations. It gates whole update windows rather than single ticks:
 // AllocsPerRun floors allocations per run, so one allocation per latch
 // (1 in 70 ticks) would read as 0 per tick. The stale-sensor board adds
-// the latch fault hooks. A regression here multiplies across the
-// millions of ticks a fingerprinting campaign simulates.
+// the latch fault hooks, the rsa board Fig. 4's victim on the fabric. A
+// regression here multiplies across the millions of ticks a
+// fingerprinting campaign simulates.
 func TestTickSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -41,12 +66,18 @@ func TestTickSteadyStateZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
+		rsa  bool
 	}{
-		{"clean", Config{Seed: 1}},
-		{"stale-sensor", Config{Seed: 1, Faults: &stale}},
+		{"clean", Config{Seed: 1}, false},
+		{"stale-sensor", Config{Seed: 1, Faults: &stale}, false},
+		{"rsa", Config{Seed: 1}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := newSteadyBoard(t, tc.cfg)
+			if tc.rsa {
+				placeRSA(t, b)
+				b.Run(time.Second)
+			}
 			allocs := testing.AllocsPerRun(50, func() { b.Run(ina226.DefaultUpdateInterval) })
 			if allocs != 0 {
 				t.Fatalf("steady-state update window allocated %v objects/op, want 0", allocs)

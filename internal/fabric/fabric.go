@@ -106,10 +106,16 @@ type Fabric struct {
 	placed []placement
 	used   Resources
 
-	current        float64
-	totalActivity  float64
-	regionActivity [][]float64 // last completed tick, visible to circuits
-	regionScratch  [][]float64 // being accumulated this tick
+	current       float64
+	totalActivity float64
+
+	// shares[i] is placed[i]'s activity per region over the last
+	// completed tick; nextShares is being filled by the tick in
+	// progress. regionMap is built from shares by the first
+	// RegionActivity call after a Step (regionMapBuilt).
+	shares, nextShares []float64
+	regionMap          [][]float64
+	regionMapBuilt     bool
 }
 
 // Config configures a Fabric.
@@ -150,11 +156,9 @@ func New(cfg Config) (*Fabric, error) {
 		model: power.ActivityModel{CapPerElement: cfg.CapPerElement, ClockHz: d.ClockHz},
 		volts: cfg.Voltage,
 	}
-	f.regionActivity = make([][]float64, d.Rows)
-	f.regionScratch = make([][]float64, d.Rows)
-	for i := range f.regionActivity {
-		f.regionActivity[i] = make([]float64, d.Cols)
-		f.regionScratch[i] = make([]float64, d.Cols)
+	f.regionMap = make([][]float64, d.Rows)
+	for i := range f.regionMap {
+		f.regionMap[i] = make([]float64, d.Cols)
 	}
 	return f, nil
 }
@@ -211,6 +215,8 @@ func (f *Fabric) Place(c Circuit, regions []Region) error {
 	}
 	f.used = need
 	f.placed = append(f.placed, placement{circuit: c, regions: append([]Region(nil), regions...)})
+	f.shares = append(f.shares, 0)
+	f.nextShares = append(f.nextShares, 0)
 	return nil
 }
 
@@ -225,33 +231,43 @@ func (f *Fabric) MustPlace(c Circuit, regions []Region) {
 func (f *Fabric) Circuits() int { return len(f.placed) }
 
 // Step implements sim.Steppable: advance every placed circuit, then
-// recompute aggregate and per-region activity and the fabric's dynamic
-// current at the present rail voltage.
+// recompute aggregate activity and the fabric's dynamic current at the
+// present rail voltage.
 //
 // Per-region activity is double-buffered: while circuits step, their
 // RegionActivity queries see the previous tick's completed map (a sensor
 // circuit observing its electrical neighbourhood always sees settled
-// state), and the map built this tick becomes visible at the end of Step.
+// state), and the shares recorded this tick become visible at the end of
+// Step. The map itself is built only when something reads it.
 func (f *Fabric) Step(now, dt time.Duration) {
-	for i := range f.regionScratch {
-		row := f.regionScratch[i]
+	total := 0.0
+	for i, p := range f.placed {
+		p.circuit.Step(now, dt)
+		a := p.circuit.ActiveElements()
+		total += a
+		f.nextShares[i] = a / float64(len(p.regions))
+	}
+	f.shares, f.nextShares = f.nextShares, f.shares
+	f.regionMapBuilt = false
+	f.totalActivity = total
+	f.current = f.model.CurrentFor(total, f.volts())
+}
+
+// buildRegionMap sums the last completed tick's shares into the region
+// map, adding them in placement order from zero: the same float
+// operations, in the same order, as accumulating the map during Step.
+func (f *Fabric) buildRegionMap() {
+	for _, row := range f.regionMap {
 		for j := range row {
 			row[j] = 0
 		}
 	}
-	total := 0.0
-	for _, p := range f.placed {
-		p.circuit.Step(now, dt)
-		a := p.circuit.ActiveElements()
-		total += a
-		share := a / float64(len(p.regions))
+	for i, p := range f.placed {
 		for _, r := range p.regions {
-			f.regionScratch[r.Row][r.Col] += share
+			f.regionMap[r.Row][r.Col] += f.shares[i]
 		}
 	}
-	f.regionActivity, f.regionScratch = f.regionScratch, f.regionActivity
-	f.totalActivity = total
-	f.current = f.model.CurrentFor(total, f.volts())
+	f.regionMapBuilt = true
 }
 
 // SourceName implements power.Source.
@@ -263,10 +279,14 @@ func (f *Fabric) Current() float64 { return f.current }
 // TotalActivity returns this tick's aggregate toggling-element count.
 func (f *Fabric) TotalActivity() float64 { return f.totalActivity }
 
-// RegionActivity returns this tick's activity in one clock region.
+// RegionActivity returns the last completed tick's activity in one
+// clock region.
 func (f *Fabric) RegionActivity(r Region) (float64, error) {
 	if r.Row < 0 || r.Row >= f.dev.Rows || r.Col < 0 || r.Col >= f.dev.Cols {
 		return 0, fmt.Errorf("fabric: region (%d,%d) outside grid", r.Row, r.Col)
 	}
-	return f.regionActivity[r.Row][r.Col], nil
+	if !f.regionMapBuilt {
+		f.buildRegionMap()
+	}
+	return f.regionMap[r.Row][r.Col], nil
 }

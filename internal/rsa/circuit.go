@@ -3,7 +3,9 @@ package rsa
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -54,7 +56,9 @@ type CircuitConfig struct {
 	// DefaultCyclesPerIteration.
 	CyclesPerIteration int
 	// SquareElements, MultiplyElements, ControlElements override the
-	// activity model; zero means the defaults.
+	// activity model; zero means the defaults. They count logic
+	// elements, so they must be whole numbers: Step's closed-form
+	// activity is exact only for whole counts (see Step).
 	SquareElements   float64
 	MultiplyElements float64
 	ControlElements  float64
@@ -79,14 +83,17 @@ type Circuit struct {
 	cfg CircuitConfig
 
 	// static per-key facts
-	bits         []bool // exponent bits, LSB first, padded to cfg.Bits
-	weight       int
-	secsPerCycle float64
+	weight int
+	// mulMask has one bit per iteration, LSB first in 64-bit words, set
+	// when the iteration runs the multiplier (every iteration with
+	// Ladder). mulBefore[w] counts the set bits of words 0..w-1, so
+	// mulBefore[len(mulMask)] is the count per exponentiation.
+	mulMask   []uint64
+	mulBefore []int
 
 	// state machine
-	iter        int     // current iteration (exponent bit index)
-	cycleInIter int     // cycles consumed within the iteration
-	activity    float64 // mean active elements over the last tick
+	pos      int     // cycle position within the exponentiation, in [0, Bits·CyclesPerIteration)
+	activity float64 // mean active elements over the last tick
 
 	// real datapath (Verify mode)
 	bigRand *rand.Rand // cfg.Rand wrapped for big.Int.Rand
@@ -137,77 +144,109 @@ func NewCircuit(cfg CircuitConfig) (*Circuit, error) {
 	if cfg.ControlElements == 0 {
 		cfg.ControlElements = DefaultControlElements
 	}
-	if cfg.SquareElements < 0 || cfg.MultiplyElements < 0 || cfg.ControlElements < 0 {
-		return nil, errors.New("rsa: negative activity model")
+	for _, e := range []float64{cfg.SquareElements, cfg.MultiplyElements, cfg.ControlElements} {
+		if e < 0 {
+			return nil, errors.New("rsa: negative activity model")
+		}
+		if e != math.Trunc(e) || math.IsInf(e, 0) {
+			return nil, fmt.Errorf("rsa: element count %v is not a whole number", e)
+		}
 	}
 
-	c := &Circuit{cfg: cfg, secsPerCycle: 1 / cfg.ClockHz}
+	cfg.Exponent = new(big.Int).Set(cfg.Exponent) // the Verify datapath reads its bits
+	c := &Circuit{cfg: cfg}
+	mask := make([]uint64, (cfg.Bits+63)/64)
+	for i := 0; i < cfg.Bits; i++ {
+		if cfg.Ladder || cfg.Exponent.Bit(i) == 1 {
+			mask[i/64] |= 1 << (i % 64)
+		}
+	}
+	c.setMulMask(mask)
+	c.weight = HammingWeight(cfg.Exponent)
 	if cfg.Verify {
 		c.bigRand = rand.New(cfg.Rand)
+		c.startExponentiation()
 	}
-	c.bits = make([]bool, cfg.Bits)
-	for i := 0; i < cfg.Bits; i++ {
-		c.bits[i] = cfg.Exponent.Bit(i) == 1
-	}
-	c.weight = HammingWeight(cfg.Exponent)
-	c.startExponentiation()
 	return c, nil
 }
 
-// startExponentiation draws a fresh plaintext and resets the machine.
-func (c *Circuit) startExponentiation() {
-	c.iter = 0
-	c.cycleInIter = 0
-	if c.cfg.Verify {
-		c.plain = new(big.Int).Rand(c.bigRand, c.cfg.Modulus)
-		if c.plain.Sign() == 0 {
-			c.plain.SetInt64(1)
-		}
-		c.acc = big.NewInt(1)
-		c.square = new(big.Int).Set(c.plain)
-	} else {
-		// Activity-only mode still consumes one rand draw per message so
-		// traces line up bit-for-bit with Verify mode.
-		_ = c.cfg.Rand.Int63()
+// setMulMask installs the multiplier schedule and its word prefix
+// counts.
+func (c *Circuit) setMulMask(mask []uint64) {
+	c.mulMask = mask
+	c.mulBefore = make([]int, len(mask)+1)
+	for w, m := range mask {
+		c.mulBefore[w+1] = c.mulBefore[w] + bits.OnesCount64(m)
 	}
 }
 
-// finishIteration advances the datapath by one square-and-multiply (or
-// ladder) step.
-func (c *Circuit) finishIteration() {
-	if c.cfg.Verify {
-		if c.cfg.Ladder {
-			c.ladderStep()
-		} else {
-			if c.bits[c.iter] {
-				c.acc.Mul(c.acc, c.square)
-				c.acc.Mod(c.acc, c.cfg.Modulus)
-			}
-			c.square.Mul(c.square, c.square)
-			c.square.Mod(c.square, c.cfg.Modulus)
-		}
+// multiplies reports whether iteration i runs the multiply module:
+// only on a 1-bit — unless the Montgomery ladder is enabled, in which
+// case both modules run on every iteration and the activity is
+// bit-independent.
+func (c *Circuit) multiplies(i int) bool { return c.mulMask[i/64]>>(i%64)&1 == 1 }
+
+// mulsBefore returns how many of iterations 0..i-1 run the multiplier.
+func (c *Circuit) mulsBefore(i int) int {
+	w, b := i/64, i%64
+	return c.mulBefore[w] + bits.OnesCount64(c.mulMask[w]&(1<<b-1))
+}
+
+// startExponentiation draws a fresh plaintext and resets the Verify
+// datapath.
+func (c *Circuit) startExponentiation() {
+	c.plain = new(big.Int).Rand(c.bigRand, c.cfg.Modulus)
+	if c.plain.Sign() == 0 {
+		c.plain.SetInt64(1)
 	}
-	c.iter++
-	c.cycleInIter = 0
-	if c.iter == c.cfg.Bits {
-		if c.cfg.Verify {
-			c.last = c.ladderResult() // accumulator (R0) in both modes
+	c.acc = big.NewInt(1)
+	c.square = new(big.Int).Set(c.plain)
+}
+
+// finishIteration advances the Verify datapath by one square-and-
+// multiply (or ladder) step: iteration i of the exponentiation. After
+// the last iteration it records the result and starts the next
+// exponentiation.
+func (c *Circuit) finishIteration(i int) {
+	if c.cfg.Ladder {
+		c.ladderStep(i)
+	} else {
+		if c.cfg.Exponent.Bit(i) == 1 {
+			c.acc.Mul(c.acc, c.square)
+			c.acc.Mod(c.acc, c.cfg.Modulus)
 		}
-		c.exponentiations++
+		c.square.Mul(c.square, c.square)
+		c.square.Mod(c.square, c.cfg.Modulus)
+	}
+	if i == c.cfg.Bits-1 {
+		c.last = c.ladderResult() // accumulator (R0) in both modes
 		c.startExponentiation()
 	}
 }
 
-// iterationElements returns the active element count while iteration i
-// executes: control + square always, multiply only on a 1-bit — unless
-// the Montgomery ladder is enabled, in which case both modules run on
-// every iteration and the count is bit-independent.
-func (c *Circuit) iterationElements(i int) float64 {
-	e := c.cfg.ControlElements + c.cfg.SquareElements
-	if c.cfg.Ladder || c.bits[i] {
-		e += c.cfg.MultiplyElements
+// mulCycles returns M(y): how many of the first y cycles of back-to-back
+// exponentiations run the multiplier. Cycle y lies in exponentiation
+// y/E, iteration i = (y%E)/P, r = (y%E)%P cycles into it.
+func (c *Circuit) mulCycles(y int) int {
+	p := c.cfg.CyclesPerIteration
+	e := c.cfg.Bits * p
+	n, y := y/e, y%e
+	i, r := y/p, y%p
+	m := (n*c.mulBefore[len(c.mulMask)] + c.mulsBefore(i)) * p
+	if c.multiplies(i) {
+		m += r
 	}
-	return e
+	return m
+}
+
+// tickCycles is the whole number of circuit cycles in a tick of dt, at
+// least one.
+func (c *Circuit) tickCycles(dt time.Duration) int {
+	cycles := int(dt.Seconds() * c.cfg.ClockHz)
+	if cycles <= 0 {
+		cycles = 1
+	}
+	return cycles
 }
 
 // CircuitName implements fabric.Circuit.
@@ -219,30 +258,41 @@ func (c *Circuit) Utilization() fabric.Resources {
 	return fabric.Resources{LUTs: 30000, FFs: 42000, DSPs: 256}
 }
 
-// Step implements fabric.Circuit: consume dt worth of 100 MHz cycles,
-// walking the state machine through as many iterations as fit and
-// averaging the active-element count over the tick.
+// Step implements fabric.Circuit: consume dt worth of circuit cycles
+// and average the active-element count over the tick. Control and
+// square run on every cycle, multiply on mul = M(pos+C) − M(pos) of
+// the tick's C cycles, so the mean is
+//
+//	((Control+Square)·C + Multiply·mul) / C
+//
+// with no walk over the iterations the tick crosses.
+//
+// This equals, bit for bit, summing elements·cycles iteration by
+// iteration. Element counts are whole numbers (NewCircuit rejects any
+// other), so every product and partial sum of either form is a whole
+// number no larger than (Control+Square+Multiply)·C. Below 2⁵³ every
+// such number is a float64 and every operation on them is exact, so
+// both forms reach the same exact numerator before the one division.
+// At the defaults (16,900 elements, 100 MHz) that holds for any tick
+// under 88 minutes; Fig. 4's 500 µs tick reaches 8.5e8.
+//
+// With Verify on, the big-int datapath still runs once per iteration
+// the tick completes, restarting each finished exponentiation.
 func (c *Circuit) Step(now, dt time.Duration) {
-	cycles := int(dt.Seconds() * c.cfg.ClockHz)
-	if cycles <= 0 {
-		cycles = 1
-	}
-	remaining := cycles
-	var elementCycles float64
-	for remaining > 0 {
-		left := c.cfg.CyclesPerIteration - c.cycleInIter
-		use := left
-		if use > remaining {
-			use = remaining
-		}
-		elementCycles += c.iterationElements(c.iter) * float64(use)
-		c.cycleInIter += use
-		remaining -= use
-		if c.cycleInIter == c.cfg.CyclesPerIteration {
-			c.finishIteration()
+	cycles := c.tickCycles(dt)
+	end := c.pos + cycles
+	mul := c.mulCycles(end) - c.mulCycles(c.pos)
+	c.activity = ((c.cfg.ControlElements+c.cfg.SquareElements)*float64(cycles) +
+		c.cfg.MultiplyElements*float64(mul)) / float64(cycles)
+	p := c.cfg.CyclesPerIteration
+	if c.cfg.Verify {
+		for k := c.pos / p; k < end/p; k++ {
+			c.finishIteration(k % c.cfg.Bits)
 		}
 	}
-	c.activity = elementCycles / float64(cycles)
+	e := c.cfg.Bits * p
+	c.exponentiations += uint64(end / e)
+	c.pos = end % e
 }
 
 // ActiveElements implements fabric.Circuit.
@@ -260,7 +310,7 @@ func (c *Circuit) Exponentiations() uint64 { return c.exponentiations }
 func (c *Circuit) LastResult() *big.Int { return c.last }
 
 // LastPlaintext returns the plaintext currently being encrypted (Verify
-// mode only).
+// mode only; nil otherwise).
 func (c *Circuit) LastPlaintext() *big.Int { return c.plain }
 
 // ExpectedMeanElements returns the analytic mean active-element count

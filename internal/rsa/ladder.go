@@ -12,13 +12,12 @@ import "math/big"
 // as the defense ablation: with the ladder in place the Fig. 4 attack
 // collapses, with every key landing in a single indistinguishable group.
 
-// ladderStep advances the verify-mode datapath by one ladder iteration.
+// ladderStep advances the verify-mode datapath by ladder iteration i.
 // The ladder walks the exponent MSB-first over the fixed machine width;
 // leading zero bits execute the same two multiplications as real bits,
 // which is precisely what removes the amplitude leak.
-func (c *Circuit) ladderStep() {
-	bit := c.bits[c.cfg.Bits-1-c.iter]
-	if bit {
+func (c *Circuit) ladderStep(i int) {
+	if c.cfg.Exponent.Bit(c.cfg.Bits-1-i) == 1 {
 		// R0 = R0*R1; R1 = R1^2
 		c.acc.Mul(c.acc, c.square)
 		c.acc.Mod(c.acc, c.cfg.Modulus)

@@ -120,6 +120,8 @@ func TestNewCircuitValidation(t *testing.T) {
 		func(c CircuitConfig) CircuitConfig { c.ClockHz = -1; return c },
 		func(c CircuitConfig) CircuitConfig { c.CyclesPerIteration = -1; return c },
 		func(c CircuitConfig) CircuitConfig { c.SquareElements = -1; return c },
+		func(c CircuitConfig) CircuitConfig { c.MultiplyElements = 4400.5; return c }, // not whole
+		func(c CircuitConfig) CircuitConfig { c.ControlElements = math.Inf(1); return c },
 	}
 	for i, mutate := range cases {
 		if _, err := NewCircuit(mutate(good)); err == nil {
@@ -290,5 +292,36 @@ func TestDatapathProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkCircuitStep times one Fig. 4 tick: 500 µs of the 100 MHz
+// RSA-1024 victim (about 47 iterations), square-and-multiply and
+// ladder.
+func BenchmarkCircuitStep(b *testing.B) {
+	exp, err := ExponentWithHammingWeight(1024, 512, rng())
+	if err != nil {
+		b.Fatal(err)
+	}
+	mod, err := Modulus(1024, rng())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		ladder bool
+	}{{"plain", false}, {"ladder", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, err := NewCircuit(CircuitConfig{Exponent: exp, Modulus: mod, Ladder: tc.ladder, Rand: sim.NewRand(1)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			const dt = 500 * time.Microsecond
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Step(time.Duration(i)*dt, dt)
+			}
+		})
 	}
 }
