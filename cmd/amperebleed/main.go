@@ -107,7 +107,8 @@ func noteResumedSpec(kind, faultProfile string, faultIntensity float64) {
 
 // faultSpec keeps the raw global fault flags for `characterize
 // -checkpoint`, whose checkpoints record the profile by name and
-// intensity rather than as a resolved rate table.
+// intensity rather than as a resolved rate table. They are recorded
+// only when the flags resolve to a profile at all.
 var faultSpec struct {
 	name      string
 	intensity float64
@@ -150,7 +151,7 @@ func run() int {
 		return 2
 	}
 	olog.SetRunID(fmt.Sprintf("%s-%d-%d", cmd, os.Getpid(), start.Unix()))
-	profile, err := parseFaults(*faultsName, *faultIntensity)
+	profile, err := faults.Resolve(*faultsName, *faultIntensity)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "amperebleed: %v\n", err)
 		return 2
@@ -273,23 +274,6 @@ func run() int {
 		}
 	}
 	return code
-}
-
-// parseFaults resolves the global -faults/-fault-intensity flags into a
-// profile for the board configs, or nil when fault injection is off.
-func parseFaults(name string, intensity float64) (*faults.Profile, error) {
-	p, err := faults.Preset(name)
-	if err != nil {
-		return nil, err
-	}
-	p, err = p.Scale(intensity)
-	if err != nil {
-		return nil, err
-	}
-	if !p.Enabled() {
-		return nil, nil
-	}
-	return &p, nil
 }
 
 func usage() {
@@ -588,18 +572,14 @@ func cmdCharacterize(ctx context.Context, args []string, profile *faults.Profile
 			return err
 		}
 		spec := jobs.Spec{
-			Kind:           jobs.CharacterizeKind,
 			RunID:          fmt.Sprintf("characterize-%d-%d", os.Getpid(), time.Now().Unix()),
 			Seed:           *seed,
-			Board:          "zcu102",
-			FaultProfile:   faultSpec.name,
-			FaultIntensity: faultSpec.intensity,
 			Config:         cfg,
 			Workers:        *parallel,
 			CheckpointPath: *checkpoint,
 		}
-		if faultSpec.name == "none" {
-			spec.FaultProfile, spec.FaultIntensity = "", 0
+		if profile != nil {
+			spec.FaultProfile, spec.FaultIntensity = faultSpec.name, faultSpec.intensity
 		}
 		return runCharacterizeJob(ctx, "characterize", spec)
 	}

@@ -44,14 +44,21 @@ func TestMain(m *testing.M) {
 // its stdout; a non-zero exit fails the test with the child's stderr.
 func runChild(t *testing.T, args ...string) []byte {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), oracleChildEnv+"=1")
+	cmd := childCommand(args...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("amperebleed %v: %v\n%s", args, err, stderr.Bytes())
 	}
 	return stdout.Bytes()
+}
+
+// childCommand returns the command that runs amperebleed with args in
+// a fresh process.
+func childCommand(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), oracleChildEnv+"=1")
+	return cmd
 }
 
 // fingerprintArgs is the reduced Table III run the fingerprint golden
@@ -142,15 +149,19 @@ func TestFingerprintRecordReplay(t *testing.T) {
 // TestCharacterizeCheckpointReplay runs the characterize golden's sweep
 // supervised, with -checkpoint: the job engine must print the golden
 // figure, so the checkpointed and the plain command measure the same
-// sweep.
+// sweep. A fault profile at intensity 0 injects nothing, supervised or
+// not, so that run must print the golden too.
 func TestCharacterizeCheckpointReplay(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "characterize.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "characterize.ckpt")
-	got := runChild(t, append([]string{"characterize", "-checkpoint", path}, characterizeArgs...)...)
-	if d := golden.FirstDiff(got, want); d != "" {
-		t.Errorf("-checkpoint run: %s", d)
+	for _, global := range [][]string{nil, {"-faults", "hostile", "-fault-intensity", "0"}} {
+		args := append([]string{}, global...)
+		args = append(args, "characterize", "-checkpoint", filepath.Join(t.TempDir(), "characterize.ckpt"))
+		got := runChild(t, append(args, characterizeArgs...)...)
+		if d := golden.FirstDiff(got, want); d != "" {
+			t.Errorf("%v -checkpoint run: %s", global, d)
+		}
 	}
 }

@@ -18,17 +18,20 @@ import (
 
 // runCharacterizeJob runs a supervised characterize sweep, records its
 // resume lineage for the ledger, reports quarantined levels on stderr
-// under the command's name, and renders Fig. 2.
+// under the command's name, in level order and even when too few
+// levels survive to fit, and renders Fig. 2.
 func runCharacterizeJob(ctx context.Context, command string, spec jobs.Spec) error {
 	out, res, err := jobs.Characterize(ctx, spec)
 	if out != nil {
 		noteLineage(spec.RunID, out.ParentRunID, out.ResumedShards)
+		for _, key := range out.Keys {
+			if reason, ok := out.Quarantined[key]; ok {
+				fmt.Fprintf(os.Stderr, "%s: shard %s quarantined: %s\n", command, key, reason)
+			}
+		}
 	}
 	if err != nil {
 		return err
-	}
-	for key, reason := range out.Quarantined {
-		fmt.Fprintf(os.Stderr, "%s: shard %s quarantined: %s\n", command, key, reason)
 	}
 	return report.RenderFig2(os.Stdout, res)
 }
@@ -60,10 +63,8 @@ func cmdResume(ctx context.Context, args []string) error {
 			path, cp.Kind, jobs.CharacterizeKind)
 	}
 	spec := jobs.Spec{
-		Kind:           cp.Kind,
 		RunID:          fmt.Sprintf("resume-%d-%d", os.Getpid(), time.Now().Unix()),
 		Seed:           cp.Seed,
-		Board:          cp.Board,
 		FaultProfile:   cp.FaultProfile,
 		FaultIntensity: cp.FaultIntensity,
 		Config:         cp.Config,

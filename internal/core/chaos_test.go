@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/board"
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/runner"
 )
 
 // Fault injection must not weaken the runner's determinism contract:
@@ -180,5 +182,47 @@ func TestFaultFreeProfileMatchesLegacyPipeline(t *testing.T) {
 	zero := &faults.Profile{Name: "none"}
 	if got := collect(zero); !bytes.Equal(got, legacy) {
 		t.Error("explicit zero-rate profile changed the captured traces")
+	}
+}
+
+// TestDeadLevelFailsIdentically pins why the job engine quarantines a
+// characterize shard on its first failure instead of retrying it: a
+// level is a pure function of its seed, so at a fault intensity that
+// loses every current sample a second attempt fails with the same
+// error after exactly the same work.
+func TestDeadLevelFailsIdentically(t *testing.T) {
+	p, err := faults.Resolve("hostile", 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := CharacterizeConfig{Seed: 3, Levels: 4, SamplesPerLevel: 24, Faults: p}
+	seed := runner.ShardSeed(cfg.Seed, CharacterizeLevelKey(0))
+	attempt := func() (string, map[string]int64) {
+		before := obs.Default.Snapshot().Counters
+		_, err := CharacterizeLevel(cfg, seed, 0)
+		if err == nil {
+			t.Fatal("level 0 survived hostile faults at intensity 50")
+		}
+		delta := make(map[string]int64)
+		for name, v := range obs.Default.Snapshot().Counters {
+			if strings.Contains(name, "walltime") {
+				continue // wall-clock, dropped from canonical manifests too
+			}
+			if d := v - before[name]; d != 0 {
+				delta[name] = d
+			}
+		}
+		return err.Error(), delta
+	}
+	err1, delta1 := attempt()
+	err2, delta2 := attempt()
+	if err1 != err2 {
+		t.Errorf("second attempt failed with %q, first with %q", err2, err1)
+	}
+	if len(delta1) == 0 {
+		t.Error("the failing level moved no counter")
+	}
+	if !reflect.DeepEqual(delta1, delta2) {
+		t.Errorf("second attempt's counter delta %v differs from the first's %v", delta2, delta1)
 	}
 }

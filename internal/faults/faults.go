@@ -165,6 +165,23 @@ func Preset(name string) (Profile, error) {
 	return p, nil
 }
 
+// Resolve returns the named preset scaled by intensity, or nil when
+// the result injects no fault at all (the "none" preset, or intensity
+// 0). Every fault profile the CLI runs is resolved by this one rule.
+func Resolve(name string, intensity float64) (*Profile, error) {
+	p, err := Preset(name)
+	if err != nil {
+		return nil, err
+	}
+	if p, err = p.Scale(intensity); err != nil {
+		return nil, err
+	}
+	if !p.Enabled() {
+		return nil, nil
+	}
+	return &p, nil
+}
+
 // PresetNames returns the preset names in lexical order.
 func PresetNames() []string {
 	names := make([]string, 0, len(presets))

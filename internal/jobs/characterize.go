@@ -13,10 +13,14 @@ import (
 	"repro/internal/runner"
 )
 
-// CharacterizeKind is the Kind of a supervised Fig. 2 sweep, the one
+// CharacterizeKind is the kind of a supervised Fig. 2 sweep, the one
 // experiment the engine runs. Every checkpoint `characterize
 // -checkpoint` writes carries it.
 const CharacterizeKind = "characterize"
+
+// characterizeBoard is the board every checkpoint records: the sweep
+// runs on the simulated ZCU102.
+const characterizeBoard = "zcu102"
 
 // CharacterizeConfig is the spec.Config payload of a characterize job:
 // the subset of core.CharacterizeConfig that isn't already spec
@@ -36,9 +40,6 @@ type CharacterizeConfig struct {
 // Quarantined levels are left out of the fit. The outcome is returned
 // even when the run fails, so callers can report its lineage.
 func Characterize(ctx context.Context, spec Spec) (*Outcome, *core.CharacterizeResult, error) {
-	if spec.Kind != CharacterizeKind {
-		return nil, nil, fmt.Errorf("jobs: cannot run a %q job (only %q)", spec.Kind, CharacterizeKind)
-	}
 	ccfg, err := characterizeCore(spec)
 	if err != nil {
 		return nil, nil, err
@@ -92,9 +93,12 @@ func characterizeCore(spec Spec) (core.CharacterizeConfig, error) {
 			return core.CharacterizeConfig{}, fmt.Errorf("jobs: characterize config: %w", err)
 		}
 	}
-	fp, err := specFaults(spec)
-	if err != nil {
-		return core.CharacterizeConfig{}, err
+	var fp *faults.Profile
+	if spec.FaultProfile != "" {
+		var err error
+		if fp, err = faults.Resolve(spec.FaultProfile, spec.FaultIntensity); err != nil {
+			return core.CharacterizeConfig{}, err
+		}
 	}
 	return core.CharacterizeConfig{
 		Seed:              spec.Seed,
@@ -104,27 +108,6 @@ func characterizeCore(spec Spec) (core.CharacterizeConfig, error) {
 		DisableStabilizer: jc.DisableStabilizer,
 		Faults:            fp,
 	}, nil
-}
-
-// specFaults builds the fault profile a spec describes, or nil for
-// none.
-func specFaults(spec Spec) (*faults.Profile, error) {
-	if spec.FaultProfile == "" || spec.FaultProfile == "none" {
-		return nil, nil
-	}
-	p, err := faults.Preset(spec.FaultProfile)
-	if err != nil {
-		return nil, err
-	}
-	intensity := spec.FaultIntensity
-	if intensity == 0 {
-		intensity = 1
-	}
-	p, err = p.Scale(intensity)
-	if err != nil {
-		return nil, err
-	}
-	return &p, nil
 }
 
 // levelFromKey recovers the activation level from a characterize shard

@@ -16,13 +16,9 @@ import (
 
 func TestCharacterizeMatchesDirectPath(t *testing.T) {
 	spec := jobs.Spec{
-		Kind:         jobs.CharacterizeKind,
-		Seed:         11,
-		Board:        "zcu102",
-		Workers:      2,
-		RoundSize:    3,
-		RetryBackoff: -1,
-		Config:       json.RawMessage(`{"levels":5,"samples_per_level":4}`),
+		Seed:    11,
+		Workers: 2,
+		Config:  json.RawMessage(`{"levels":5,"samples_per_level":4}`),
 	}
 	out, got, err := jobs.Characterize(context.Background(), spec)
 	if err != nil {
@@ -48,10 +44,9 @@ func TestCharacterizeMatchesDirectPath(t *testing.T) {
 
 func TestCharacterizeRejectsBadConfig(t *testing.T) {
 	for name, spec := range map[string]jobs.Spec{
-		"truncated config":      {Kind: jobs.CharacterizeKind, Config: json.RawMessage(`{"levels":`)},
-		"unknown fault profile": {Kind: jobs.CharacterizeKind, FaultProfile: "no-such-profile"},
-		"single-level sweep":    {Kind: jobs.CharacterizeKind, Config: json.RawMessage(`{"levels":1}`)},
-		"other kind":            {Kind: "applicability"},
+		"truncated config":      {Config: json.RawMessage(`{"levels":`)},
+		"unknown fault profile": {FaultProfile: "no-such-profile"},
+		"single-level sweep":    {Config: json.RawMessage(`{"levels":1}`)},
 	} {
 		if out, _, err := jobs.Characterize(context.Background(), spec); err == nil || out != nil {
 			t.Errorf("%s: accepted (outcome %v, err %v)", name, out, err)

@@ -41,7 +41,7 @@ type ShardRecord struct {
 // Checkpoint is the durable state of a supervised job. It is written
 // atomically at round barriers — moments where no shard is in flight —
 // because that is the only point at which the global counter snapshot
-// is a clean prefix sum of per-shard contributions (see Engine's doc
+// is a clean prefix sum of per-shard contributions (see the package doc
 // comment for why that matters for resume determinism).
 type Checkpoint struct {
 	SchemaVersion int `json:"schema_version"`
@@ -66,8 +66,7 @@ type Checkpoint struct {
 	Keys []string `json:"keys"`
 
 	// Completed maps shard key -> durable record. Quarantined maps
-	// shard key -> final error string for shards that exhausted their
-	// attempt budget.
+	// shard key -> error string for shards that failed.
 	Completed   map[string]ShardRecord `json:"completed"`
 	Quarantined map[string]string      `json:"quarantined,omitempty"`
 
@@ -92,13 +91,13 @@ type envelope struct {
 }
 
 // NewCheckpoint returns an empty checkpoint carrying the spec's
-// identity.
+// identity, under CharacterizeKind on the ZCU102.
 func NewCheckpoint(spec Spec, keys []string) *Checkpoint {
 	return &Checkpoint{
 		SchemaVersion:  CheckpointSchemaVersion,
-		Kind:           spec.Kind,
+		Kind:           CharacterizeKind,
 		Seed:           spec.Seed,
-		Board:          spec.Board,
+		Board:          characterizeBoard,
 		FaultProfile:   spec.FaultProfile,
 		FaultIntensity: spec.FaultIntensity,
 		Config:         spec.Config,
@@ -197,14 +196,14 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // field agrees.
 func (cp *Checkpoint) matches(spec Spec, keys []string) error {
 	var diffs []string
-	if cp.Kind != spec.Kind {
-		diffs = append(diffs, fmt.Sprintf("kind %q vs %q", cp.Kind, spec.Kind))
+	if cp.Kind != CharacterizeKind {
+		diffs = append(diffs, fmt.Sprintf("kind %q vs %q", cp.Kind, CharacterizeKind))
 	}
 	if cp.Seed != spec.Seed {
 		diffs = append(diffs, fmt.Sprintf("seed %d vs %d", cp.Seed, spec.Seed))
 	}
-	if cp.Board != spec.Board {
-		diffs = append(diffs, fmt.Sprintf("board %q vs %q", cp.Board, spec.Board))
+	if cp.Board != characterizeBoard {
+		diffs = append(diffs, fmt.Sprintf("board %q vs %q", cp.Board, characterizeBoard))
 	}
 	if cp.FaultProfile != spec.FaultProfile {
 		diffs = append(diffs, fmt.Sprintf("fault profile %q vs %q", cp.FaultProfile, spec.FaultProfile))

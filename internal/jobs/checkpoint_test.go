@@ -13,10 +13,8 @@ import (
 
 func testSpec() Spec {
 	return Spec{
-		Kind:           "demo",
 		RunID:          "run-1",
 		Seed:           42,
-		Board:          "zcu102",
 		FaultProfile:   "hostile",
 		FaultIntensity: 0.5,
 		Config:         json.RawMessage(`{"levels":5}`),
@@ -132,9 +130,7 @@ func TestCheckpointMismatch(t *testing.T) {
 		spec Spec
 		keys []string
 	}{
-		{"kind", func() Spec { s := spec; s.Kind = "other"; return s }(), keys},
 		{"seed", func() Spec { s := spec; s.Seed = 43; return s }(), keys},
-		{"board", func() Spec { s := spec; s.Board = "kv260"; return s }(), keys},
 		{"fault profile", func() Spec { s := spec; s.FaultProfile = "none"; return s }(), keys},
 		{"fault intensity", func() Spec { s := spec; s.FaultIntensity = 1; return s }(), keys},
 		{"config", func() Spec { s := spec; s.Config = json.RawMessage(`{"levels":6}`); return s }(), keys},
@@ -144,6 +140,18 @@ func TestCheckpointMismatch(t *testing.T) {
 	for _, tc := range cases {
 		if err := cp.matches(tc.spec, tc.keys); !errors.Is(err, ErrCheckpointMismatch) {
 			t.Errorf("%s: matches = %v, want ErrCheckpointMismatch", tc.name, err)
+		}
+	}
+	// Kind and board are constants of the engine, not spec fields: a
+	// checkpoint recording another kind or board is foreign.
+	for name, edit := range map[string]func(*Checkpoint){
+		"kind":  func(cp *Checkpoint) { cp.Kind = "other" },
+		"board": func(cp *Checkpoint) { cp.Board = "kv260" },
+	} {
+		foreign := NewCheckpoint(spec, keys)
+		edit(foreign)
+		if err := foreign.matches(spec, keys); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Errorf("%s: matches = %v, want ErrCheckpointMismatch", name, err)
 		}
 	}
 }

@@ -3,16 +3,18 @@
 // persistent shard failures, on top of internal/runner's deterministic
 // worker pool.
 //
-// A Job executes its shards in rounds. Within a round, shards run on
-// the runner pool; a shard that fails or panics is re-run with capped
-// backoff up to MaxShardAttempts times and then quarantined — one
-// pathological configuration degrades the result instead of wedging
-// the campaign. At the end of each round the engine reaches a
-// *barrier*: no shard is in flight, every shard of the round is either
-// completed or quarantined. Only at a barrier does it write the
-// checkpoint (atomic temp+rename, CRC32-protected, schema-versioned),
-// recording completed shard IDs, their ShardSeed-keyed results, the
-// quarantine set, and the obs counter totals.
+// A Job executes its shards in rounds of eight. Within a round, shards
+// run on the runner pool; a shard that fails or panics is quarantined
+// on its first failure — one pathological configuration degrades the
+// result instead of wedging the campaign. A shard is never retried: it
+// is a pure function of its ShardSeed, so a second attempt fails with
+// the same error after the same work. At the end of each round the
+// engine reaches a *barrier*: no shard is in flight, every shard of the
+// round is either completed or quarantined. Only at a barrier does it
+// write the checkpoint (atomic temp+rename, CRC32-protected,
+// schema-versioned), recording completed shard IDs, their
+// ShardSeed-keyed results, the quarantine set, and the obs counter
+// totals.
 //
 // Counters are banked at barriers — and only at barriers — because
 // shards run concurrently: mid-round, the global registry holds
@@ -44,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/olog"
@@ -56,32 +57,30 @@ var log = olog.L("jobs")
 // Supervision metrics. Everything here is either deterministic per
 // shard (and thus banked/restored exactly across resume) or happens a
 // fixed number of times per barrier, which the banking order keeps
-// resume-invariant. Resume lineage is reported through gauges, which
-// are not part of ledger manifests.
+// resume-invariant.
 var (
-	cRounds        = obs.C("jobs.rounds")
-	cCheckpoints   = obs.C("jobs.checkpoint_writes")
-	cShardAttempts = obs.C("jobs.shard_attempts")
-	cShardRetries  = obs.C("jobs.shard_retries")
-	cQuarantined   = obs.C("jobs.shards_quarantined")
-	gActive        = obs.G("jobs.active")
-	gResumedShards = obs.G("jobs.resumed_shards")
+	cRounds      = obs.C("jobs.rounds")
+	cCheckpoints = obs.C("jobs.checkpoint_writes")
+	cQuarantined = obs.C("jobs.shards_quarantined")
 )
 
-// Spec parameterizes a supervised job.
+// roundSize is how many shards run between checkpoint barriers. It
+// bounds the work a crash can lose; it must not depend on the worker
+// count, because jobs.rounds is banked into the manifest.
+const roundSize = 8
+
+// Spec parameterizes a supervised job. Its kind is always
+// CharacterizeKind and its board "zcu102"; the checkpoint records and
+// verifies both.
 type Spec struct {
-	// Kind names the experiment type (CharacterizeKind); it is part of
-	// the checkpoint identity.
-	Kind string
 	// RunID identifies this run in checkpoints and logs (typically the
 	// olog run ID). Optional.
 	RunID string
 	// Seed is the campaign root seed; shard seeds derive from it and
 	// the shard key exactly as in a plain runner campaign.
 	Seed int64
-	// Board, FaultProfile, FaultIntensity describe the simulated
-	// target; they are checkpoint identity fields.
-	Board          string
+	// FaultProfile and FaultIntensity describe the injected faults;
+	// they are checkpoint identity fields. An empty profile means none.
 	FaultProfile   string
 	FaultIntensity float64
 	// Config is the kind-specific configuration, stored verbatim in
@@ -89,19 +88,6 @@ type Spec struct {
 	Config json.RawMessage
 	// Workers is the runner pool size; zero means GOMAXPROCS.
 	Workers int
-	// RoundSize is how many shards run between checkpoint barriers.
-	// Zero means 8. Smaller rounds bound the work a crash can lose;
-	// larger rounds amortize checkpoint writes. The value has no
-	// effect on results or final counters, only on durability
-	// granularity.
-	RoundSize int
-	// MaxShardAttempts is the per-shard attempt budget before
-	// quarantine. Zero means 3.
-	MaxShardAttempts int
-	// RetryBackoff is the base wall-clock delay between a shard's
-	// attempts, doubling per retry wave and capped at 8x. Zero means
-	// 20 ms; negative disables the delay.
-	RetryBackoff time.Duration
 	// CheckpointPath is where the job checkpoints; empty disables
 	// checkpointing (the job still supervises and quarantines).
 	CheckpointPath string
@@ -110,31 +96,6 @@ type Spec struct {
 	// as if the process had crashed at the barrier — the chaos tests
 	// use it to kill a run at a precise shard boundary.
 	OnBarrier func(cp *Checkpoint, round int) error
-}
-
-func (s *Spec) fillDefaults() error {
-	if s.Kind == "" {
-		return errors.New("jobs: spec needs a kind")
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("jobs: negative workers %d", s.Workers)
-	}
-	if s.RoundSize == 0 {
-		s.RoundSize = 8
-	}
-	if s.RoundSize < 1 {
-		return fmt.Errorf("jobs: non-positive round size %d", s.RoundSize)
-	}
-	if s.MaxShardAttempts == 0 {
-		s.MaxShardAttempts = 3
-	}
-	if s.MaxShardAttempts < 1 {
-		return fmt.Errorf("jobs: non-positive attempt budget %d", s.MaxShardAttempts)
-	}
-	if s.RetryBackoff == 0 {
-		s.RetryBackoff = 20 * time.Millisecond
-	}
-	return nil
 }
 
 // Outcome is a supervised job's result set.
@@ -170,8 +131,8 @@ func (o *Outcome) Completed() int { return len(o.Results) }
 // and ctx's error; the checkpoint on disk stays at the last barrier,
 // from which a later Run resumes.
 func Run(ctx context.Context, spec Spec, keys []string, runShard func(context.Context, runner.Info) (json.RawMessage, error)) (*Outcome, error) {
-	if err := spec.fillDefaults(); err != nil {
-		return nil, err
+	if spec.Workers < 0 {
+		return nil, fmt.Errorf("jobs: negative workers %d", spec.Workers)
 	}
 	if runShard == nil {
 		return nil, errors.New("jobs: nil shard function")
@@ -179,9 +140,6 @@ func Run(ctx context.Context, spec Spec, keys []string, runShard func(context.Co
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	gActive.Set(gActive.Value() + 1)
-	defer func() { gActive.Set(gActive.Value() - 1) }()
-
 	cp, resumed, parent, err := openCheckpoint(spec, keys)
 	if err != nil {
 		return nil, err
@@ -193,7 +151,6 @@ func Run(ctx context.Context, spec Spec, keys []string, runShard func(context.Co
 		ResumedShards: resumed,
 		ParentRunID:   parent,
 	}
-	gResumedShards.Set(float64(resumed))
 
 	// Pending = keys not yet completed or quarantined, in order.
 	var pending []string
@@ -206,15 +163,15 @@ func Run(ctx context.Context, spec Spec, keys []string, runShard func(context.Co
 		}
 		pending = append(pending, k)
 	}
-	log.InfoContext(ctx, "job starting", "kind", spec.Kind, "run_id", spec.RunID,
+	log.InfoContext(ctx, "job starting", "run_id", spec.RunID,
 		"shards", len(keys), "pending", len(pending), "resumed", resumed,
-		"parent_run_id", parent, "workers", spec.Workers, "round_size", spec.RoundSize)
+		"parent_run_id", parent, "workers", spec.Workers)
 
 	for len(pending) > 0 {
 		if err := ctx.Err(); err != nil {
 			return finishOutcome(out, cp), err
 		}
-		n := spec.RoundSize
+		n := roundSize
 		if n > len(pending) {
 			n = len(pending)
 		}
@@ -236,7 +193,7 @@ func Run(ctx context.Context, spec Spec, keys []string, runShard func(context.Co
 			if err := SaveCheckpoint(spec.CheckpointPath, cp); err != nil {
 				return finishOutcome(out, cp), err
 			}
-			log.DebugContext(ctx, "checkpoint committed", "kind", spec.Kind,
+			log.DebugContext(ctx, "checkpoint committed",
 				"round", cp.Rounds, "completed", len(cp.Completed),
 				"quarantined", len(cp.Quarantined), "path", spec.CheckpointPath)
 		}
@@ -248,7 +205,7 @@ func Run(ctx context.Context, spec Spec, keys []string, runShard func(context.Co
 	}
 
 	finishOutcome(out, cp)
-	log.InfoContext(ctx, "job done", "kind", spec.Kind, "run_id", spec.RunID,
+	log.InfoContext(ctx, "job done", "run_id", spec.RunID,
 		"completed", len(out.Results), "quarantined", len(out.Quarantined),
 		"rounds", out.Rounds)
 	return out, nil
@@ -295,80 +252,36 @@ func openCheckpoint(spec Spec, keys []string) (cp *Checkpoint, resumed int, pare
 	return NewCheckpoint(spec, keys), 0, "", nil
 }
 
-// runRound drives one round's shards to resolution: every key ends up
-// in cp.Completed or cp.Quarantined, retrying failures with capped
-// backoff. It only returns early on context cancellation or a
-// checkpoint-grade internal error.
+// runRound runs each of one round's shards once: every key ends up in
+// cp.Completed or, on its first failure, in cp.Quarantined. It only
+// returns early on context cancellation.
 func runRound(ctx context.Context, spec Spec, cp *Checkpoint, round []string, runShard func(context.Context, runner.Info) (json.RawMessage, error)) error {
-	attempts := make(map[string]int, len(round))
-	current := round
-	for wave := 0; len(current) > 0; wave++ {
-		if wave > 0 {
-			if err := retrySleep(ctx, spec.RetryBackoff, wave); err != nil {
-				return err
-			}
+	shards := make([]runner.Shard[json.RawMessage], len(round))
+	for i, k := range round {
+		shards[i] = runner.Shard[json.RawMessage]{Key: k, Run: runShard}
+	}
+	results, err := runner.Run(ctx, runner.Config{
+		Name:    CharacterizeKind,
+		Seed:    spec.Seed,
+		Workers: spec.Workers,
+	}, shards)
+	if err != nil {
+		return err
+	}
+	for i := range results {
+		r := &results[i]
+		if r.Err != nil {
+			cQuarantined.Inc()
+			cp.Quarantined[r.Key] = r.Err.Error()
+			log.WarnContext(ctx, "shard quarantined", "shard", r.Key, "err", r.Err)
+			continue
 		}
-		shards := make([]runner.Shard[json.RawMessage], len(current))
-		for i, k := range current {
-			shards[i] = runner.Shard[json.RawMessage]{Key: k, Run: runShard}
+		cp.Completed[r.Key] = ShardRecord{
+			Seed: runner.ShardSeed(spec.Seed, r.Key),
+			Data: r.Value,
 		}
-		results, err := runner.Run(ctx, runner.Config{
-			Name:    spec.Kind,
-			Seed:    spec.Seed,
-			Workers: spec.Workers,
-		}, shards)
-		if err != nil {
-			// Only invalid configs or cancellation; both end the job.
-			return err
-		}
-		var retry []string
-		for i := range results {
-			r := &results[i]
-			cShardAttempts.Inc()
-			if r.Err == nil {
-				cp.Completed[r.Key] = ShardRecord{
-					Seed: runner.ShardSeed(spec.Seed, r.Key),
-					Data: r.Value,
-				}
-				continue
-			}
-			attempts[r.Key]++
-			if attempts[r.Key] >= spec.MaxShardAttempts {
-				cQuarantined.Inc()
-				cp.Quarantined[r.Key] = r.Err.Error()
-				log.WarnContext(ctx, "shard quarantined", "kind", spec.Kind,
-					"shard", r.Key, "attempts", attempts[r.Key], "err", r.Err)
-				continue
-			}
-			cShardRetries.Inc()
-			log.WarnContext(ctx, "shard failed, will retry", "kind", spec.Kind,
-				"shard", r.Key, "attempt", attempts[r.Key], "err", r.Err)
-			retry = append(retry, r.Key)
-		}
-		current = retry
 	}
 	return nil
-}
-
-// retrySleep waits the capped exponential backoff before retry wave n
-// (n >= 1), honouring cancellation. Backoff doubles per wave, capped
-// at 8x the base.
-func retrySleep(ctx context.Context, base time.Duration, wave int) error {
-	if base <= 0 {
-		return ctx.Err()
-	}
-	d := base << (wave - 1)
-	if max := 8 * base; d > max {
-		d = max
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // finishOutcome copies the checkpoint's durable state into the

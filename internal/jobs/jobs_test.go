@@ -20,7 +20,7 @@ func seedEcho(_ context.Context, info runner.Info) (json.RawMessage, error) {
 	return json.Marshal(info.Seed)
 }
 
-// attemptCounter tracks per-key invocation counts across retries.
+// attemptCounter tracks per-key invocation counts, across lives too.
 type attemptCounter struct {
 	mu    sync.Mutex
 	calls map[string]int
@@ -30,11 +30,10 @@ func newAttemptCounter() *attemptCounter {
 	return &attemptCounter{calls: make(map[string]int)}
 }
 
-func (a *attemptCounter) bump(key string) int {
+func (a *attemptCounter) bump(key string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.calls[key]++
-	return a.calls[key]
 }
 
 func (a *attemptCounter) count(key string) int {
@@ -52,17 +51,17 @@ func demoKeys(n int) []string {
 }
 
 func TestRunCompletesAllShards(t *testing.T) {
-	spec := Spec{Kind: "demo", Seed: 42, Workers: 4, RoundSize: 2, RetryBackoff: -1}
-	keys := demoKeys(5)
+	spec := Spec{Seed: 42, Workers: 4}
+	keys := demoKeys(17)
 	out, err := Run(context.Background(), spec, keys, seedEcho)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Completed() != 5 || len(out.Quarantined) != 0 {
-		t.Fatalf("completed %d quarantined %d, want 5/0", out.Completed(), len(out.Quarantined))
+	if out.Completed() != 17 || len(out.Quarantined) != 0 {
+		t.Fatalf("completed %d quarantined %d, want 17/0", out.Completed(), len(out.Quarantined))
 	}
 	if out.Rounds != 3 {
-		t.Errorf("rounds = %d, want 3 (5 shards in rounds of 2)", out.Rounds)
+		t.Errorf("rounds = %d, want 3 (17 shards in rounds of 8)", out.Rounds)
 	}
 	for _, k := range keys {
 		var got int64
@@ -75,27 +74,9 @@ func TestRunCompletesAllShards(t *testing.T) {
 	}
 }
 
-func TestRunRetriesTransientFailure(t *testing.T) {
-	attempts := newAttemptCounter()
-	shard := func(_ context.Context, info runner.Info) (json.RawMessage, error) {
-		if info.Key == "demo/1" && attempts.bump(info.Key) < 3 {
-			return nil, errors.New("transient")
-		}
-		return json.Marshal(info.Seed)
-	}
-	spec := Spec{Kind: "demo", Seed: 1, RoundSize: 4, MaxShardAttempts: 3, RetryBackoff: -1}
-	out, err := Run(context.Background(), spec, demoKeys(3), shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Completed() != 3 || len(out.Quarantined) != 0 {
-		t.Fatalf("completed %d quarantined %d, want 3/0", out.Completed(), len(out.Quarantined))
-	}
-	if got := attempts.count("demo/1"); got != 3 {
-		t.Errorf("flaky shard ran %d times, want 3", got)
-	}
-}
-
+// TestRunQuarantinesPersistentFailure: a failing shard is quarantined
+// on its first failure and never re-run, since a shard is a pure
+// function of its seed.
 func TestRunQuarantinesPersistentFailure(t *testing.T) {
 	attempts := newAttemptCounter()
 	shard := func(_ context.Context, info runner.Info) (json.RawMessage, error) {
@@ -105,8 +86,7 @@ func TestRunQuarantinesPersistentFailure(t *testing.T) {
 		}
 		return json.Marshal(info.Seed)
 	}
-	spec := Spec{Kind: "demo", Seed: 1, RoundSize: 4, MaxShardAttempts: 2, RetryBackoff: -1}
-	out, err := Run(context.Background(), spec, demoKeys(3), shard)
+	out, err := Run(context.Background(), Spec{Seed: 1}, demoKeys(3), shard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +96,10 @@ func TestRunQuarantinesPersistentFailure(t *testing.T) {
 	if msg, ok := out.Quarantined["demo/0"]; !ok || msg != "hardware on fire" {
 		t.Errorf("quarantine record = %q, %v; want the shard error", msg, ok)
 	}
-	if got := attempts.count("demo/0"); got != 2 {
-		t.Errorf("failing shard ran %d times, want the 2-attempt budget", got)
+	for _, k := range demoKeys(3) {
+		if got := attempts.count(k); got != 1 {
+			t.Errorf("shard %s ran %d times, want exactly 1", k, got)
+		}
 	}
 }
 
@@ -128,8 +110,7 @@ func TestRunQuarantinesPanickingShard(t *testing.T) {
 		}
 		return json.Marshal(info.Seed)
 	}
-	spec := Spec{Kind: "demo", Seed: 1, RoundSize: 4, MaxShardAttempts: 2, RetryBackoff: -1}
-	out, err := Run(context.Background(), spec, demoKeys(2), shard)
+	out, err := Run(context.Background(), Spec{Seed: 1}, demoKeys(2), shard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +126,7 @@ var errKill = errors.New("chaos: die at barrier")
 
 func TestRunCheckpointResume(t *testing.T) {
 	cpPath := filepath.Join(t.TempDir(), "cp.json")
-	keys := demoKeys(6)
+	keys := demoKeys(20)
 	attempts := newAttemptCounter()
 	shard := func(_ context.Context, info runner.Info) (json.RawMessage, error) {
 		attempts.bump(info.Key)
@@ -153,8 +134,7 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 
 	// First life: die right after the round-1 barrier commit.
-	spec := Spec{Kind: "demo", RunID: "life-1", Seed: 9, RoundSize: 2,
-		RetryBackoff: -1, CheckpointPath: cpPath,
+	spec := Spec{RunID: "life-1", Seed: 9, CheckpointPath: cpPath,
 		OnBarrier: func(cp *Checkpoint, round int) error {
 			if round >= 1 {
 				return errKill
@@ -169,8 +149,8 @@ func TestRunCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cp.Completed) != 2 || cp.Rounds != 1 {
-		t.Fatalf("checkpoint after kill: %d completed, %d rounds; want 2/1", len(cp.Completed), cp.Rounds)
+	if len(cp.Completed) != roundSize || cp.Rounds != 1 {
+		t.Fatalf("checkpoint after kill: %d completed, %d rounds; want %d/1", len(cp.Completed), cp.Rounds, roundSize)
 	}
 
 	// Second life: resume, finish the remaining rounds only.
@@ -180,11 +160,11 @@ func TestRunCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Completed() != 6 {
-		t.Fatalf("completed = %d, want 6", out.Completed())
+	if out.Completed() != 20 {
+		t.Fatalf("completed = %d, want 20", out.Completed())
 	}
-	if out.ResumedShards != 2 {
-		t.Errorf("resumed shards = %d, want 2", out.ResumedShards)
+	if out.ResumedShards != roundSize {
+		t.Errorf("resumed shards = %d, want %d", out.ResumedShards, roundSize)
 	}
 	if out.ParentRunID != "life-1" {
 		t.Errorf("parent run = %q, want life-1", out.ParentRunID)
@@ -210,7 +190,7 @@ func TestRunCheckpointResume(t *testing.T) {
 func TestRunResumeRejectsMismatchedSpec(t *testing.T) {
 	cpPath := filepath.Join(t.TempDir(), "cp.json")
 	keys := demoKeys(2)
-	spec := Spec{Kind: "demo", Seed: 9, RoundSize: 1, RetryBackoff: -1, CheckpointPath: cpPath,
+	spec := Spec{Seed: 9, CheckpointPath: cpPath,
 		OnBarrier: func(cp *Checkpoint, round int) error { return errKill }}
 	if _, err := Run(context.Background(), spec, keys, seedEcho); !errors.Is(err, errKill) {
 		t.Fatalf("first life = %v, want the chaos kill", err)
@@ -228,13 +208,13 @@ func TestRunBanksAndRestoresCounters(t *testing.T) {
 
 	const name = "test.jobs.banked_counter"
 	cpPath := filepath.Join(t.TempDir(), "cp.json")
-	keys := demoKeys(6)
+	keys := demoKeys(20)
 	shard := func(_ context.Context, info runner.Info) (json.RawMessage, error) {
 		obs.C(name).Inc() // one deterministic increment per shard execution
 		return json.Marshal(info.Seed)
 	}
 
-	spec := Spec{Kind: "demo", Seed: 9, RoundSize: 2, RetryBackoff: -1, CheckpointPath: cpPath,
+	spec := Spec{Seed: 9, CheckpointPath: cpPath,
 		OnBarrier: func(cp *Checkpoint, round int) error {
 			if round >= 2 {
 				return errKill
@@ -248,8 +228,8 @@ func TestRunBanksAndRestoresCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cp.Counters[name]; got != 4 {
-		t.Fatalf("banked counter = %d, want 4 (two rounds of two shards)", got)
+	if got := cp.Counters[name]; got != 2*roundSize {
+		t.Fatalf("banked counter = %d, want %d (two rounds)", got, 2*roundSize)
 	}
 
 	// Process death: the registry is wiped; resume must restore the bank.
@@ -258,8 +238,8 @@ func TestRunBanksAndRestoresCounters(t *testing.T) {
 	if _, err := Run(context.Background(), spec, keys, shard); err != nil {
 		t.Fatal(err)
 	}
-	if got := obs.C(name).Value(); got != 6 {
-		t.Errorf("counter after resume = %d, want 6 (every shard counted exactly once)", got)
+	if got := obs.C(name).Value(); got != 20 {
+		t.Errorf("counter after resume = %d, want 20 (every shard counted exactly once)", got)
 	}
 }
 
@@ -267,13 +247,13 @@ func TestRunCancellationLeavesCheckpointAtBarrier(t *testing.T) {
 	cpPath := filepath.Join(t.TempDir(), "cp.json")
 	ctx, cancel := context.WithCancel(context.Background())
 	shard := func(_ context.Context, info runner.Info) (json.RawMessage, error) {
-		if info.Key == "demo/3" {
+		if info.Key == "demo/11" {
 			cancel() // mid-round-2 cancellation
 		}
 		return json.Marshal(info.Seed)
 	}
-	spec := Spec{Kind: "demo", Seed: 9, Workers: 1, RoundSize: 2, RetryBackoff: -1, CheckpointPath: cpPath}
-	_, err := Run(ctx, spec, demoKeys(6), shard)
+	spec := Spec{Seed: 9, Workers: 1, CheckpointPath: cpPath}
+	_, err := Run(ctx, spec, demoKeys(20), shard)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run = %v, want context.Canceled", err)
 	}
@@ -286,24 +266,16 @@ func TestRunCancellationLeavesCheckpointAtBarrier(t *testing.T) {
 	}
 	// Every banked shard must be from a committed round — multiples of
 	// the round size until the key list runs out.
-	if n := len(cp.Completed) + len(cp.Quarantined); n%2 != 0 {
+	if n := len(cp.Completed) + len(cp.Quarantined); n%roundSize != 0 {
 		t.Errorf("checkpoint holds %d shards, not a whole number of rounds", n)
 	}
 }
 
 func TestSpecValidation(t *testing.T) {
-	bad := []Spec{
-		{},                         // no kind
-		{Kind: "x", Workers: -1},   // negative workers
-		{Kind: "x", RoundSize: -1}, // negative round size
-		{Kind: "x", MaxShardAttempts: -1},
+	if _, err := Run(context.Background(), Spec{Workers: -1}, []string{"a"}, seedEcho); err == nil {
+		t.Error("negative workers accepted")
 	}
-	for i, spec := range bad {
-		if _, err := Run(context.Background(), spec, []string{"a"}, seedEcho); err == nil {
-			t.Errorf("spec %d (%+v) accepted, want error", i, spec)
-		}
-	}
-	if _, err := Run(context.Background(), Spec{Kind: "x"}, []string{"a"}, nil); err == nil {
+	if _, err := Run(context.Background(), Spec{}, []string{"a"}, nil); err == nil {
 		t.Error("nil shard function accepted")
 	}
 }
@@ -311,7 +283,7 @@ func TestSpecValidation(t *testing.T) {
 func TestShardRecordSeedVerifiedOnResume(t *testing.T) {
 	cpPath := filepath.Join(t.TempDir(), "cp.json")
 	keys := demoKeys(2)
-	spec := Spec{Kind: "demo", Seed: 9, RoundSize: 2, RetryBackoff: -1, CheckpointPath: cpPath,
+	spec := Spec{Seed: 9, CheckpointPath: cpPath,
 		OnBarrier: func(cp *Checkpoint, round int) error { return errKill }}
 	if _, err := Run(context.Background(), spec, keys, seedEcho); !errors.Is(err, errKill) {
 		t.Fatal(err)

@@ -26,19 +26,15 @@ import (
 	"repro/internal/obs/ledger"
 )
 
-// chaosSpec is one small hostile-faults characterize campaign: 5
-// levels in rounds of 2, so there are 3 barriers to die at.
+// chaosSpec is one small hostile-faults characterize campaign: 17
+// levels in rounds of 8, so there are 3 barriers to die at.
 func chaosSpec(workers int, cpPath string) jobs.Spec {
 	return jobs.Spec{
-		Kind:           jobs.CharacterizeKind,
 		Seed:           7,
-		Board:          "zcu102",
 		FaultProfile:   "hostile",
 		FaultIntensity: 1,
 		Workers:        workers,
-		RoundSize:      2,
-		RetryBackoff:   -1,
-		Config:         json.RawMessage(`{"levels":5,"samples_per_level":4}`),
+		Config:         json.RawMessage(`{"levels":17,"samples_per_level":4}`),
 		CheckpointPath: cpPath,
 	}
 }
@@ -53,8 +49,8 @@ func runManifest(spec jobs.Spec) ([]byte, *jobs.Outcome, error) {
 	}
 	m := ledger.New(ledger.RunInfo{
 		Tool:           "amperebleed",
-		Command:        spec.Kind,
-		Board:          spec.Board,
+		Command:        jobs.CharacterizeKind,
+		Board:          "zcu102",
 		Seed:           spec.Seed,
 		FaultProfile:   spec.FaultProfile,
 		FaultIntensity: spec.FaultIntensity,

@@ -15,13 +15,12 @@
 // — produces bit-identical results; worker count only changes how fast
 // they arrive.
 //
-// The pool provides bounded-queue submission (a slow consumer cannot
-// balloon memory), cooperative per-shard timeout and campaign
-// cancellation via context, and panic isolation: a shard that panics
-// reports a failed Result carrying the panic value and stack instead of
-// killing the process, so one pathological configuration cannot take
-// down an overnight sweep. Shard latency, queue depth, worker
-// utilization, and failure counts stream into internal/obs.
+// The pool provides campaign cancellation via context and panic
+// isolation: a shard that panics reports a failed Result carrying the
+// panic value and stack instead of killing the process, so one
+// pathological configuration cannot take down an overnight sweep.
+// Shard latency, worker utilization, and failure counts stream into
+// internal/obs.
 package runner
 
 import (
@@ -33,6 +32,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -72,9 +72,9 @@ type Shard[T any] struct {
 	// Key must be unique within the campaign and stable across runs; it
 	// determines the shard's seed.
 	Key string
-	// Run executes the shard. ctx carries the campaign cancellation and,
-	// when Config.ShardTimeout is set, the shard deadline; long-running
-	// work should poll ctx.Err() between measurement blocks.
+	// Run executes the shard. ctx carries the campaign cancellation;
+	// long-running work should poll ctx.Err() between measurement
+	// blocks.
 	Run func(ctx context.Context, info Info) (T, error)
 }
 
@@ -124,12 +124,6 @@ type Config struct {
 	Seed int64
 	// Workers is the pool size; zero means GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds the submission queue; zero means 2×Workers.
-	QueueDepth int
-	// ShardTimeout, when positive, bounds each shard's context. The
-	// timeout is cooperative: a shard that never polls its context runs
-	// to completion, but its result reports the deadline error.
-	ShardTimeout time.Duration
 }
 
 func (cfg *Config) fillDefaults() error {
@@ -141,15 +135,6 @@ func (cfg *Config) fillDefaults() error {
 	}
 	if cfg.Workers < 1 {
 		return errors.New("runner: non-positive worker count")
-	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 2 * cfg.Workers
-	}
-	if cfg.QueueDepth < 1 {
-		return errors.New("runner: non-positive queue depth")
-	}
-	if cfg.ShardTimeout < 0 {
-		return errors.New("runner: negative shard timeout")
 	}
 	return nil
 }
@@ -180,7 +165,7 @@ func Run[T any](ctx context.Context, cfg Config, shards []Shard[T]) ([]Result[T]
 	}
 	results := make([]Result[T], len(shards))
 	for i, s := range shards {
-		results[i] = Result[T]{Key: s.Key, Index: i, Worker: -1}
+		results[i] = Result[T]{Key: s.Key, Index: i}
 	}
 	if len(shards) == 0 {
 		return results, ctx.Err()
@@ -190,7 +175,6 @@ func Run[T any](ctx context.Context, cfg Config, shards []Shard[T]) ([]Result[T]
 	}
 
 	var (
-		queueDepth  = obs.H("runner.queue_depth")
 		shardNs     = obs.H("runner.shard_ns")
 		shardsDone  = obs.C("runner.shards")
 		shardsFail  = obs.C("runner.shards_failed")
@@ -205,43 +189,31 @@ func Run[T any](ctx context.Context, cfg Config, shards []Shard[T]) ([]Result[T]
 	span := obs.StartSpan("runner."+cfg.Name, nil)
 	start := time.Now()
 
-	// Submission: a producer feeds shard indices through a bounded
-	// channel so arbitrarily large campaigns hold at most QueueDepth
-	// shards beyond the ones in flight.
-	queue := make(chan int, cfg.QueueDepth)
-	go func() {
-		defer close(queue)
-		for i := range shards {
-			queueDepth.Observe(float64(len(queue)))
-			select {
-			case queue <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
+	// Workers claim shard indices from a shared counter, so shards start
+	// in submission order. After a cancellation every shard still
+	// claimed is stamped with ctx's error instead of run, so callers can
+	// tell "not run" from "ran and succeeded".
+	var next atomic.Int64
 	busy := make([]time.Duration, cfg.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := range queue {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(shards) {
+					return
+				}
 				r := &results[i]
 				r.Worker = w
 				if err := ctx.Err(); err != nil {
 					r.Err = err
 					continue
 				}
-				shardCtx, cancel := ctx, func() {}
-				if cfg.ShardTimeout > 0 {
-					shardCtx, cancel = context.WithTimeout(ctx, cfg.ShardTimeout)
-				}
 				info := Info{Key: r.Key, Index: i, Seed: ShardSeed(cfg.Seed, r.Key)}
 				shardStart := time.Now()
-				r.Value, r.Err = runShard(shardCtx, shards[i].Run, info)
-				cancel()
+				r.Value, r.Err = runShard(ctx, shards[i].Run, info)
 				r.Latency = time.Since(shardStart)
 				busy[w] += r.Latency
 				shardNs.Observe(float64(r.Latency.Nanoseconds()))
@@ -259,17 +231,6 @@ func Run[T any](ctx context.Context, cfg Config, shards []Shard[T]) ([]Result[T]
 	}
 	wg.Wait()
 	span.End()
-
-	// When cancellation raced submission, shards the producer never
-	// enqueued still carry Worker == -1; stamp them with the context
-	// error so callers can tell "not run" from "ran and succeeded".
-	if err := ctx.Err(); err != nil {
-		for i := range results {
-			if results[i].Worker == -1 && results[i].Err == nil {
-				results[i].Err = err
-			}
-		}
-	}
 
 	wall := time.Since(start)
 	var busyTotal time.Duration

@@ -78,8 +78,10 @@ echo "ok: killed-and-resumed run is byte-identical to the uninterrupted run"
 # Phase 2: load shedding under a sensor that has effectively died.
 # At intensity 50 the hostile profile saturates the sysfs error rate;
 # the acceptance bar is explicit degradation — the circuit breaker
-# opens and sheds, every shard quarantines with a clear error, and the
-# process exits instead of hanging in the retry path.
+# opens and sheds, every one of the 4 levels quarantines with a clear
+# error after a single attempt (a level is a pure function of its
+# seed, so a retry could only fail the same way), and the process
+# exits instead of hanging.
 echo "chaos-resume: breaker shed smoke (hostile, intensity 50)"
 set +e
 timeout 120 "$BIN" -obs -faults hostile -fault-intensity 50 \
@@ -93,12 +95,17 @@ if [ "$shed_exit" -eq 124 ]; then
 fi
 opens=$(sed -n 's/.*resilience\.breaker\.open_total *\([0-9][0-9]*\).*/\1/p' "$WORK/shed.out" | head -n1)
 quarantined=$(sed -n 's/.*jobs\.shards_quarantined *\([0-9][0-9]*\).*/\1/p' "$WORK/shed.out" | head -n1)
+shards=$(sed -n 's/.*runner\.shards  *\([0-9][0-9]*\).*/\1/p' "$WORK/shed.out" | head -n1)
 if [ -z "$opens" ] || [ "$opens" -eq 0 ]; then
     echo "FAIL: breaker never opened under hostile intensity 50 (open_total=${opens:-missing})"
     exit 1
 fi
-if [ -z "$quarantined" ] || [ "$quarantined" -eq 0 ]; then
-    echo "FAIL: dead-sensor shards were not quarantined (shards_quarantined=${quarantined:-missing})"
+if [ "${quarantined:-missing}" != 4 ]; then
+    echo "FAIL: want all 4 dead-sensor levels quarantined (shards_quarantined=${quarantined:-missing})"
     exit 1
 fi
-echo "ok: breaker opened ${opens}x and ${quarantined} shards quarantined explicitly (exit ${shed_exit}, no hang)"
+if [ "${shards:-missing}" != 4 ]; then
+    echo "FAIL: want each dead level attempted once, 4 shards (runner.shards=${shards:-missing})"
+    exit 1
+fi
+echo "ok: breaker opened ${opens}x and all ${quarantined} levels quarantined after one attempt each (exit ${shed_exit}, no hang)"
