@@ -26,7 +26,6 @@
 package ampere
 
 import (
-	"context"
 	"io"
 	"time"
 
@@ -250,8 +249,7 @@ func Survey(b *Board, a *Attacker, duration time.Duration) ([]SurveyRow, error) 
 // registry: counters (sysfs reads, INA226 conversions, captures
 // collected, engine ticks), gauges (sim-time/wall-time ratio, progress),
 // histograms with p50/p95/p99 (attacker achieved sample rate, classifier
-// train/predict timings, span durations), recent spans, and progress
-// events.
+// train/predict timings, span durations) and recent spans.
 type ObsSnapshot = obs.Snapshot
 
 // ObsHistogramStat is the summary of one snapshot histogram.
@@ -268,18 +266,7 @@ func Snapshot() ObsSnapshot { return obs.Default.Snapshot() }
 // running experiment, so call it between experiments, not during one.
 func ResetMetrics() { obs.Default.Reset() }
 
-// ServeObs serves the observability endpoints (/metrics/snapshot JSON,
-// /trace Chrome trace-event JSON, /debug/pprof profiling) on addr (":0"
-// picks a free port). It returns the bound address and a shutdown function.
-// The server stops when ctx is cancelled or shutdown is called,
-// whichever comes first; either way in-flight handlers are drained
-// gracefully rather than the listener goroutine leaking for the process
-// lifetime.
-func ServeObs(ctx context.Context, addr string) (bound string, shutdown func(), err error) {
-	return obs.Serve(ctx, addr, obs.Default)
-}
-
-// WriteTrace exports the current span tracer and event ring as Chrome
+// WriteTrace exports the span tracer's retained spans as Chrome
 // trace-event JSON (loadable in Perfetto or chrome://tracing) with one
 // track on the wall clock and one on the sim clock. Retention is
 // bounded: at most the last obs.SpanRingSize spans appear.

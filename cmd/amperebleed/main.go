@@ -56,7 +56,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/internal/obs/ledger"
-	"repro/internal/obs/olog"
 	"repro/internal/report"
 	"repro/internal/sysfs"
 	"repro/internal/virus"
@@ -122,14 +121,10 @@ func main() { os.Exit(run()) }
 func run() int {
 	// Global observability flags precede the command:
 	//
-	//	amperebleed [-obs] [-obs-addr host:port] <command> [flags]
+	//	amperebleed [-obs] [-faults profile] <command> [flags]
 	//
-	// -obs prints a metrics snapshot after the command; -obs-addr serves
-	// the obs HTTP endpoints while it runs.
+	// -obs prints a metrics snapshot after the command.
 	obsText := flag.Bool("obs", false, "print an observability snapshot after the command")
-	obsAddr := flag.String("obs-addr", "", "expose /metrics/snapshot, /trace and /debug/pprof on this address while the command runs")
-	logLevel := flag.String("log-level", "warn", "structured log level: debug|info|warn|error")
-	logFormat := flag.String("log-format", "text", "structured log format: text|json")
 	faultsName := flag.String("faults", "none", "fault profile injected into every simulated board: "+strings.Join(faults.PresetNames(), "|"))
 	faultIntensity := flag.Float64("fault-intensity", 1, "scale factor applied to the -faults profile rates")
 	ledgerPath := flag.String("ledger", "", "append a run manifest to this JSONL run ledger after the command")
@@ -146,11 +141,6 @@ func run() int {
 		return 2
 	}
 	start := time.Now()
-	if err := olog.Setup(*logLevel, *logFormat, os.Stderr); err != nil {
-		fmt.Fprintf(os.Stderr, "amperebleed: %v\n", err)
-		return 2
-	}
-	olog.SetRunID(fmt.Sprintf("%s-%d-%d", cmd, os.Getpid(), start.Unix()))
 	profile, err := faults.Resolve(*faultsName, *faultIntensity)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "amperebleed: %v\n", err)
@@ -164,15 +154,6 @@ func run() int {
 	defer stopNotify()
 	runCtx, stopSignals := watchSignals(context.Background(), sigCh, os.Exit)
 	defer stopSignals()
-	if *obsAddr != "" {
-		bound, shutdown, err := obs.Serve(context.Background(), *obsAddr, obs.Default)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "amperebleed: obs server: %v\n", err)
-			return 1
-		}
-		defer shutdown()
-		fmt.Fprintf(os.Stderr, "obs: serving http://%s/metrics/snapshot, /trace and /debug/pprof/\n", bound)
-	}
 	switch cmd {
 	case "boards":
 		err = cmdBoards()
@@ -277,16 +258,11 @@ func run() int {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: amperebleed [-obs] [-obs-addr host:port] [-faults profile] <command> [flags]
+	fmt.Fprintln(os.Stderr, `usage: amperebleed [-obs] [-faults profile] <command> [flags]
 
 global flags (before the command):
-  -obs            print an observability snapshot (metrics, spans, events)
-                  after the command completes
-  -obs-addr ADDR  expose /metrics/snapshot (JSON), /trace (Chrome
-                  trace-event JSON) and /debug/pprof on ADDR while the
-                  command runs
-  -log-level L    structured log level: debug|info|warn|error (warn)
-  -log-format F   structured log format: text|json (text)
+  -obs            print an observability snapshot (metrics and recent
+                  spans) after the command completes
   -faults NAME    inject sensor/scheduler faults into every simulated
                   board: none|flaky-sysfs|stale-sensor|noisy-sched|hostile
   -fault-intensity X
@@ -489,9 +465,6 @@ func cmdWatch(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Single-board command: the engine's clock stamps every log record
-	// with the simulated time ("sim" attribute).
-	olog.SetSimClock(b.Engine())
 	if *load > 0 {
 		if err := deployVirus(b, *load); err != nil {
 			return err

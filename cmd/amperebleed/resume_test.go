@@ -46,7 +46,7 @@ func TestResumeRejectsOtherKinds(t *testing.T) {
 // each quarantined level on stderr, in level order, before the fit
 // error that ends the run.
 func TestQuarantineReportInLevelOrder(t *testing.T) {
-	cmd := childCommand("-log-level", "error", "-faults", "hostile", "-fault-intensity", "50",
+	cmd := childCommand("-faults", "hostile", "-fault-intensity", "50",
 		"characterize", "-seed", "3", "-levels", "4", "-samples", "24",
 		"-checkpoint", filepath.Join(t.TempDir(), "shed.ckpt"))
 	var stderr bytes.Buffer

@@ -33,7 +33,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/internal/obs/ledger"
-	"repro/internal/obs/olog"
 	"repro/internal/report"
 )
 
@@ -52,11 +51,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traces     = fs.Int("traces", 10, "traces per model for table3")
 		paperScale = fs.Bool("paper-scale", false, "use the paper's full capture budgets (slow)")
 		parallel   = fs.Int("parallel", 0, "workers for sharded experiments (0 = GOMAXPROCS; results are identical for any worker count)")
-		faultsName = fs.String("faults", "none", "fault profile injected into every simulated board: "+strings.Join(faults.PresetNames(), "|"))
+		faultsName = fs.String("faults", "none", "fault profile injected into every simulated board of fig2, fig3, table3 and applicability (the other experiments take none): "+strings.Join(faults.PresetNames(), "|"))
 		ledgerPath = fs.String("ledger", "", "append a run manifest to this JSONL run ledger")
 		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON timeline of the run (load in Perfetto)")
-		logLevel   = fs.String("log-level", "warn", "structured log level: debug|info|warn|error")
-		logFormat  = fs.String("log-format", "text", "structured log format: text|json")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -84,16 +81,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *parallel < 0:
 		return exit(2, fmt.Errorf("-parallel must be >= 0 (got %d)", *parallel))
 	}
-	var profile *faults.Profile
-	if p, err := faults.Preset(*faultsName); err != nil {
-		return exit(2, err)
-	} else if p.Enabled() {
-		profile = &p
-	}
-	if err := olog.Setup(*logLevel, *logFormat, stderr); err != nil {
+	profile, err := faults.Resolve(*faultsName, 1)
+	if err != nil {
 		return exit(2, err)
 	}
-	olog.SetRunID(fmt.Sprintf("benchtab-%s-%d-%d", *exp, os.Getpid(), time.Now().Unix()))
+	switch *exp {
+	case "table1", "table2", "fig4", "tvla", "mitigation":
+		// These experiments build no board that takes a fault profile; a
+		// manifest recording one would claim abuse the run never saw.
+		if profile != nil {
+			return exit(2, fmt.Errorf("-faults %s does not apply to -exp %s (only fig2, fig3, table3, applicability and all take a profile)", *faultsName, *exp))
+		}
+	}
 
 	start := time.Now()
 	var firstErr error

@@ -22,7 +22,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"negative traces", []string{"-exp", "all", "-traces", "-2"}, "-traces must be > 0"},
 		{"unknown experiment", []string{"-exp", "fig9"}, `unknown experiment "fig9"`},
 		{"unknown fault profile", []string{"-exp", "table1", "-faults", "gremlins"}, "gremlins"},
-		{"bad log level", []string{"-exp", "table1", "-log-level", "loud"}, "loud"},
+		{"retired log flag", []string{"-exp", "table1", "-log-level", "error"}, "flag provided but not defined: -log-level"},
+		{"faults on table1", []string{"-exp", "table1", "-faults", "hostile"}, "-faults hostile does not apply to -exp table1"},
+		{"faults on table2", []string{"-exp", "table2", "-faults", "flaky-sysfs"}, "-faults flaky-sysfs does not apply to -exp table2"},
+		{"faults on fig4", []string{"-exp", "fig4", "-samples", "50", "-faults", "hostile"}, "-faults hostile does not apply to -exp fig4"},
+		{"faults on tvla", []string{"-exp", "tvla", "-faults", "stale-sensor"}, "-faults stale-sensor does not apply to -exp tvla"},
+		{"faults on mitigation", []string{"-exp", "mitigation", "-faults", "noisy-sched"}, "-faults noisy-sched does not apply to -exp mitigation"},
 		{"retired perf flag", []string{"-exp", "table1", "-json", "out.json"}, "flag provided but not defined: -json"},
 	}
 	for _, tc := range cases {

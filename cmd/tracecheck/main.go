@@ -1,6 +1,6 @@
 // Command tracecheck validates that a file parses as Chrome
-// trace-event JSON (the format written by the -trace-out flag and the
-// obs server's /trace endpoint). It exits non-zero when the file would
+// trace-event JSON (the format written by the -trace-out flag and
+// ampere.WriteTrace). It exits non-zero when the file would
 // not load in chrome://tracing or Perfetto, which is what CI's trace
 // smoke step checks after exporting a timeline.
 //

@@ -62,7 +62,6 @@ func Applicability(cfg ApplicabilityConfig) ([]BoardApplicability, error) {
 	}
 
 	catalog := board.Catalog()
-	obs.Eventf("applicability: %d boards starting", len(catalog))
 	shards := make([]runner.Shard[BoardApplicability], len(catalog))
 	for i, spec := range catalog {
 		spec := spec

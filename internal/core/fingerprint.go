@@ -169,8 +169,6 @@ func CollectDPUTraces(cfg FingerprintConfig) ([]*Capture, error) {
 			})
 		}
 	}
-	obs.Eventf("collect: %d captures (%d models x %d reps) starting",
-		len(shards), len(cfg.Models), cfg.TracesPerModel)
 	results, err := runner.Run(context.Background(), runner.Config{
 		Name:    "collect",
 		Seed:    cfg.Seed,
@@ -407,7 +405,6 @@ func EvaluateCaptures(cfg FingerprintConfig, captures []*Capture) (*FingerprintR
 			cells = append(cells, cell{ch, d})
 		}
 	}
-	obs.Eventf("evaluate: %d (channel,duration) cells starting", len(cells))
 	shards := make([]runner.Shard[AccuracyCell], len(cells))
 	for i, c := range cells {
 		c := c

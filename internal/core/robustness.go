@@ -149,7 +149,6 @@ func Robustness(cfg RobustnessConfig) (*RobustnessResult, error) {
 			pf = &profile
 		}
 		before := obs.Default.Snapshot()
-		obs.Eventf("robustness: %s @ %.2g starting", cfg.Profile, intensity)
 
 		rows, err := Applicability(ApplicabilityConfig{
 			Seed:        cfg.Seed,

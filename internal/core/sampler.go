@@ -11,7 +11,6 @@ import (
 	"repro/internal/board"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/obs/olog"
 	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -26,8 +25,6 @@ var (
 	cGaps       = obs.C("core.sampler.gaps")
 	cReresolves = obs.C("core.sampler.reresolves")
 	cBackoffNs  = obs.C("core.sampler.backoff_ns")
-
-	samplerLog = olog.L("core.sampler")
 )
 
 // ErrSampleLost marks a sample the resilient sampling layer gave up on
@@ -118,7 +115,6 @@ func NewSampler(b *board.SoC, attacker *Attacker, ch Channel, interval time.Dura
 		// across worker counts and across checkpoint/resume.
 		eng := b.Engine()
 		breaker, err := resilience.NewBreaker(resilience.BreakerConfig{
-			Name:            fmt.Sprintf("sampler/%s/%s", ch.Label, ch.Kind),
 			OpenFor:         32 * interval,
 			ProbeJitterFrac: 0.25,
 			Now:             eng.Now,
@@ -166,7 +162,7 @@ func (s *Sampler) Sample(ctx context.Context) (float64, error) {
 		// passed, but no read happened. Not a sensor failure, so the
 		// breaker doesn't hear about it.
 		s.dropoutLeft--
-		s.gap(ctx, "dropout")
+		s.gap()
 		if s.dead {
 			return 0, s.deadErr()
 		}
@@ -183,21 +179,15 @@ func (s *Sampler) deadErr() error {
 
 // gap records one lost sample and advances the consecutive-gap run
 // MaxConsecutiveGaps bounds.
-func (s *Sampler) gap(ctx context.Context, cause string) {
+func (s *Sampler) gap() {
 	cGaps.Inc()
 	s.consecGaps++
-	samplerLog.DebugContext(ctx, "sample lost",
-		"channel", s.ch.Label, "kind", string(s.ch.Kind),
-		"cause", cause, "consecutive", s.consecGaps)
 	// Mirror the recorder's sticky limit: past MaxConsecutiveGaps the
 	// channel is declared dead and every further call fails fast with
 	// ErrChannelDead — an explicit, supervisable failure instead of a
 	// silent wedge grinding through a sensor that stopped answering.
 	if s.policy.MaxConsecutiveGaps > 0 && s.consecGaps > s.policy.MaxConsecutiveGaps {
 		s.dead = true
-		samplerLog.WarnContext(ctx, "channel dead",
-			"channel", s.ch.Label, "kind", string(s.ch.Kind),
-			"consecutive", s.consecGaps, "limit", s.policy.MaxConsecutiveGaps)
 	}
 }
 
@@ -218,7 +208,7 @@ func (s *Sampler) Read(ctx context.Context) (float64, error) {
 		return 0, s.deadErr()
 	}
 	if s.breaker != nil && !s.breaker.Allow() {
-		s.gap(ctx, "breaker open")
+		s.gap()
 		if s.dead {
 			return 0, s.deadErr()
 		}
@@ -262,8 +252,6 @@ func (s *Sampler) readRetry(ctx context.Context) (float64, error) {
 			if probe, rerr := s.attacker.Probe(s.ch); rerr == nil {
 				s.probe = probe
 				cReresolves.Inc()
-				samplerLog.DebugContext(ctx, "channel re-resolved after hotplug",
-					"channel", s.ch.Label, "kind", string(s.ch.Kind))
 			}
 			transient = true
 		}
@@ -272,7 +260,7 @@ func (s *Sampler) readRetry(ctx context.Context) (float64, error) {
 		}
 		cRetries.Inc()
 		if attempt >= s.policy.MaxAttempts || spent+backoff > s.policy.SampleDeadline {
-			s.gap(ctx, fmt.Sprintf("retries exhausted after %d attempts: %v", attempt, err))
+			s.gap()
 			return math.NaN(), ErrSampleLost
 		}
 		// Back off in simulated time: the board keeps running while the

@@ -8,15 +8,9 @@ import (
 	"repro/internal/hwmon"
 	"repro/internal/ina226"
 	"repro/internal/obs"
-	"repro/internal/obs/olog"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// log records the structural fault events (hotplug renumbers, regulator
-// excursions, dropout bursts) at debug level; the per-read faults stay
-// counter-only — at hostile rates they would drown any log.
-var log = olog.L("faults")
 
 // Per-kind injection counters. They live in the process-wide registry
 // so the robustness experiments can report exactly how much abuse each
@@ -148,7 +142,6 @@ func (s *samplerFaults) DropoutLen() int {
 	}
 	cDropout.Inc()
 	k := 1 + s.rng.Intn(n)
-	log.Debug("dropout burst injected", "intervals", k)
 	return k
 }
 
@@ -197,7 +190,6 @@ func (in *Injector) RegulatorDisturbance(rail string) func(now time.Duration) fl
 			}
 			amp = a
 			cRegTransient.Inc()
-			log.Debug("regulator transient injected", "rail", rail, "volts", a)
 		}
 		return amp
 	}
@@ -221,7 +213,6 @@ func (in *Injector) HotplugStepper(hw *hwmon.Subsystem) sim.Steppable {
 		shift := 1 + rng.Intn(4)
 		if err := hw.Renumber(shift); err == nil {
 			cHotplug.Inc()
-			log.Debug("hwmon hotplug renumber injected", "shift", shift, "sim", now)
 		}
 	})
 }

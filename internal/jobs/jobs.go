@@ -48,11 +48,8 @@ import (
 	"io/fs"
 
 	"repro/internal/obs"
-	"repro/internal/obs/olog"
 	"repro/internal/runner"
 )
-
-var log = olog.L("jobs")
 
 // Supervision metrics. Everything here is either deterministic per
 // shard (and thus banked/restored exactly across resume) or happens a
@@ -73,8 +70,8 @@ const roundSize = 8
 // CharacterizeKind and its board "zcu102"; the checkpoint records and
 // verifies both.
 type Spec struct {
-	// RunID identifies this run in checkpoints and logs (typically the
-	// olog run ID). Optional.
+	// RunID identifies this run in checkpoints and ledger lineage (the
+	// CLI's per-process run ID). Optional.
 	RunID string
 	// Seed is the campaign root seed; shard seeds derive from it and
 	// the shard key exactly as in a plain runner campaign.
@@ -163,9 +160,6 @@ func Run(ctx context.Context, spec Spec, keys []string, runShard func(context.Co
 		}
 		pending = append(pending, k)
 	}
-	log.InfoContext(ctx, "job starting", "run_id", spec.RunID,
-		"shards", len(keys), "pending", len(pending), "resumed", resumed,
-		"parent_run_id", parent, "workers", spec.Workers)
 
 	for len(pending) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -193,9 +187,6 @@ func Run(ctx context.Context, spec Spec, keys []string, runShard func(context.Co
 			if err := SaveCheckpoint(spec.CheckpointPath, cp); err != nil {
 				return finishOutcome(out, cp), err
 			}
-			log.DebugContext(ctx, "checkpoint committed",
-				"round", cp.Rounds, "completed", len(cp.Completed),
-				"quarantined", len(cp.Quarantined), "path", spec.CheckpointPath)
 		}
 		if spec.OnBarrier != nil {
 			if err := spec.OnBarrier(cp, cp.Rounds); err != nil {
@@ -204,11 +195,7 @@ func Run(ctx context.Context, spec Spec, keys []string, runShard func(context.Co
 		}
 	}
 
-	finishOutcome(out, cp)
-	log.InfoContext(ctx, "job done", "run_id", spec.RunID,
-		"completed", len(out.Results), "quarantined", len(out.Quarantined),
-		"rounds", out.Rounds)
-	return out, nil
+	return finishOutcome(out, cp), nil
 }
 
 // openCheckpoint loads and verifies an existing checkpoint or creates
@@ -273,7 +260,6 @@ func runRound(ctx context.Context, spec Spec, cp *Checkpoint, round []string, ru
 		if r.Err != nil {
 			cQuarantined.Inc()
 			cp.Quarantined[r.Key] = r.Err.Error()
-			log.WarnContext(ctx, "shard quarantined", "shard", r.Key, "err", r.Err)
 			continue
 		}
 		cp.Completed[r.Key] = ShardRecord{

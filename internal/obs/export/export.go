@@ -8,10 +8,9 @@
 // simulated start time. Loading the file therefore shows wall-vs-sim
 // skew directly: a phase whose wall extent is much longer than its sim
 // extent is where the simulator fell behind the hardware it models.
-// Progress events appear as instant events on the wall track.
 //
-// The package installs itself as the obs server's /trace renderer on
-// import, and both CLIs expose it through the global -trace-out flag.
+// Both CLIs expose it through the global -trace-out flag, and
+// ampere.WriteTrace through the public API.
 package export
 
 import (
@@ -37,16 +36,14 @@ const (
 // per the format.
 type Event struct {
 	Name string `json:"name"`
-	// Cat is the event category ("span" or "progress").
+	// Cat is the event category ("span").
 	Cat string `json:"cat,omitempty"`
-	// Ph is the phase: "X" complete, "i" instant, "M" metadata.
-	Ph  string  `json:"ph"`
-	Ts  float64 `json:"ts"`
-	Dur float64 `json:"dur,omitempty"`
-	Pid int     `json:"pid"`
-	Tid int     `json:"tid"`
-	// S is the instant-event scope ("p" = process).
-	S    string         `json:"s,omitempty"`
+	// Ph is the phase: "X" complete or "M" metadata.
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"`
+	Dur  float64        `json:"dur,omitempty"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -60,8 +57,8 @@ type File struct {
 // usec converts a duration to trace-event microseconds.
 func usec(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-// Build converts a snapshot's retained spans and progress events into a
-// trace-event document. Span rows are grouped by span name (one tid per
+// Build converts a snapshot's retained spans into a trace-event
+// document. Span rows are grouped by span name (one tid per
 // name) so repeated spans of the same operation share a timeline row.
 func Build(snap obs.Snapshot) File {
 	f := File{
@@ -117,11 +114,6 @@ func Build(snap obs.Snapshot) File {
 			base = start
 		}
 	}
-	for _, e := range snap.Events {
-		if e.At.Before(base) {
-			base = e.At
-		}
-	}
 
 	for _, sp := range snap.RecentSpans {
 		wall := Event{
@@ -148,13 +140,6 @@ func Build(snap obs.Snapshot) File {
 			f.TraceEvents = append(f.TraceEvents, sim)
 		}
 		f.TraceEvents = append(f.TraceEvents, wall)
-	}
-
-	for _, e := range snap.Events {
-		f.TraceEvents = append(f.TraceEvents, Event{
-			Name: e.Msg, Cat: "progress", Ph: "i",
-			Ts: usec(e.At.Sub(base)), Pid: PidWall, Tid: 0, S: "p",
-		})
 	}
 	return f
 }
@@ -235,8 +220,4 @@ func ValidateFile(path string) error {
 		return err
 	}
 	return Validate(data)
-}
-
-func init() {
-	obs.SetTraceExporter(Marshal)
 }

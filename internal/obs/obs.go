@@ -1,7 +1,7 @@
 // Package obs is the repository's dependency-free observability layer:
 // a metrics registry of atomic counters, gauges, and streaming
-// histograms, a lightweight span tracer that records both wall-clock
-// and sim-clock durations, and a bounded progress-event log.
+// histograms, and a lightweight span tracer that records both
+// wall-clock and sim-clock durations.
 //
 // The package exists because the attack pipeline's central quantity —
 // the attacker's achieved sampling rate, which bounds the channel
@@ -9,9 +9,10 @@
 // at runtime, as were the simulation engine's throughput (sim-time /
 // wall-time ratio) and the cost of the classifier's train/predict
 // phases. Every internal package records into the process-wide Default
-// registry; cmd/amperebleed exposes it over HTTP (/metrics/snapshot,
-// /trace and pprof) and as a text snapshot, and the public
-// ampere.Snapshot API returns it programmatically.
+// registry; the CLIs print it as a text snapshot (-obs), fold it into
+// the run ledger's manifests and render its spans as a Chrome trace
+// (-trace-out), and the public ampere.Snapshot API returns it
+// programmatically.
 //
 // Primitives are built for hot paths: a Counter.Add is one atomic add,
 // a Histogram.Observe is an atomic add into a geometric bucket, and
@@ -19,9 +20,8 @@
 // map is only consulted at setup time.
 //
 // Retention is bounded everywhere: histograms summarize into fixed
-// geometric buckets rather than storing samples, progress events keep
-// the most recent EventRingSize (64) entries, and completed spans keep
-// the most recent SpanRingSize (1024) entries. Older spans remain
+// geometric buckets rather than storing samples, and completed spans
+// keep the most recent SpanRingSize (1024) entries. Older spans remain
 // visible only through the "span.<name>.{wall,sim}_ns" histograms; the
 // span ring is what the Chrome trace exporter (internal/obs/export)
 // renders, so a trace timeline covers at most the last SpanRingSize
@@ -244,7 +244,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	events   eventRing
 	spans    spanRing
 }
 
@@ -297,8 +296,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Reset zeroes every metric in place and clears the span and event
-// rings. Handles returned by Counter/Gauge/Histogram stay valid — code
+// Reset zeroes every metric in place and clears the span ring. Handles returned by Counter/Gauge/Histogram stay valid — code
 // that cached a pointer (package-level counters, live engines) keeps
 // recording into the zeroed metric. Reset is not atomic with respect to
 // concurrent Observe calls; call it between experiments, not during one.
@@ -314,7 +312,6 @@ func (r *Registry) Reset() {
 	for _, h := range r.hists {
 		h.reset()
 	}
-	r.events.reset()
 	r.spans.reset()
 }
 

@@ -149,26 +149,11 @@ func TestSpanWithoutClock(t *testing.T) {
 	}
 }
 
-func TestEventsRingBounded(t *testing.T) {
-	r := NewRegistry()
-	for i := 0; i < EventRingSize+10; i++ {
-		r.Eventf("event %d", i)
-	}
-	evs := r.Events()
-	if len(evs) != EventRingSize {
-		t.Fatalf("events = %d, want %d", len(evs), EventRingSize)
-	}
-	if evs[0].Msg != "event 10" || evs[len(evs)-1].Msg != "event 73" {
-		t.Fatalf("ring window = %q .. %q", evs[0].Msg, evs[len(evs)-1].Msg)
-	}
-}
-
 func TestSnapshotAndText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("core.captures").Add(7)
 	r.Gauge("sim.ratio").Set(120.5)
 	r.Histogram("attacker.sample_rate_hz").Observe(28.57)
-	r.Eventf("capture ResNet-50/3 done")
 	s := r.Snapshot()
 	if s.Counter("core.captures") != 7 {
 		t.Fatalf("snapshot counter = %d", s.Counter("core.captures"))
@@ -186,7 +171,7 @@ func TestSnapshotAndText(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := b.String()
-	for _, want := range []string{"core.captures", "sim.ratio", "attacker.sample_rate_hz", "Hz", "capture ResNet-50/3 done"} {
+	for _, want := range []string{"core.captures", "sim.ratio", "attacker.sample_rate_hz", "Hz"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("text snapshot missing %q:\n%s", want, text)
 		}
@@ -199,7 +184,6 @@ func TestResetZeroesInPlace(t *testing.T) {
 	c.Inc()
 	h := r.Histogram("h")
 	h.Observe(3)
-	r.Eventf("x")
 	r.StartSpan("s", nil).End()
 	r.Reset()
 	s := r.Snapshot()
@@ -209,8 +193,8 @@ func TestResetZeroesInPlace(t *testing.T) {
 	if hs, _ := s.Histogram("h"); hs.Count != 0 || hs.Max != 0 {
 		t.Fatalf("histogram survived reset: %+v", hs)
 	}
-	if len(s.Events) != 0 || len(s.RecentSpans) != 0 {
-		t.Fatalf("rings survived reset: %+v", s)
+	if len(s.RecentSpans) != 0 {
+		t.Fatalf("span ring survived reset: %+v", s)
 	}
 	// Cached handles must keep recording into the zeroed metrics.
 	c.Inc()

@@ -30,8 +30,8 @@ func statOf(h *Histogram) HistogramStat {
 	}
 }
 
-// Snapshot is a point-in-time copy of a registry, the schema served by
-// /metrics/snapshot and returned by ampere.Snapshot.
+// Snapshot is a point-in-time copy of a registry, the schema returned
+// by ampere.Snapshot.
 type Snapshot struct {
 	// TakenAt is the wall-clock snapshot time.
 	TakenAt time.Time `json:"taken_at"`
@@ -44,8 +44,6 @@ type Snapshot struct {
 	Histograms map[string]HistogramStat `json:"histograms"`
 	// RecentSpans is the bounded ring of completed spans, oldest first.
 	RecentSpans []SpanRecord `json:"recent_spans"`
-	// Events is the bounded progress-event log, oldest first.
-	Events []Event `json:"events"`
 }
 
 // Snapshot copies the registry's current state.
@@ -64,7 +62,6 @@ func (r *Registry) Snapshot() Snapshot {
 		hists[k] = v
 	}
 	spans := r.spans.list()
-	events := r.events.list()
 	r.mu.Unlock()
 
 	s := Snapshot{
@@ -73,7 +70,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Gauges:      make(map[string]float64, len(gauges)),
 		Histograms:  make(map[string]HistogramStat, len(hists)),
 		RecentSpans: spans,
-		Events:      events,
 	}
 	for k, c := range counters {
 		s.Counters[k] = c.Value()
@@ -124,12 +120,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 			fmt.Fprintf(&b, "  %-36s %8d  %s %s %s %s %s\n",
 				k, h.Count, formatFor(k, h.Mean), formatFor(k, h.P50),
 				formatFor(k, h.P95), formatFor(k, h.P99), formatFor(k, h.Max))
-		}
-	}
-	if len(s.Events) > 0 {
-		fmt.Fprintf(&b, "events (last %d):\n", len(s.Events))
-		for _, e := range s.Events {
-			fmt.Fprintf(&b, "  %s  %s\n", e.At.Format("15:04:05.000"), e.Msg)
 		}
 	}
 	if len(s.RecentSpans) > 0 {

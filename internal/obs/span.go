@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // SimClock supplies the current simulated time; *sim.Engine satisfies
 // it. Spans started with a clock record sim-clock durations next to
@@ -93,49 +90,11 @@ func (r SpanRecord) SimStart() time.Duration {
 	return r.SimEnd - r.Sim
 }
 
-// Event is one timestamped progress message.
-type Event struct {
-	// At is the wall-clock time the event was recorded.
-	At time.Time `json:"at"`
-	// Msg is the formatted message.
-	Msg string `json:"msg"`
-}
-
-// Ring retention: the event and span stores are fixed-size rings — old
+// SpanRingSize bounds the completed-span store, a fixed-size ring: old
 // entries are overwritten, so long experiments keep constant memory no
-// matter how many spans they complete. EventRingSize bounds progress
-// events; SpanRingSize bounds completed spans and is deliberately
-// larger because the trace exporter renders the retained spans as a
-// timeline, where 64 entries would cover only the tail of a run.
-const (
-	EventRingSize = 64
-	SpanRingSize  = 1024
-)
-
-type eventRing struct {
-	buf  [EventRingSize]Event
-	next int
-	n    int
-}
-
-func (r *eventRing) add(e Event) {
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % EventRingSize
-	if r.n < EventRingSize {
-		r.n++
-	}
-}
-
-func (r *eventRing) list() []Event {
-	out := make([]Event, 0, r.n)
-	start := (r.next - r.n + EventRingSize) % EventRingSize
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(start+i)%EventRingSize])
-	}
-	return out
-}
-
-func (r *eventRing) reset() { *r = eventRing{} }
+// matter how many spans they complete. The trace exporter renders the
+// retained spans as a timeline.
+const SpanRingSize = 1024
 
 type spanRing struct {
 	buf  [SpanRingSize]SpanRecord
@@ -161,27 +120,6 @@ func (r *spanRing) list() []SpanRecord {
 }
 
 func (r *spanRing) reset() { *r = spanRing{} }
-
-// Eventf records a progress event, keeping only the most recent
-// EventRingSize events. Long offline phases (Fingerprint's hundreds of
-// captures, Applicability's board loop) emit these so a snapshot taken
-// mid-run shows where the pipeline is.
-func (r *Registry) Eventf(format string, args ...any) {
-	e := Event{At: time.Now(), Msg: fmt.Sprintf(format, args...)}
-	r.mu.Lock()
-	r.events.add(e)
-	r.mu.Unlock()
-}
-
-// Eventf records a progress event on the Default registry.
-func Eventf(format string, args ...any) { Default.Eventf(format, args...) }
-
-// Events returns the retained events, oldest first.
-func (r *Registry) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.events.list()
-}
 
 // RecentSpans returns the retained completed spans, oldest first.
 func (r *Registry) RecentSpans() []SpanRecord {

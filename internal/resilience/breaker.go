@@ -70,15 +70,9 @@ func (s State) String() string {
 	}
 }
 
-// ErrOpen is returned by Breaker.Allow callers' convention (and by Do)
-// when the breaker is open and the request was short-circuited.
-var ErrOpen = errors.New("resilience: circuit breaker open")
-
 // BreakerConfig parameterizes a Breaker. The zero value of every
 // tunable selects a sane default; Now is the only required field.
 type BreakerConfig struct {
-	// Name labels the breaker in logs and debug output.
-	Name string
 	// FailureThreshold is the consecutive-failure count that trips the
 	// breaker from closed to open. Zero means 16.
 	FailureThreshold int
@@ -237,21 +231,6 @@ func (b *Breaker) trip() {
 	b.openUntil = b.cfg.Now() + window
 	b.trips++
 	cBreakerOpen().Inc()
-}
-
-// Do runs fn under the breaker: short-circuits with ErrOpen when the
-// breaker rejects the request, otherwise reports fn's outcome back.
-func (b *Breaker) Do(fn func() error) error {
-	if !b.Allow() {
-		return ErrOpen
-	}
-	err := fn()
-	if err != nil {
-		b.OnFailure()
-	} else {
-		b.OnSuccess()
-	}
-	return err
 }
 
 // State returns the current state without side effects (an expired

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -30,7 +29,6 @@ func (c *fakeClock) Advance(d time.Duration) {
 func newTestBreaker(t *testing.T, clk *fakeClock, mutate func(*BreakerConfig)) *Breaker {
 	t.Helper()
 	cfg := BreakerConfig{
-		Name:              "test",
 		FailureThreshold:  3,
 		OpenFor:           10 * time.Millisecond,
 		HalfOpenSuccesses: 2,
@@ -172,22 +170,6 @@ func TestBreakerProbeJitterDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical jitter sequences")
-	}
-}
-
-func TestBreakerDo(t *testing.T) {
-	clk := &fakeClock{}
-	b := newTestBreaker(t, clk, func(cfg *BreakerConfig) { cfg.FailureThreshold = 1 })
-	boom := errors.New("boom")
-	if err := b.Do(func() error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("Do = %v, want boom", err)
-	}
-	if err := b.Do(func() error { return nil }); !errors.Is(err, ErrOpen) {
-		t.Fatalf("Do on open breaker = %v, want ErrOpen", err)
-	}
-	clk.Advance(11 * time.Millisecond)
-	if err := b.Do(func() error { return nil }); err != nil {
-		t.Fatalf("probe Do = %v, want nil", err)
 	}
 }
 

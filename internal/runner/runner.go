@@ -36,12 +36,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/olog"
 )
-
-// log is the runner's structured logger; campaign lifecycle logs at
-// info, shard failures at warn. Quiet until olog.Setup runs.
-var log = olog.L("runner")
 
 // ShardSeed derives the deterministic seed of the shard with the given
 // key under the given campaign seed: root XOR FNV-1a(key). The mixing
@@ -182,10 +177,6 @@ func Run[T any](ctx context.Context, cfg Config, shards []Shard[T]) ([]Result[T]
 		utilization = obs.G("runner.utilization")
 	)
 	obs.G("runner.workers").Set(float64(cfg.Workers))
-	obs.Eventf("runner: %s: %d shards on %d workers starting",
-		cfg.Name, len(shards), cfg.Workers)
-	log.InfoContext(ctx, "campaign starting", "campaign", cfg.Name,
-		"shards", len(shards), "workers", cfg.Workers, "seed", cfg.Seed)
 	span := obs.StartSpan("runner."+cfg.Name, nil)
 	start := time.Now()
 
@@ -223,8 +214,6 @@ func Run[T any](ctx context.Context, cfg Config, shards []Shard[T]) ([]Result[T]
 					if pe := (*PanicError)(nil); errors.As(r.Err, &pe) {
 						shardsPanic.Inc()
 					}
-					log.WarnContext(ctx, "shard failed", "campaign", cfg.Name,
-						"shard", r.Key, "worker", w, "err", r.Err)
 				}
 			}
 		}(w)
@@ -240,18 +229,6 @@ func Run[T any](ctx context.Context, cfg Config, shards []Shard[T]) ([]Result[T]
 	if wall > 0 {
 		utilization.Set(float64(busyTotal) / (float64(wall) * float64(cfg.Workers)))
 	}
-	failed := 0
-	for i := range results {
-		if results[i].Err != nil {
-			failed++
-		}
-	}
-	obs.Eventf("runner: %s: %d shards done in %v (%d failed, utilization %.0f%%)",
-		cfg.Name, len(shards), wall.Round(time.Millisecond), failed,
-		100*utilization.Value())
-	log.InfoContext(ctx, "campaign done", "campaign", cfg.Name,
-		"shards", len(shards), "failed", failed,
-		"wall", wall.Round(time.Millisecond), "utilization", utilization.Value())
 	return results, ctx.Err()
 }
 

@@ -2,9 +2,7 @@ package ampere
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"net/http"
 	"testing"
 	"time"
 )
@@ -42,41 +40,6 @@ func TestSnapshotAfterRun(t *testing.T) {
 	final := Snapshot()
 	if got := final.Counter("sysfs.reads") - after.Counter("sysfs.reads"); got <= 0 {
 		t.Fatalf("sysfs.reads did not advance: delta %d", got)
-	}
-}
-
-// TestServeObsEndpoints starts the observability server via the public
-// API and round-trips the JSON snapshot endpoint.
-func TestServeObsEndpoints(t *testing.T) {
-	bound, shutdown, err := ServeObs(context.Background(), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-
-	resp, err := http.Get("http://" + bound + "/metrics/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot status = %d", resp.StatusCode)
-	}
-	var snap ObsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("snapshot decode: %v", err)
-	}
-	if snap.TakenAt.IsZero() {
-		t.Fatal("snapshot missing timestamp")
-	}
-
-	pprof, err := http.Get("http://" + bound + "/debug/pprof/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pprof.Body.Close()
-	if pprof.StatusCode != http.StatusOK {
-		t.Fatalf("pprof status = %d", pprof.StatusCode)
 	}
 }
 

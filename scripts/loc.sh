@@ -3,13 +3,16 @@
 #
 # Usage: scripts/loc.sh
 #
-# Counts the lines of every tracked .go file, split by the _test.go
-# suffix, with the same `git ls-files '*.go'` listing CHANGES.md cites.
+# Counts the lines of every .go file present in the work tree that git
+# tracks or does not ignore, split by the _test.go suffix. Tracked files
+# deleted from the work tree are left out and new untracked ones are
+# counted, so the figures match the tree as it stands, committed or not.
 # Informational only: it never fails on a count.
 set -eu
 
 cd "$(git rev-parse --show-toplevel)"
-nontest=$(git ls-files '*.go' | grep -v '_test\.go$' | xargs cat | wc -l)
-tests=$(git ls-files '*.go' | grep '_test\.go$' | xargs cat | wc -l)
-echo "non-test Go lines: $nontest"
-echo "test Go lines:     $tests"
+files=$(git ls-files --cached --others --exclude-standard '*.go' | sort -u |
+    while IFS= read -r f; do [ -f "$f" ] && printf '%s\n' "$f"; done)
+count() { printf '%s\n' "$files" | grep $1 '_test\.go$' | xargs cat | wc -l; }
+echo "non-test Go lines: $(count -v)"
+echo "test Go lines:     $(count '')"
