@@ -226,3 +226,41 @@ func TestDeadLevelFailsIdentically(t *testing.T) {
 		t.Errorf("second attempt's counter delta %v differs from the first's %v", delta2, delta1)
 	}
 }
+
+// TestSaturatedLevelPinsBreaker pins the breaker on a real capture: no
+// golden trips it (the hostile goldens run at intensity 1), so this is
+// the one check that its thresholds, probe windows and jitter stream
+// still produce the same trips, sheds and probes, in the same order
+// against the retry budget. One characterize level at hostile intensity
+// 50 loses every current sample, and the level fails.
+func TestSaturatedLevelPinsBreaker(t *testing.T) {
+	p, err := faults.Resolve("hostile", 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := CharacterizeConfig{Seed: 3, Levels: 4, SamplesPerLevel: 24, Faults: p}
+	before := obs.Default.Snapshot().Counters
+	_, err = CharacterizeLevel(cfg, runner.ShardSeed(cfg.Seed, CharacterizeLevelKey(0)), 0)
+	if want := "core: level 0: every current sample lost"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	after := obs.Default.Snapshot().Counters
+	want := map[string]int64{
+		"core.sampler.samples":                   0,
+		"core.sampler.retries":                   144,
+		"core.sampler.gaps":                      72,
+		"core.sampler.reresolves":                12,
+		"core.sampler.backoff_ns":                250325975,
+		"resilience.breaker.open_total":          2,
+		"resilience.breaker.short_circuit_total": 16,
+		"resilience.breaker.probes_total":        0,
+		"resilience.breaker.close_total":         0,
+	}
+	for name, w := range want {
+		// A breaker counter absent from both snapshots (lazily registered,
+		// never hit in this process) moved by zero.
+		if d := after[name] - before[name]; d != w {
+			t.Errorf("%s moved by %d, want %d", name, d, w)
+		}
+	}
+}
