@@ -174,6 +174,12 @@ func (a *Attacker) Probe(ch Channel) (func() (float64, error), error) {
 	return nil, fmt.Errorf("core: no sensor labelled %q", ch.Label)
 }
 
+// resolver returns the hardened read path's re-resolver for ch: a fresh
+// discovery of its probe after a hotplug renumber.
+func (a *Attacker) resolver(ch Channel) func() (func() (float64, error), error) {
+	return func() (func() (float64, error), error) { return a.Probe(ch) }
+}
+
 // NewRecorder builds a trace recorder polling the channel every
 // interval. Register it with the simulation engine to start sampling.
 func (a *Attacker) NewRecorder(ch Channel, interval time.Duration) (*trace.Recorder, error) {

@@ -233,8 +233,7 @@ func covertOnce(ctx context.Context, cfg CovertConfig, seed int64, payloadBits i
 	expect := len(frame) * cfg.SymbolUpdates
 	rec.Reserve(expect + expect/4 + 4)
 	if inj := b.FaultInjector(); inj != nil {
-		rec.SetPolicy(recorderHooks(attacker, rx, interval, b.Engine().Stream("backoff/covert")))
-		rec.SetFaults(inj.SamplerFaults("recorder/covert"))
+		rec.Harden(inj.SamplerFaults("recorder/covert"), b.Engine().Stream("backoff/covert"), attacker.resolver(rx))
 	}
 
 	// Settle, then start the transmission aligned with the recorder.

@@ -17,29 +17,10 @@
 package faults
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 )
-
-// Transient error sentinels, mirroring the errno values a sysfs read
-// returns on a busy I2C bus. Both classify as transient via
-// IsTransient; everything else (ENOENT, EPERM, parse errors) is fatal
-// to the sample or the capture.
-var (
-	// ErrAgain models EAGAIN: the read would block; retry immediately.
-	ErrAgain = errors.New("resource temporarily unavailable")
-	// ErrIO models EIO: a bus-level transfer error; retry after backoff.
-	ErrIO = errors.New("input/output error")
-)
-
-// IsTransient reports whether err is one of the injected transient
-// read errors (EAGAIN/EIO). It is the classifier the sampling layer's
-// RetryPolicy.Transient uses.
-func IsTransient(err error) bool {
-	return errors.Is(err, ErrAgain) || errors.Is(err, ErrIO)
-}
 
 // Profile describes one composable fault mix. All *Rate fields in
 // [0,1] are per-event probabilities (per read, per latch, per due

@@ -71,10 +71,10 @@ func (in *Injector) SysfsReadFault(path string) error {
 	}
 	if u < in.p.SysfsErrorRate*in.p.SysfsEIORatio {
 		cEIO.Inc()
-		return ErrIO
+		return trace.ErrIO
 	}
 	cEAGAIN.Inc()
-	return ErrAgain
+	return trace.ErrAgain
 }
 
 // SensorFaults returns the INA226 latch hooks for one sensor: stale

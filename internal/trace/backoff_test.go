@@ -7,29 +7,16 @@ import (
 	"repro/internal/sim"
 )
 
-func TestNextBackoffDoublingWithoutRand(t *testing.T) {
-	p := RetryPolicy{}.WithDefaults(time.Millisecond)
-	want := []time.Duration{2, 4, 8, 8, 8} // milliseconds, capped at MaxBackoff
-	b := p.BaseBackoff
-	for i, w := range want {
-		b = p.NextBackoff(b)
-		if b != w*time.Millisecond {
-			t.Fatalf("step %d: backoff = %v, want %v", i, b, w*time.Millisecond)
-		}
-	}
-}
-
 func TestNextBackoffDecorrelatedJitterBounds(t *testing.T) {
-	p := RetryPolicy{}.WithDefaults(time.Millisecond)
-	p.Rand = sim.NewRand(1)
-	prev := p.BaseBackoff
+	rng := sim.NewRand(1)
+	prev := baseBackoff
 	for i := 0; i < 1000; i++ {
-		next := p.NextBackoff(prev)
-		if next < p.BaseBackoff {
-			t.Fatalf("step %d: backoff %v below base %v", i, next, p.BaseBackoff)
+		next := nextBackoff(prev, rng)
+		if next < baseBackoff {
+			t.Fatalf("step %d: backoff %v below base %v", i, next, baseBackoff)
 		}
-		if next > p.MaxBackoff {
-			t.Fatalf("step %d: backoff %v above cap %v", i, next, p.MaxBackoff)
+		if next > maxBackoff {
+			t.Fatalf("step %d: backoff %v above cap %v", i, next, maxBackoff)
 		}
 		if lim := 3 * prev; next > lim {
 			t.Fatalf("step %d: backoff %v above 3*prev %v", i, next, lim)
@@ -40,12 +27,11 @@ func TestNextBackoffDecorrelatedJitterBounds(t *testing.T) {
 
 func TestNextBackoffJitterDeterministicPerSeed(t *testing.T) {
 	seq := func(seed int64) []time.Duration {
-		p := RetryPolicy{}.WithDefaults(time.Millisecond)
-		p.Rand = sim.NewRand(seed)
+		rng := sim.NewRand(seed)
 		out := make([]time.Duration, 0, 32)
-		b := p.BaseBackoff
+		b := baseBackoff
 		for i := 0; i < 32; i++ {
-			b = p.NextBackoff(b)
+			b = nextBackoff(b, rng)
 			out = append(out, b)
 		}
 		return out

@@ -14,7 +14,7 @@ if [ "$#" -gt 1 ]; then
     shift
     PACKAGES="$*"
 else
-    PACKAGES="./internal/runner ./internal/core ./internal/sim ./internal/faults ./internal/trace ./internal/obs ./internal/obs/ledger ./internal/obs/export ./internal/check ./internal/resilience ./internal/jobs ./internal/ml/rforest ./internal/dpu ./internal/ina226 ./internal/board ./internal/power ./internal/hwmon"
+    PACKAGES="./internal/runner ./internal/core ./internal/sim ./internal/faults ./internal/trace ./internal/obs ./internal/obs/ledger ./internal/obs/export ./internal/check ./internal/jobs ./internal/ml/rforest ./internal/dpu ./internal/ina226 ./internal/board ./internal/power ./internal/hwmon"
 fi
 
 status=0
