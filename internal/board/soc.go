@@ -1,7 +1,6 @@
 package board
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -78,10 +77,6 @@ const (
 type Config struct {
 	// Seed is the root seed for every noise stream. Defaults to 1.
 	Seed int64
-	// Step is the simulation tick. Defaults to 500 µs, which resolves
-	// the 2 ms minimum INA226 update interval while keeping multi-second
-	// experiments fast.
-	Step time.Duration
 	// UpdateInterval is the initial hwmon update interval of every
 	// sensor. Zero means the 35 ms board default.
 	UpdateInterval time.Duration
@@ -95,8 +90,9 @@ type Config struct {
 	Faults *faults.Profile
 }
 
-// DefaultStep is the default board simulation tick.
-const DefaultStep = 500 * time.Microsecond
+// Step is the board simulation tick: 500 µs resolves the 2 ms minimum
+// INA226 update interval while keeping multi-second experiments fast.
+const Step = 500 * time.Microsecond
 
 // miscRail describes an additional monitored rail that carries no
 // victim activity in the experiments.
@@ -221,13 +217,7 @@ func Wire(spec Spec, cfg Config) (*SoC, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Step == 0 {
-		cfg.Step = DefaultStep
-	}
-	if cfg.Step < 0 {
-		return nil, errors.New("board: negative step")
-	}
-	eng, err := sim.NewEngine(cfg.Step, cfg.Seed)
+	eng, err := sim.NewEngine(Step, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -128,9 +128,6 @@ func TestNewEngineValidation(t *testing.T) {
 		func(c EngineConfig) EngineConfig { c.SetCPUFullUtil = nil; return c },
 		func(c EngineConfig) EngineConfig { c.SetCPULowUtil = nil; return c },
 		func(c EngineConfig) EngineConfig { c.SetDDRUtil = nil; return c },
-		func(c EngineConfig) EngineConfig { c.ConvEfficiency = 2; return c },
-		func(c EngineConfig) EngineConfig { c.DWConvEfficiency = -0.5; return c },
-		func(c EngineConfig) EngineConfig { c.PeakElements = -1; return c },
 	}
 	for i, mutate := range cases {
 		if _, err := NewEngine(mutate(good)); err == nil {

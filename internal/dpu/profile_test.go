@@ -7,17 +7,17 @@ import (
 )
 
 func TestProfileValidation(t *testing.T) {
-	if _, err := ProfileModel(nil, EngineConfig{}); err == nil {
+	if _, err := ProfileModel(nil); err == nil {
 		t.Fatal("nil model accepted")
 	}
-	if _, err := ProfileModel(&Model{}, EngineConfig{}); err == nil {
+	if _, err := ProfileModel(&Model{}); err == nil {
 		t.Fatal("invalid model accepted")
 	}
 }
 
 func TestProfileVGGIsComputeBoundOnConvsMemoryBoundOnFC(t *testing.T) {
 	m, _ := ZooModel("VGG-19")
-	p, err := ProfileModel(m, EngineConfig{})
+	p, err := ProfileModel(m)
 	if err != nil {
 		t.Fatalf("ProfileModel: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestProfileVGGIsComputeBoundOnConvsMemoryBoundOnFC(t *testing.T) {
 
 func TestProfileMobileNetDWConvsAreSlowerThanEfficiencySuggests(t *testing.T) {
 	m, _ := ZooModel("MobileNet-V1")
-	p, err := ProfileModel(m, EngineConfig{})
+	p, err := ProfileModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestProfileMobileNetDWConvsAreSlowerThanEfficiencySuggests(t *testing.T) {
 
 func TestProfileTopLayers(t *testing.T) {
 	m, _ := ZooModel("ResNet-50")
-	p, err := ProfileModel(m, EngineConfig{})
+	p, err := ProfileModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestProfileTopLayers(t *testing.T) {
 
 func TestProfileRender(t *testing.T) {
 	m, _ := ZooModel("SqueezeNet-1.1")
-	p, err := ProfileModel(m, EngineConfig{})
+	p, err := ProfileModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestProfileTotalsMatchQueryPeriodOrdering(t *testing.T) {
 	// Profiles must preserve the ordering the engine's QueryPeriod sees.
 	prof := func(name string) time.Duration {
 		m, _ := ZooModel(name)
-		p, err := ProfileModel(m, EngineConfig{})
+		p, err := ProfileModel(m)
 		if err != nil {
 			t.Fatal(err)
 		}
