@@ -20,6 +20,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"negative samples", []string{"-exp", "fig2", "-samples", "-5"}, "-samples must be >= 0"},
 		{"zero traces", []string{"-exp", "table3", "-traces", "0"}, "-traces must be > 0"},
 		{"negative traces", []string{"-exp", "all", "-traces", "-2"}, "-traces must be > 0"},
+		{"too few traces for table3", []string{"-exp", "table3", "-traces", "9"}, "9 traces/model cannot support 10-fold CV"},
+		{"too few traces for all", []string{"-exp", "all", "-traces", "3"}, "3 traces/model cannot support 10-fold CV"},
 		{"unknown experiment", []string{"-exp", "fig9"}, `unknown experiment "fig9"`},
 		{"unknown fault profile", []string{"-exp", "table1", "-faults", "gremlins"}, "gremlins"},
 		{"retired log flag", []string{"-exp", "table1", "-log-level", "error"}, "flag provided but not defined: -log-level"},
