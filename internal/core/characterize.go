@@ -224,7 +224,6 @@ func measureLevel(cfg CharacterizeConfig, seed int64, level int) (LevelReading, 
 		VoltSensitivity:           1.27,
 		Volts:                     fpgaRail.Voltage,
 		LocalDroopVoltsPerElement: 2e-9,
-		LocalActivity:             b.Fabric().RegionActivity,
 		JitterHz:                  50e3,
 		Rand:                      b.Engine().Stream("ro-bank"),
 	})

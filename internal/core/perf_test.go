@@ -9,6 +9,7 @@ import (
 	"repro/internal/ml/crossval"
 	"repro/internal/ml/features"
 	"repro/internal/ml/rforest"
+	"repro/internal/runner"
 )
 
 // BenchmarkCaptureSetup measures one capture's rig set-up — the board,
@@ -24,6 +25,23 @@ func BenchmarkCaptureSetup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, _, err := captureRig(cfg, models[i%len(models)], int64(i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCharacterizeLevel measures one Fig. 2 level as bench's fig2
+// workload runs it: a freshly wired board with the power virus and the
+// RO bank, three warm-up updates, then 250 hwmon updates on three
+// channels with one RO sample each. Iterations cycle through the 161
+// activation levels with their shard seeds, as the sweep does.
+func BenchmarkCharacterizeLevel(b *testing.B) {
+	cfg := CharacterizeConfig{Levels: DefaultCharacterizeLevels, SamplesPerLevel: 250, WarmupUpdates: 3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		level := i % DefaultCharacterizeLevels
+		if _, err := CharacterizeLevel(cfg, runner.ShardSeed(1, CharacterizeLevelKey(level)), level); err != nil {
 			b.Fatal(err)
 		}
 	}

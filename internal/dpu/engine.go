@@ -71,9 +71,14 @@ type Engine struct {
 	model   *Model
 	running bool
 
+	// segments is the loaded model's query schedule, built by
+	// LoadModel: preprocessing, one segment per layer, the gap. Only
+	// the preprocessing duration depends on the query; nextQuery sets
+	// it. queried reports that a query has started since LoadModel.
 	segments []segment
 	segIdx   int
 	segDone  time.Duration
+	queried  bool
 
 	inferences uint64
 
@@ -104,9 +109,7 @@ func (e *Engine) LoadModel(m *Model) error {
 	}
 	e.model = m
 	e.running = true
-	e.segments = nil
-	e.segIdx = 0
-	e.segDone = 0
+	e.scheduleModel()
 	return nil
 }
 
@@ -143,16 +146,13 @@ func roofline(l *Layer) (dur time.Duration, compute, memory float64, ok bool) {
 	return time.Duration(secs * float64(time.Second)), tc / secs, tm / secs, true
 }
 
-// scheduleQuery builds the segment list for one query against the
-// loaded model.
-func (e *Engine) scheduleQuery() {
-	segs := e.segments[:0]
-
-	// Phase 1: CPU preprocessing — fetch and resize the source image.
-	w, h := e.cfg.Queries.Next()
-	segs = append(segs, segment{
-		dur: preprocess(float64(w*h) / 1e6), elements: idleElements,
-		cpuFull: 0.85, cpuLow: 0.30, ddr: 0.15,
+// scheduleModel builds the loaded model's query schedule. The first
+// Step starts the first query.
+func (e *Engine) scheduleModel() {
+	// Phase 1: CPU preprocessing — fetch and resize the source image;
+	// nextQuery sets its duration.
+	segs := append(e.segments[:0], segment{
+		elements: idleElements, cpuFull: 0.85, cpuLow: 0.30, ddr: 0.15,
 	})
 
 	// Phase 2: the compute schedule, one per-layer roofline segment.
@@ -190,8 +190,19 @@ func (e *Engine) scheduleQuery() {
 	})
 
 	e.segments = segs
+	e.segIdx = len(segs)
+	e.segDone = 0
+	e.queried = false
+}
+
+// nextQuery starts the next query on the loaded model's schedule,
+// sizing its preprocessing to the query's source image.
+func (e *Engine) nextQuery() {
+	w, h := e.cfg.Queries.Next()
+	e.segments[0].dur = preprocess(float64(w*h) / 1e6)
 	e.segIdx = 0
 	e.segDone = 0
+	e.queried = true
 }
 
 // CircuitName implements fabric.Circuit.
@@ -217,10 +228,10 @@ func (e *Engine) Step(now, dt time.Duration) {
 	remaining := dt
 	for remaining > 0 {
 		if e.segIdx >= len(e.segments) {
-			if e.segments != nil {
+			if e.queried {
 				e.inferences++
 			}
-			e.scheduleQuery()
+			e.nextQuery()
 		}
 		seg := &e.segments[e.segIdx]
 		left := seg.dur - e.segDone

@@ -16,6 +16,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/power"
@@ -111,8 +112,9 @@ type Fabric struct {
 
 	// shares[i] is placed[i]'s activity per region over the last
 	// completed tick; nextShares is being filled by the tick in
-	// progress. regionMap is built from shares by the first
-	// RegionActivity call after a Step (regionMapBuilt).
+	// progress. regionMap is built from shares by the first RegionMap
+	// call after a Step that changed a share, or after a Place
+	// (regionMapBuilt).
 	shares, nextShares []float64
 	regionMap          [][]float64
 	regionMapBuilt     bool
@@ -217,6 +219,7 @@ func (f *Fabric) Place(c Circuit, regions []Region) error {
 	f.placed = append(f.placed, placement{circuit: c, regions: append([]Region(nil), regions...)})
 	f.shares = append(f.shares, 0)
 	f.nextShares = append(f.nextShares, 0)
+	f.regionMapBuilt = false
 	return nil
 }
 
@@ -235,20 +238,27 @@ func (f *Fabric) Circuits() int { return len(f.placed) }
 // present rail voltage.
 //
 // Per-region activity is double-buffered: while circuits step, their
-// RegionActivity queries see the previous tick's completed map (a sensor
+// RegionMap reads see the previous tick's completed map (a sensor
 // circuit observing its electrical neighbourhood always sees settled
 // state), and the shares recorded this tick become visible at the end of
-// Step. The map itself is built only when something reads it.
+// Step. The map itself is built only when something reads it, and a
+// built map is kept while every share repeats the previous tick's bit
+// for bit: summing the same bits in the same order gives the same map.
 func (f *Fabric) Step(now, dt time.Duration) {
 	total := 0.0
+	changed := false
 	for i, p := range f.placed {
 		p.circuit.Step(now, dt)
 		a := p.circuit.ActiveElements()
 		total += a
-		f.nextShares[i] = a / float64(len(p.regions))
+		s := a / float64(len(p.regions))
+		changed = changed || math.Float64bits(s) != math.Float64bits(f.shares[i])
+		f.nextShares[i] = s
 	}
 	f.shares, f.nextShares = f.nextShares, f.shares
-	f.regionMapBuilt = false
+	if changed {
+		f.regionMapBuilt = false
+	}
 	f.totalActivity = total
 	f.current = f.model.CurrentFor(total, f.volts())
 }
@@ -279,14 +289,12 @@ func (f *Fabric) Current() float64 { return f.current }
 // TotalActivity returns this tick's aggregate toggling-element count.
 func (f *Fabric) TotalActivity() float64 { return f.totalActivity }
 
-// RegionActivity returns the last completed tick's activity in one
-// clock region.
-func (f *Fabric) RegionActivity(r Region) (float64, error) {
-	if r.Row < 0 || r.Row >= f.dev.Rows || r.Col < 0 || r.Col >= f.dev.Cols {
-		return 0, fmt.Errorf("fabric: region (%d,%d) outside grid", r.Row, r.Col)
-	}
+// RegionMap returns the last completed tick's activity per clock
+// region, indexed [Row][Col]. The map belongs to the fabric: read it,
+// do not modify or keep it across ticks.
+func (f *Fabric) RegionMap() [][]float64 {
 	if !f.regionMapBuilt {
 		f.buildRegionMap()
 	}
-	return f.regionMap[r.Row][r.Col], nil
+	return f.regionMap
 }

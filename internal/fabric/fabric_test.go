@@ -158,16 +158,15 @@ func TestStepAggregatesActivityAndCurrent(t *testing.T) {
 		t.Fatalf("Current = %v, want %v", f.Current(), want)
 	}
 	// Region activity: a fully in (0,0); b split between (1,1) and (1,2).
-	got, err := f.RegionActivity(Region{0, 0})
-	if err != nil || got != 1000 {
-		t.Fatalf("region (0,0) = %v, %v", got, err)
+	m := f.RegionMap()
+	if len(m) != f.Device().Rows || len(m[0]) != f.Device().Cols {
+		t.Fatalf("region map is %dx%d, want %dx%d", len(m), len(m[0]), f.Device().Rows, f.Device().Cols)
 	}
-	got, _ = f.RegionActivity(Region{1, 1})
-	if got != 250 {
-		t.Fatalf("region (1,1) = %v, want 250", got)
+	if m[0][0] != 1000 {
+		t.Fatalf("region (0,0) = %v, want 1000", m[0][0])
 	}
-	if _, err := f.RegionActivity(Region{-1, 0}); err == nil {
-		t.Fatal("out-of-grid RegionActivity accepted")
+	if m[1][1] != 250 {
+		t.Fatalf("region (1,1) = %v, want 250", m[1][1])
 	}
 }
 
@@ -176,10 +175,12 @@ func TestRegionActivityResetsEachTick(t *testing.T) {
 	c := &stubCircuit{name: "a", active: 100}
 	f.MustPlace(c, []Region{{0, 0}})
 	f.Step(0, time.Millisecond)
+	if got := f.RegionMap()[0][0]; got != 100 {
+		t.Fatalf("region activity %v, want 100", got)
+	}
 	c.active = 0
 	f.Step(0, time.Millisecond)
-	got, _ := f.RegionActivity(Region{0, 0})
-	if got != 0 {
+	if got := f.RegionMap()[0][0]; got != 0 {
 		t.Fatalf("stale region activity %v", got)
 	}
 	if f.Current() != 0 {
@@ -229,12 +230,9 @@ func TestActivityConservationProperty(t *testing.T) {
 		}
 		fb.Step(0, time.Millisecond)
 		sum := 0.0
+		m := fb.RegionMap()
 		for _, r := range regions {
-			a, err := fb.RegionActivity(r)
-			if err != nil {
-				return false
-			}
-			sum += a
+			sum += m[r.Row][r.Col]
 		}
 		return math.Abs(sum-fb.TotalActivity()) < 1e-9
 	}

@@ -41,16 +41,14 @@ type Config struct {
 	VoltSensitivity float64
 	// LocalDroopVoltsPerElement converts clock-region switching activity
 	// into additional local droop seen by oscillators in that region;
-	// zero disables the spatial effect.
+	// zero disables the spatial effect. The activity is read from the
+	// fabric the bank was deployed on, so a bank with local droop must
+	// be placed with Deploy.
 	LocalDroopVoltsPerElement float64
 	// JitterHz is the RMS cycle-to-cycle frequency jitter; zero disables.
 	JitterHz float64
 	// Volts returns the present global rail voltage. Required.
 	Volts func() float64
-	// LocalActivity returns the present switching activity in a clock
-	// region; required when LocalDroopVoltsPerElement > 0 (usually
-	// fabric.RegionActivity).
-	LocalActivity func(fabric.Region) (float64, error)
 	// Rand supplies the jitter stream; required when JitterHz > 0.
 	Rand *sim.Rand
 	// UtilizationPerRO is the logic occupied by one oscillator+counter;
@@ -59,12 +57,15 @@ type Config struct {
 }
 
 // Bank is a set of placed ring oscillators. It implements
-// fabric.Circuit; place it with Deploy (or fabric.Place) before stepping.
+// fabric.Circuit; place it with Deploy before stepping. A bank without
+// local droop may also be placed with fabric.Place or stepped unplaced;
+// stepping one with local droop that Deploy did not place panics.
 type Bank struct {
 	cfg     Config
-	regions []fabric.Region
-	phase   []float64 // accumulated oscillation cycles per RO
-	freq    []float64 // present frequency per RO, for diagnostics
+	fab     *fabric.Fabric  // the fabric Deploy placed the bank on
+	regions []fabric.Region // each oscillator's clock region, set by Deploy
+	phase   []float64       // accumulated oscillation cycles per RO
+	freq    []float64       // present frequency per RO, for diagnostics
 }
 
 // New validates cfg and returns an unplaced bank.
@@ -90,9 +91,6 @@ func New(cfg Config) (*Bank, error) {
 	if cfg.Volts == nil {
 		return nil, errors.New("ro: missing voltage probe")
 	}
-	if cfg.LocalDroopVoltsPerElement > 0 && cfg.LocalActivity == nil {
-		return nil, errors.New("ro: local droop requires a LocalActivity probe")
-	}
 	if cfg.JitterHz > 0 && cfg.Rand == nil {
 		return nil, errors.New("ro: jitter requires a random stream")
 	}
@@ -110,14 +108,18 @@ func New(cfg Config) (*Bank, error) {
 }
 
 // Deploy distributes the bank round-robin over every clock region of the
-// fabric and records which oscillator landed where.
+// fabric and records the fabric and which oscillator landed where.
 func (b *Bank) Deploy(f *fabric.Fabric) error {
 	all := f.SpreadEvenly()
+	if err := f.Place(b, all); err != nil {
+		return err
+	}
+	b.fab = f
 	b.regions = make([]fabric.Region, b.cfg.Count)
 	for i := range b.regions {
 		b.regions[i] = all[i%len(all)]
 	}
-	return f.Place(b, all)
+	return nil
 }
 
 // Count returns the number of oscillators.
@@ -140,20 +142,31 @@ func (b *Bank) ActiveElements() float64 {
 }
 
 // Step implements fabric.Circuit: advance every oscillator's phase
-// accumulator by its instantaneous frequency.
+// accumulator by its instantaneous frequency. With local droop, each
+// oscillator also sees its clock region's activity over the fabric's
+// last completed tick.
 func (b *Bank) Step(now, dt time.Duration) {
 	sec := dt.Seconds()
 	global := b.cfg.Volts()
+	droop := b.cfg.LocalDroopVoltsPerElement
+	base, sens, nominal := b.cfg.BaseHz, b.cfg.VoltSensitivity, b.cfg.NominalVolts
+	jitter, rng := b.cfg.JitterHz, b.cfg.Rand
+	var local [][]float64
+	if droop > 0 {
+		if b.fab == nil {
+			panic("ro: bank with local droop stepped without Deploy: its oscillators have no clock regions")
+		}
+		local = b.fab.RegionMap()
+	}
 	for i := range b.phase {
 		v := global
-		if b.cfg.LocalDroopVoltsPerElement > 0 && len(b.regions) == len(b.phase) {
-			if act, err := b.cfg.LocalActivity(b.regions[i]); err == nil {
-				v -= b.cfg.LocalDroopVoltsPerElement * act
-			}
+		if droop > 0 {
+			r := b.regions[i]
+			v -= droop * local[r.Row][r.Col]
 		}
-		f := b.cfg.BaseHz * (1 + b.cfg.VoltSensitivity*(v-b.cfg.NominalVolts))
-		if b.cfg.JitterHz > 0 {
-			f += b.cfg.Rand.NormFloat64() * b.cfg.JitterHz
+		f := base * (1 + sens*(v-nominal))
+		if jitter > 0 {
+			f += rng.NormFloat64() * jitter
 		}
 		if f < 0 {
 			f = 0

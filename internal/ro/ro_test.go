@@ -2,6 +2,7 @@ package ro
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,8 +28,7 @@ func TestNewValidation(t *testing.T) {
 		func(c Config) Config { c.BaseHz = -1; return c },
 		func(c Config) Config { c.NominalVolts = 0; return c },
 		func(c Config) Config { c.Volts = nil; return c },
-		func(c Config) Config { c.LocalDroopVoltsPerElement = 1e-9; return c }, // no LocalActivity
-		func(c Config) Config { c.JitterHz = 1; return c },                     // no rng
+		func(c Config) Config { c.JitterHz = 1; return c }, // no rng
 		func(c Config) Config { c.JitterHz = -1; return c },
 	}
 	for i, mutate := range cases {
@@ -133,7 +133,8 @@ func TestNegativeFrequencyClamps(t *testing.T) {
 	}
 }
 
-func TestDeployOnFabricWithLocalDroop(t *testing.T) {
+func newFabric(t *testing.T) *fabric.Fabric {
+	t.Helper()
 	fab, err := fabric.New(fabric.Config{
 		Device:        fabric.ZU9EG(),
 		CapPerElement: 1e-13,
@@ -142,10 +143,14 @@ func TestDeployOnFabricWithLocalDroop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fabric.New: %v", err)
 	}
+	return fab
+}
+
+func TestDeployOnFabricWithLocalDroop(t *testing.T) {
+	fab := newFabric(t)
 	bank := newBank(t, Config{
 		Count: 30, NominalVolts: 0.85, Volts: func() float64 { return 0.85 },
 		LocalDroopVoltsPerElement: 1e-8,
-		LocalActivity:             fab.RegionActivity,
 	})
 	if err := bank.Deploy(fab); err != nil {
 		t.Fatalf("Deploy: %v", err)
@@ -159,6 +164,41 @@ func TestDeployOnFabricWithLocalDroop(t *testing.T) {
 	f1, _ := bank.Frequency(1)    // RO 1 is in a different region
 	if f0 >= f1 {
 		t.Fatalf("local droop missing: f0=%v f1=%v", f0, f1)
+	}
+}
+
+// TestLocalDroopNeedsDeploy: a bank with local droop reads its
+// oscillators' regions from the fabric Deploy placed it on. Placed any
+// other way, or stepped unplaced, it must panic rather than step
+// without its local droop; without local droop it steps either way.
+func TestLocalDroopNeedsDeploy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		step func(t *testing.T, b *Bank)
+	}{
+		{"fabric.Place", func(t *testing.T, b *Bank) {
+			fab := newFabric(t)
+			fab.MustPlace(b, fab.SpreadEvenly())
+			fab.Step(0, time.Millisecond)
+		}},
+		{"unplaced", func(t *testing.T, b *Bank) { b.Step(0, time.Millisecond) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain := newBank(t, Config{Count: 4, NominalVolts: 0.85, Volts: fixedVolts(0.85)})
+			tc.step(t, plain)
+			if f, _ := plain.Frequency(0); f != 400e6 {
+				t.Fatalf("bank without local droop: frequency %v, want 400e6", f)
+			}
+			droopy := newBank(t, Config{Count: 4, NominalVolts: 0.85, Volts: fixedVolts(0.85),
+				LocalDroopVoltsPerElement: 1e-8})
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "without Deploy") {
+					t.Fatalf("stepping a bank with local droop not placed by Deploy: panic %q, want one naming Deploy", msg)
+				}
+			}()
+			tc.step(t, droopy)
+		})
 	}
 }
 

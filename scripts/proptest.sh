@@ -22,7 +22,7 @@ SEED="${2:-728813}" # check.DefaultSeed (0xB1EED)
 
 # Every package that contains a TestProp* suite. internal/check's own
 # self-tests run too: they pin shrink determinism and seed derivation.
-PACKAGES="./internal/check ./internal/sim ./internal/stats ./internal/trace ./internal/leakage ./internal/core ./internal/runner ./internal/obs/ledger ./internal/ml/rforest ./internal/ina226 ./internal/rsa ./internal/fabric"
+PACKAGES="./internal/check ./internal/sim ./internal/stats ./internal/trace ./internal/leakage ./internal/core ./internal/runner ./internal/obs/ledger ./internal/ml/rforest ./internal/ina226 ./internal/rsa ./internal/fabric ./internal/ro"
 
 status=0
 for pkg in $PACKAGES; do
