@@ -34,7 +34,6 @@ import (
 	"repro/internal/dpu"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/obs/export"
 	"repro/internal/sysfs"
 )
 
@@ -249,7 +248,8 @@ func Survey(b *Board, a *Attacker, duration time.Duration) ([]SurveyRow, error) 
 // registry: counters (sysfs reads, INA226 conversions, captures
 // collected, engine ticks), gauges (sim-time/wall-time ratio, progress),
 // histograms with p50/p95/p99 (attacker achieved sample rate, classifier
-// train/predict timings, span durations) and recent spans.
+// train/predict timings, and the "span.<name>.{wall,sim}_ns" span
+// durations, every completed span counted).
 type ObsSnapshot = obs.Snapshot
 
 // ObsHistogramStat is the summary of one snapshot histogram.
@@ -265,14 +265,6 @@ func Snapshot() ObsSnapshot { return obs.Default.Snapshot() }
 // metric handles stay live). The reset is not atomic with respect to a
 // running experiment, so call it between experiments, not during one.
 func ResetMetrics() { obs.Default.Reset() }
-
-// WriteTrace exports the span tracer's retained spans as Chrome
-// trace-event JSON (loadable in Perfetto or chrome://tracing) with one
-// track on the wall clock and one on the sim clock. Retention is
-// bounded: at most the last obs.SpanRingSize spans appear.
-func WriteTrace(w io.Writer) error {
-	return export.Write(w, obs.Default.Snapshot())
-}
 
 // ModelZoo builds and returns the 39 DNN architectures of the
 // fingerprinting suite. Every call builds all 39 afresh and the caller

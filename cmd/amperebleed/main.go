@@ -33,9 +33,9 @@
 // simulated board; -fault-intensity scales the chosen profile.
 //
 // The global -ledger flag appends a run manifest (what ran, with which
-// seed and fault profile, and the channel-quality figures it produced)
-// to a JSONL run ledger after the command; -trace-out writes a Chrome
-// trace-event timeline of the run, loadable in Perfetto.
+// seed and fault profile, the channel-quality figures it produced, and
+// the command's wall time and span totals) to a JSONL run ledger after
+// the command.
 package main
 
 import (
@@ -54,7 +54,6 @@ import (
 	"repro/internal/imagenet"
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/obs/export"
 	"repro/internal/obs/ledger"
 	"repro/internal/report"
 	"repro/internal/sysfs"
@@ -115,9 +114,9 @@ var faultSpec struct {
 
 func main() { os.Exit(run()) }
 
-// run is main behind an exit code, so the ledger, trace export and
-// snapshot all still happen when a command fails or is interrupted — a
-// cancelled run flushes everything it measured.
+// run is main behind an exit code, so the ledger and snapshot still
+// happen when a command fails or is interrupted — a cancelled run
+// flushes everything it measured.
 func run() int {
 	// Global observability flags precede the command:
 	//
@@ -128,7 +127,6 @@ func run() int {
 	faultsName := flag.String("faults", "none", "fault profile injected into every simulated board: "+strings.Join(faults.PresetNames(), "|"))
 	faultIntensity := flag.Float64("fault-intensity", 1, "scale factor applied to the -faults profile rates")
 	ledgerPath := flag.String("ledger", "", "append a run manifest to this JSONL run ledger after the command")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the run (load in Perfetto)")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -141,6 +139,7 @@ func run() int {
 		return 2
 	}
 	start := time.Now()
+	before := obs.Default.Snapshot()
 	profile, err := faults.Resolve(*faultsName, *faultIntensity)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "amperebleed: %v\n", err)
@@ -154,8 +153,8 @@ func run() int {
 	}
 	faultSpec.name, faultSpec.intensity = *faultsName, *faultIntensity
 	// Two-stage shutdown: the first SIGINT/SIGTERM cancels runCtx so the
-	// command winds down and the tail below still flushes the ledger,
-	// trace and checkpoints; a second signal aborts immediately.
+	// command winds down and the tail below still flushes the ledger
+	// and checkpoints; a second signal aborts immediately.
 	sigCh, stopNotify := notifyInterrupts()
 	defer stopNotify()
 	runCtx, stopSignals := watchSignals(context.Background(), sigCh, os.Exit)
@@ -210,13 +209,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "amperebleed: %v\n", err)
 		code = 1
 	}
-	if *traceOut != "" {
-		if err := export.WriteFile(*traceOut, obs.Default.Snapshot()); err != nil {
-			fmt.Fprintf(os.Stderr, "amperebleed: trace export: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "trace timeline written to %s\n", *traceOut)
-	}
 	if *ledgerPath != "" && cmd != "runs" {
 		faultProfile := ""
 		intensity := 0.0
@@ -232,6 +224,9 @@ func run() int {
 			faultProfile = runMeta.faultProfile
 			intensity = runMeta.faultIntensity
 		}
+		// The snapshot precedes Wall, so the command's entry never
+		// outlasts the run.
+		snap := obs.Default.Snapshot()
 		m := ledger.New(ledger.RunInfo{
 			Tool:           "amperebleed",
 			Command:        manifestCmd,
@@ -246,7 +241,8 @@ func run() int {
 			ResumedShards:  runMeta.resumedShards,
 			Started:        start,
 			Wall:           time.Since(start),
-		}, obs.Default.Snapshot())
+			Experiments:    []ledger.Experiment{ledger.ExperimentFrom(manifestCmd, before, snap)},
+		}, snap)
 		if err := ledger.Append(*ledgerPath, m); err != nil {
 			fmt.Fprintf(os.Stderr, "amperebleed: ledger: %v\n", err)
 			return 1
@@ -278,8 +274,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: amperebleed [-obs] [-faults profile] <command> [flags]
 
 global flags (before the command):
-  -obs            print an observability snapshot (metrics and recent
-                  spans) after the command completes
+  -obs            print an observability snapshot (counters, gauges and
+                  histograms, span timings included) after the command
   -faults NAME    inject sensor/scheduler faults into every simulated
                   board: none|flaky-sysfs|stale-sensor|noisy-sched|hostile;
                   only characterize, fingerprint, applicability and
@@ -288,9 +284,8 @@ global flags (before the command):
   -fault-intensity X
                   scale the profile's rates by X (default 1)
   -ledger FILE    append a run manifest (command, seed, fault profile,
-                  channel-quality figures) to this JSONL run ledger
-  -trace-out FILE write a Chrome trace-event timeline of the run
-                  (load in Perfetto / chrome://tracing)
+                  channel-quality figures, wall time and span totals)
+                  to this JSONL run ledger
 
 commands:
   boards        print the surveyed ARM-FPGA boards (Table I)
@@ -345,8 +340,8 @@ func cmdRuns(args []string) error {
 		FaultProfile: *prof,
 		Seed:         *seed,
 	})
-	if *canonical >= 0 {
-		if *canonical >= len(ms) {
+	if *canonical != -1 {
+		if *canonical < 0 || *canonical >= len(ms) {
 			return fmt.Errorf("-canonical index %d outside the %d filtered run(s)", *canonical, len(ms))
 		}
 		data, err := ledger.CanonicalJSON(ms[*canonical])

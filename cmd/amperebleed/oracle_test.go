@@ -118,6 +118,11 @@ func TestOracle(t *testing.T) {
 			}
 			golden.Check(t, filepath.Join("testdata", tc.name+".txt"), stdout, *update)
 			golden.Check(t, filepath.Join("testdata", tc.name+".canonical.json"), append(canon, '\n'), *update)
+			// Canonicalize drops the command's time record; check its shape.
+			if e := ms[0].Experiments; len(e) != 1 || e[0].Name != ms[0].Command ||
+				!(e[0].WallS > 0 && e[0].WallS <= ms[0].WallSeconds) {
+				t.Errorf("experiments %+v, want one %q entry within wall_seconds %g", e, ms[0].Command, ms[0].WallSeconds)
+			}
 		})
 	}
 }

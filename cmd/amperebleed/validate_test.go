@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs/ledger"
 )
 
 // TestFaultsOnlyWhereInjected: -faults other than none is a usage error
@@ -41,6 +43,42 @@ func TestFaultsOnlyWhereInjected(t *testing.T) {
 			}
 			if _, err := os.Stat(ledgerPath); !errors.Is(err, os.ErrNotExist) {
 				t.Errorf("ledger written (stat err %v)", err)
+			}
+		})
+	}
+}
+
+// TestRejectsBadFlags: a flag the CLI no longer defines, or a value
+// that addresses nothing, fails with a message on stderr and nothing on
+// stdout.
+func TestRejectsBadFlags(t *testing.T) {
+	ledgerPath := filepath.Join(t.TempDir(), "runs.jsonl")
+	if err := ledger.Append(ledgerPath, ledger.Manifest{SchemaVersion: 1, Tool: "benchtab", Command: "table1"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+		want string
+	}{
+		{"retired trace flag", []string{"-trace-out", "t.json", "boards"}, 2, "flag provided but not defined: -trace-out"},
+		{"canonical below -1", []string{"runs", "-ledger", ledgerPath, "-canonical", "-3"}, 1, "-canonical index -3 outside the 1 filtered run(s)"},
+		{"canonical past the end", []string{"runs", "-ledger", ledgerPath, "-canonical", "1"}, 1, "-canonical index 1 outside the 1 filtered run(s)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := childCommand(tc.args...)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			var exit *exec.ExitError
+			if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != tc.code {
+				t.Fatalf("exit %v, want status %d; stderr:\n%s", err, tc.code, stderr.Bytes())
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("stdout not empty:\n%s", stdout.Bytes())
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("stderr %q does not mention %q", stderr.String(), tc.want)
 			}
 		})
 	}

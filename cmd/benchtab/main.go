@@ -5,16 +5,19 @@
 //
 //	benchtab -exp all                 # everything, reduced budgets
 //	benchtab -exp fig2 -samples 200   # Fig. 2 with more averaging
-//	benchtab -exp table3 -traces 12 -paper-scale
+//	benchtab -exp table3 -traces 12   # Table III with more traces
+//	benchtab -exp fig4 -paper-scale
 //
 // The -paper-scale flag raises the capture budgets to the paper's
 // (10,000 samples per level for Fig. 2; 100,000 samples per key for
-// Fig. 4); expect long runtimes.
+// Fig. 4); expect long runtimes. A budget flag the selected experiments
+// do not read is a usage error, as is -samples with -paper-scale.
 //
-// Only the rendered artifacts go to stdout; status lines (-ledger,
-// -trace-out) and errors go to stderr. For a fixed seed the output is
-// byte-identical from run to run, and the goldens under testdata/ pin
-// it together with each experiment's canonical run manifest.
+// Only the rendered artifacts go to stdout; the -ledger status line and
+// errors go to stderr. For a fixed seed the output is byte-identical
+// from run to run, and the goldens under testdata/ pin it together with
+// each experiment's canonical run manifest. With -ledger the manifest
+// also records each experiment's wall time and span totals.
 package main
 
 import (
@@ -31,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/obs/export"
 	"repro/internal/obs/ledger"
 	"repro/internal/report"
 )
@@ -53,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel   = fs.Int("parallel", 0, "workers for sharded experiments (0 = GOMAXPROCS; results are identical for any worker count)")
 		faultsName = fs.String("faults", "none", "fault profile injected into every simulated board of fig2, fig3, table3 and applicability (the other experiments take none): "+strings.Join(faults.PresetNames(), "|"))
 		ledgerPath = fs.String("ledger", "", "append a run manifest to this JSONL run ledger")
-		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON timeline of the run (load in Perfetto)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -80,6 +81,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exit(2, fmt.Errorf("-traces must be > 0 (got %d)", *traces))
 	case *parallel < 0:
 		return exit(2, fmt.Errorf("-parallel must be >= 0 (got %d)", *parallel))
+	}
+	// Budget flags the selected experiments never read would be recorded
+	// in the manifest as if they had shaped the run.
+	tracesSet := false
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "traces" {
+			tracesSet = true
+		}
+	})
+	switch *exp {
+	case "fig2", "fig4", "all":
+	default:
+		if *samples > 0 {
+			return exit(2, fmt.Errorf("-samples does not apply to -exp %s (only fig2, fig4 and all read it)", *exp))
+		}
+		if *paperScale {
+			return exit(2, fmt.Errorf("-paper-scale does not apply to -exp %s (only fig2, fig4 and all read it)", *exp))
+		}
+	}
+	if *samples > 0 && *paperScale {
+		return exit(2, errors.New("-samples and -paper-scale both set the capture budget; give one"))
+	}
+	if tracesSet && *exp != "table3" && *exp != "all" {
+		return exit(2, fmt.Errorf("-traces does not apply to -exp %s (only table3 and all read it)", *exp))
 	}
 	profile, err := faults.Resolve(*faultsName, 1)
 	if err != nil {
@@ -109,16 +134,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	start := time.Now()
 	var firstErr error
+	var timings []ledger.Experiment
 	experiment := func(name string, f func() error) {
 		if firstErr != nil {
 			return
 		}
 		switch *exp {
 		case name, "all":
+			before := obs.Default.Snapshot()
 			if err := f(); err != nil {
 				firstErr = fmt.Errorf("%s: %w", name, err)
 				return
 			}
+			timings = append(timings, ledger.ExperimentFrom(name, before, obs.Default.Snapshot()))
 			fmt.Fprintln(stdout)
 		}
 	}
@@ -234,12 +262,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exit(1, firstErr)
 	}
 
-	if *traceOut != "" {
-		if err := export.WriteFile(*traceOut, obs.Default.Snapshot()); err != nil {
-			return exit(1, err)
-		}
-		fmt.Fprintf(stderr, "trace timeline written to %s\n", *traceOut)
-	}
 	if *ledgerPath != "" {
 		faultProfile := ""
 		intensity := 0.0
@@ -262,6 +284,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Workers:        workers,
 			Started:        start,
 			Wall:           time.Since(start),
+			Experiments:    timings,
 		}, obs.Default.Snapshot())
 		if err := ledger.Append(*ledgerPath, m); err != nil {
 			return exit(1, err)

@@ -31,6 +31,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"faults on tvla", []string{"-exp", "tvla", "-faults", "stale-sensor"}, "-faults stale-sensor does not apply to -exp tvla"},
 		{"faults on mitigation", []string{"-exp", "mitigation", "-faults", "noisy-sched"}, "-faults noisy-sched does not apply to -exp mitigation"},
 		{"retired perf flag", []string{"-exp", "table1", "-json", "out.json"}, "flag provided but not defined: -json"},
+		{"retired trace flag", []string{"-exp", "table1", "-trace-out", "t.json"}, "flag provided but not defined: -trace-out"},
+		{"samples on table1", []string{"-exp", "table1", "-samples", "5"}, "-samples does not apply to -exp table1"},
+		{"paper scale on table1", []string{"-exp", "table1", "-samples", "5", "-paper-scale"}, "-samples does not apply to -exp table1"},
+		{"paper scale on table3", []string{"-exp", "table3", "-traces", "12", "-paper-scale"}, "-paper-scale does not apply to -exp table3"},
+		{"paper scale on mitigation", []string{"-exp", "mitigation", "-paper-scale"}, "-paper-scale does not apply to -exp mitigation"},
+		{"samples with paper scale", []string{"-exp", "fig2", "-samples", "200", "-paper-scale"}, "-samples and -paper-scale both set"},
+		{"samples with paper scale on all", []string{"-exp", "all", "-samples", "5", "-paper-scale"}, "-samples and -paper-scale both set"},
+		{"traces on fig2", []string{"-exp", "fig2", "-traces", "12"}, "-traces does not apply to -exp fig2"},
+		{"default traces set on tvla", []string{"-exp", "tvla", "-traces", "10"}, "-traces does not apply to -exp tvla"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -79,6 +79,46 @@ func TestOracle(t *testing.T) {
 			}
 			golden.Check(t, filepath.Join("testdata", exp+".txt"), stdout, *update)
 			golden.Check(t, filepath.Join("testdata", exp+".canonical.json"), append(canon, '\n'), *update)
+			checkTimings(t, ms[0], exp)
 		})
+	}
+}
+
+// oracleSpans is the span count of every span each oracle experiment
+// completes at seed 1. Canonicalize drops the experiments block, so
+// this is what pins it: a span lost, added or counted twice fails here.
+var oracleSpans = map[string]map[string]int64{
+	"table1":        {},
+	"table2":        {},
+	"fig2":          {"runner.characterize": 1},
+	"fig3":          {"runner.collect": 1, "core.capture": 6},
+	"fig4":          {"runner.rsa": 1},
+	"applicability": {"runner.applicability": 1, "core.applicability_board": 8},
+	"mitigation":    {},
+}
+
+// checkTimings: a one-experiment run's manifest holds exactly one
+// experiments entry, named after it, timed within the run's wall time
+// and holding exactly the spans oracleSpans lists.
+func checkTimings(t *testing.T, m ledger.Manifest, exp string) {
+	t.Helper()
+	if len(m.Experiments) != 1 {
+		t.Fatalf("manifest holds %d experiments entries, want 1: %+v", len(m.Experiments), m.Experiments)
+	}
+	e := m.Experiments[0]
+	if e.Name != exp {
+		t.Errorf("experiments entry named %q, want %q", e.Name, exp)
+	}
+	if !(e.WallS > 0 && e.WallS <= m.WallSeconds) {
+		t.Errorf("experiment wall_s %g outside (0, wall_seconds %g]", e.WallS, m.WallSeconds)
+	}
+	want := oracleSpans[exp]
+	if len(e.Spans) != len(want) {
+		t.Errorf("spans %+v, want counts %v", e.Spans, want)
+	}
+	for name, n := range want {
+		if got := e.Spans[name]; got.Count != n || !(got.WallS > 0) {
+			t.Errorf("span %s = %+v, want count %d and a positive wall_s", name, got, n)
+		}
 	}
 }

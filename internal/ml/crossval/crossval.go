@@ -113,8 +113,8 @@ func EvaluateDetailed(ds *features.Dataset, cfg rforest.Config, k int, rng *rand
 		if err != nil {
 			return Detailed{}, fmt.Errorf("crossval: fold %d: %w", fi, err)
 		}
-		// One predict span per fold (not per sample), so the span ring
-		// keeps covering whole folds on large grids.
+		// One predict span per fold (not per sample), so the span's
+		// histogram counts folds, like ml.fold_train's.
 		predictSpan := obs.StartSpan("ml.fold_predict", nil)
 		for _, i := range test {
 			top, err := forest.TopK(ds.X[i], topN)

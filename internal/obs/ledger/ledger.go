@@ -2,8 +2,9 @@
 // append-only JSONL run ledger. Every amperebleed/benchtab invocation
 // that runs with -ledger appends one Manifest — what was run (tool,
 // subcommand, flags, board, root seed, fault profile, workers, go
-// version), how long it took in wall and simulated time, and the
-// derived channel-quality figures the paper's evaluation turns on
+// version), how long it took in wall and simulated time (and, per
+// experiment, which spans the wall time went to), and the derived
+// channel-quality figures the paper's evaluation turns on
 // (attacker sample-rate percentiles, leakage SNR and TVLA t, covert
 // BER and rate, fingerprinting accuracy) plus the full deterministic
 // counter set.
@@ -85,6 +86,56 @@ func FiguresFrom(snap obs.Snapshot) Figures {
 	return f
 }
 
+// Experiment is where one experiment of a run spent its time: its wall
+// time and, per span name, how many spans it completed and their summed
+// wall time, from the lossless "span.<name>.wall_ns" histograms.
+//
+// Span totals are inclusive: a span's time contains that of the spans
+// it encloses (runner.collect contains every core.capture of its
+// shards), so the totals of one entry do not add up to anything. They
+// are also summed over the runner's workers, so with several workers a
+// span's total can exceed the experiment's WallS.
+type Experiment struct {
+	// Name is the experiment (benchtab) or command (amperebleed).
+	Name string `json:"name"`
+	// WallS is the experiment's wall-clock duration in seconds.
+	WallS float64 `json:"wall_s"`
+	// Spans maps a span name to the spans of that name the experiment
+	// completed; a span it did not run is absent.
+	Spans map[string]SpanTime `json:"spans"`
+}
+
+// SpanTime is the completed spans of one name within one experiment.
+type SpanTime struct {
+	Count int64   `json:"count"`
+	WallS float64 `json:"wall_s"`
+}
+
+// ExperimentFrom builds the time record of experiment name from the
+// registry snapshots taken as it started and as it ended.
+func ExperimentFrom(name string, before, after obs.Snapshot) Experiment {
+	e := Experiment{
+		Name:  name,
+		WallS: after.TakenAt.Sub(before.TakenAt).Seconds(),
+		Spans: make(map[string]SpanTime),
+	}
+	for k, h := range after.Histograms {
+		span, ok := strings.CutPrefix(k, "span.")
+		if !ok {
+			continue
+		}
+		if span, ok = strings.CutSuffix(span, ".wall_ns"); !ok {
+			continue
+		}
+		b := before.Histograms[k]
+		if n := h.Count - b.Count; n > 0 {
+			ns := float64(h.Count)*h.Mean - float64(b.Count)*b.Mean
+			e.Spans[span] = SpanTime{Count: n, WallS: ns / 1e9}
+		}
+	}
+	return e
+}
+
 // RunInfo is what the invoking CLI knows about the run.
 type RunInfo struct {
 	// Tool is the binary ("amperebleed", "benchtab").
@@ -114,6 +165,9 @@ type RunInfo struct {
 	// Started is when the run began; Wall its wall-clock duration.
 	Started time.Time
 	Wall    time.Duration
+	// Experiments is where the run's time went, one entry per
+	// experiment in run order.
+	Experiments []Experiment
 }
 
 // Manifest is one ledger line.
@@ -135,6 +189,9 @@ type Manifest struct {
 	WallSeconds    float64   `json:"wall_seconds"`
 	SimSeconds     float64   `json:"sim_seconds"`
 	Figures        Figures   `json:"figures"`
+	// Experiments is wall-clock data, so Canonicalize drops it. It is
+	// additive (older manifests have none), so SchemaVersion stays 1.
+	Experiments []Experiment `json:"experiments,omitempty"`
 }
 
 // New builds a manifest for a finished run from the run info and the
@@ -158,6 +215,7 @@ func New(info RunInfo, snap obs.Snapshot) Manifest {
 		WallSeconds:    info.Wall.Seconds(),
 		SimSeconds:     float64(snap.Counter("sim.simtime_ns")) / 1e9,
 		Figures:        FiguresFrom(snap),
+		Experiments:    info.Experiments,
 	}
 }
 
@@ -293,6 +351,7 @@ func Canonicalize(m Manifest) Manifest {
 	m.GoVersion = ""
 	m.StartedAt = time.Time{}
 	m.WallSeconds = 0
+	m.Experiments = nil
 	m.SimSeconds = roundSig(m.SimSeconds)
 	f := &m.Figures
 	f.SampleRate = roundStat(f.SampleRate)

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -112,6 +113,8 @@ func TestCanonicalizeStripsWallClock(t *testing.T) {
 	b.GoVersion = "go9.99"
 	b.Args = []string{"-parallel", "16"}
 	b.Figures.Counters["sim.walltime_ns"] = 999
+	b.Experiments = []Experiment{{Name: "fingerprint", WallS: 2.5,
+		Spans: map[string]SpanTime{"core.capture": {Count: 8, WallS: 1.5}}}}
 
 	ja, err := CanonicalJSON(a)
 	if err != nil {
@@ -126,6 +129,61 @@ func TestCanonicalizeStripsWallClock(t *testing.T) {
 	}
 	if strings.Contains(string(ja), "walltime") {
 		t.Fatal("canonical manifest still carries a walltime counter")
+	}
+	if strings.Contains(string(jb), `"experiments"`) {
+		t.Fatal("canonical manifest still carries the experiments block")
+	}
+}
+
+// TestExperimentFromDeltas runs two synthetic experiments on a private
+// registry: each entry holds only the spans completed between its own
+// snapshots, with their exact counts and summed wall time.
+func TestExperimentFromDeltas(t *testing.T) {
+	r := obs.NewRegistry()
+	r.Histogram("span.core.capture.wall_ns").Observe(4e9) // before either experiment
+
+	s0 := r.Snapshot()
+	r.Histogram("span.runner.collect.wall_ns").Observe(3e9)
+	r.Histogram("span.core.capture.wall_ns").Observe(1e9)
+	r.Histogram("span.core.capture.wall_ns").Observe(1.5e9)
+	r.Histogram("span.core.capture.sim_ns").Observe(5e9)
+	r.Histogram("attacker.sample_rate_hz").Observe(28.57)
+	s1 := r.Snapshot()
+	r.Histogram("span.core.capture.wall_ns").Observe(0.5e9)
+	r.StartSpan("ml.fold_train", nil).End()
+	s2 := r.Snapshot()
+
+	first := ExperimentFrom("fig3", s0, s1)
+	second := ExperimentFrom("table3", s1, s2)
+	if first.Name != "fig3" || second.Name != "table3" {
+		t.Fatalf("names %q, %q", first.Name, second.Name)
+	}
+	if want := s1.TakenAt.Sub(s0.TakenAt).Seconds(); first.WallS != want {
+		t.Fatalf("first wall_s %g, want %g", first.WallS, want)
+	}
+	wantFirst := map[string]SpanTime{
+		"runner.collect": {Count: 1, WallS: 3},
+		"core.capture":   {Count: 2, WallS: 2.5},
+	}
+	if len(first.Spans) != len(wantFirst) {
+		t.Fatalf("first spans %+v, want %+v", first.Spans, wantFirst)
+	}
+	for k, w := range wantFirst {
+		if got := first.Spans[k]; got.Count != w.Count || math.Abs(got.WallS-w.WallS) > 1e-9 {
+			t.Fatalf("first %s = %+v, want %+v", k, got, w)
+		}
+	}
+	if len(second.Spans) != 2 {
+		t.Fatalf("second spans %+v, want core.capture and ml.fold_train only", second.Spans)
+	}
+	if got := second.Spans["core.capture"]; got.Count != 1 || math.Abs(got.WallS-0.5) > 1e-9 {
+		t.Fatalf("second core.capture = %+v, want the one 0.5 s span", got)
+	}
+	if got, ok := second.Spans["ml.fold_train"]; !ok || got.Count != 1 || got.WallS < 0 {
+		t.Fatalf("second ml.fold_train = %+v ok=%v", got, ok)
+	}
+	if _, ok := second.Spans["runner.collect"]; ok {
+		t.Fatal("second experiment holds the first one's runner.collect")
 	}
 }
 

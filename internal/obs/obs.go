@@ -9,23 +9,20 @@
 // at runtime, as were the simulation engine's throughput (sim-time /
 // wall-time ratio) and the cost of the classifier's train/predict
 // phases. Every internal package records into the process-wide Default
-// registry; the CLIs print it as a text snapshot (-obs), fold it into
-// the run ledger's manifests and render its spans as a Chrome trace
-// (-trace-out), and the public ampere.Snapshot API returns it
-// programmatically.
+// registry; the CLIs print it as a text snapshot (-obs) and fold it
+// into the run ledger's manifests, and the public ampere.Snapshot API
+// returns it programmatically.
 //
 // Primitives are built for hot paths: a Counter.Add is one atomic add,
 // a Histogram.Observe is an atomic add into a geometric bucket, and
 // instrumented code holds *Counter/*Histogram pointers so the registry
 // map is only consulted at setup time.
 //
-// Retention is bounded everywhere: histograms summarize into fixed
-// geometric buckets rather than storing samples, and completed spans
-// keep the most recent SpanRingSize (1024) entries. Older spans remain
-// visible only through the "span.<name>.{wall,sim}_ns" histograms; the
-// span ring is what the Chrome trace exporter (internal/obs/export)
-// renders, so a trace timeline covers at most the last SpanRingSize
-// spans of a run.
+// Retention is bounded, and no span is dropped: histograms summarize
+// into fixed geometric buckets rather than storing samples, and a
+// completed span is one observation in its "span.<name>.{wall,sim}_ns"
+// histograms, never a stored event. The ledger records each
+// experiment's span counts and times as deltas of those histograms.
 package obs
 
 import (
@@ -244,7 +241,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	spans    spanRing
 }
 
 // NewRegistry returns an empty registry.
@@ -296,8 +292,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Reset zeroes every metric in place and clears the span ring. Handles returned by Counter/Gauge/Histogram stay valid — code
-// that cached a pointer (package-level counters, live engines) keeps
+// Reset zeroes every metric in place, span histograms included.
+// Handles returned by Counter/Gauge/Histogram stay valid — code that
+// cached a pointer (package-level counters, live engines) keeps
 // recording into the zeroed metric. Reset is not atomic with respect to
 // concurrent Observe calls; call it between experiments, not during one.
 func (r *Registry) Reset() {
@@ -312,7 +309,6 @@ func (r *Registry) Reset() {
 	for _, h := range r.hists {
 		h.reset()
 	}
-	r.spans.reset()
 }
 
 func (h *Histogram) reset() {

@@ -119,21 +119,24 @@ func TestSpanRecordsWallAndSim(t *testing.T) {
 	clk.now = 5 * time.Second
 	sp.End()
 
-	wall, ok := r.Snapshot().Histogram("span.capture.wall_ns")
-	if !ok || wall.Count != 1 {
+	clk.now = 7 * time.Second
+	sp = r.StartSpan("capture", clk)
+	clk.now = 8 * time.Second
+	sp.End()
+
+	snap := r.Snapshot()
+	wall, ok := snap.Histogram("span.capture.wall_ns")
+	if !ok || wall.Count != 2 || wall.Min < 0 {
 		t.Fatalf("wall histogram = %+v ok=%v", wall, ok)
 	}
-	sim, ok := r.Snapshot().Histogram("span.capture.sim_ns")
-	if !ok || sim.Count != 1 {
+	sim, ok := snap.Histogram("span.capture.sim_ns")
+	if !ok || sim.Count != 2 {
 		t.Fatalf("sim histogram = %+v ok=%v", sim, ok)
 	}
-	if sim.Mean < float64(4*time.Second) || sim.Mean > float64(6*time.Second) {
-		t.Fatalf("sim duration = %v ns, want ~5s", sim.Mean)
-	}
-	spans := r.RecentSpans()
-	if len(spans) != 1 || spans[0].Name != "capture" || !spans[0].HasSim ||
-		spans[0].Sim != 5*time.Second {
-		t.Fatalf("recent spans = %+v", spans)
+	// Sim durations are exact: the spans ran for 5 s and 1 s of sim time.
+	if sim.Min != float64(time.Second) || sim.Max != float64(5*time.Second) ||
+		sim.Mean != float64(3*time.Second) {
+		t.Fatalf("sim histogram = %+v, want min 1s, max 5s, mean 3s", sim)
 	}
 }
 
@@ -193,8 +196,8 @@ func TestResetZeroesInPlace(t *testing.T) {
 	if hs, _ := s.Histogram("h"); hs.Count != 0 || hs.Max != 0 {
 		t.Fatalf("histogram survived reset: %+v", hs)
 	}
-	if len(s.RecentSpans) != 0 {
-		t.Fatalf("span ring survived reset: %+v", s)
+	if hs, ok := s.Histogram("span.s.wall_ns"); !ok || hs.Count != 0 {
+		t.Fatalf("span histogram survived reset: %+v ok=%v", hs, ok)
 	}
 	// Cached handles must keep recording into the zeroed metrics.
 	c.Inc()

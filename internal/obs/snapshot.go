@@ -42,8 +42,6 @@ type Snapshot struct {
 	// Histograms maps histogram name to its summary, including the
 	// "span.<name>.{wall,sim}_ns" histograms the tracer maintains.
 	Histograms map[string]HistogramStat `json:"histograms"`
-	// RecentSpans is the bounded ring of completed spans, oldest first.
-	RecentSpans []SpanRecord `json:"recent_spans"`
 }
 
 // Snapshot copies the registry's current state.
@@ -61,15 +59,13 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
-	spans := r.spans.list()
 	r.mu.Unlock()
 
 	s := Snapshot{
-		TakenAt:     time.Now(),
-		Counters:    make(map[string]int64, len(counters)),
-		Gauges:      make(map[string]float64, len(gauges)),
-		Histograms:  make(map[string]HistogramStat, len(hists)),
-		RecentSpans: spans,
+		TakenAt:    time.Now(),
+		Counters:   make(map[string]int64, len(counters)),
+		Gauges:     make(map[string]float64, len(gauges)),
+		Histograms: make(map[string]HistogramStat, len(hists)),
 	}
 	for k, c := range counters {
 		s.Counters[k] = c.Value()
@@ -120,28 +116,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 			fmt.Fprintf(&b, "  %-36s %8d  %s %s %s %s %s\n",
 				k, h.Count, formatFor(k, h.Mean), formatFor(k, h.P50),
 				formatFor(k, h.P95), formatFor(k, h.P99), formatFor(k, h.Max))
-		}
-	}
-	if len(s.RecentSpans) > 0 {
-		// The span ring retains up to SpanRingSize records for the trace
-		// exporter; the text snapshot shows only the most recent few so a
-		// long run's -obs output stays readable.
-		const textSpans = 32
-		spans := s.RecentSpans
-		if len(spans) > textSpans {
-			fmt.Fprintf(&b, "recent spans (last %d of %d retained):\n", textSpans, len(spans))
-			spans = spans[len(spans)-textSpans:]
-		} else {
-			fmt.Fprintf(&b, "recent spans (last %d):\n", len(spans))
-		}
-		for _, sp := range spans {
-			if sp.HasSim {
-				fmt.Fprintf(&b, "  %-36s wall=%-12v sim=%v\n", sp.Name,
-					sp.Wall.Round(time.Microsecond), sp.Sim)
-			} else {
-				fmt.Fprintf(&b, "  %-36s wall=%v\n", sp.Name,
-					sp.Wall.Round(time.Microsecond))
-			}
 		}
 	}
 	_, err := io.WriteString(w, b.String())

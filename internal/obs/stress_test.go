@@ -1,9 +1,9 @@
 package obs_test
 
-// Concurrency stress for the span tracer and its consumers, meant to
-// run under -race: spans start and end on many goroutines while other
-// goroutines snapshot the registry and export Chrome traces. Guards the lock discipline around the bounded span
-// ring that PR 4 grew for trace export.
+// Concurrency stress for the span tracer, meant to run under -race:
+// spans start and end on many goroutines while other goroutines
+// snapshot the registry. Every span must land in its histograms, none
+// dropped and none counted twice.
 
 import (
 	"sync"
@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/obs/export"
 )
 
 // raceClock is a deliberately shared SimClock; its mutex keeps the
@@ -38,6 +37,17 @@ func TestSpanTracerConcurrentStress(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	names := []string{"stress.a", "stress.b", "stress.c"}
+	wantWall := make(map[string]int64)
+	wantSim := make(map[string]int64)
+	for w := 0; w < writers; w++ {
+		for i := 0; i < iters; i++ {
+			n := names[(w+i)%len(names)]
+			wantWall[n]++
+			if i%2 == 0 {
+				wantSim[n]++
+			}
+		}
+	}
 	for w := 0; w < writers; w++ {
 		w := w
 		wg.Add(1)
@@ -53,25 +63,28 @@ func TestSpanTracerConcurrentStress(t *testing.T) {
 			}
 		}()
 	}
-	// Readers: snapshots and trace exports race against the writers.
+	// Readers: snapshots race against the writers, and no histogram
+	// count may ever run backwards.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
+			last := make(map[string]int64)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				snap := r.Snapshot()
-				if _, err := export.Marshal(snap); err != nil {
-					t.Errorf("export during stress: %v", err)
-					return
+				for k, h := range r.Snapshot().Histograms {
+					if h.Count < last[k] {
+						t.Errorf("%s count went from %d to %d", k, last[k], h.Count)
+						return
+					}
+					last[k] = h.Count
 				}
-				_ = r.RecentSpans()
 			}
 		}()
 	}
@@ -80,34 +93,12 @@ func TestSpanTracerConcurrentStress(t *testing.T) {
 	readers.Wait()
 
 	snap := r.Snapshot()
-	if got := len(snap.RecentSpans); got != obs.SpanRingSize {
-		t.Fatalf("span ring holds %d records, want full ring of %d", got, obs.SpanRingSize)
-	}
-	var total int64
 	for _, n := range names {
-		h, ok := snap.Histogram("span." + n + ".wall_ns")
-		if !ok {
-			t.Fatalf("missing span histogram for %s", n)
-		}
-		total += h.Count
-	}
-	if want := int64(writers * iters); total != want {
-		t.Fatalf("span histograms hold %d observations, want %d", total, want)
-	}
-}
-
-func TestSpanRingBoundedAndOrdered(t *testing.T) {
-	r := obs.NewRegistry()
-	for i := 0; i < obs.SpanRingSize+100; i++ {
-		r.StartSpan("bounded", nil).End()
-	}
-	spans := r.RecentSpans()
-	if len(spans) != obs.SpanRingSize {
-		t.Fatalf("retained %d spans, want %d", len(spans), obs.SpanRingSize)
-	}
-	for i := 1; i < len(spans); i++ {
-		if spans[i].EndedAt.Before(spans[i-1].EndedAt) {
-			t.Fatalf("span %d out of order", i)
+		for suffix, want := range map[string]int64{".wall_ns": wantWall[n], ".sim_ns": wantSim[n]} {
+			h, ok := snap.Histogram("span." + n + suffix)
+			if !ok || h.Count != want {
+				t.Errorf("span.%s%s: count %d (present %v), want %d", n, suffix, h.Count, ok, want)
+			}
 		}
 	}
 }

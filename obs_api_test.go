@@ -1,8 +1,6 @@
 package ampere
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 )
@@ -40,28 +38,5 @@ func TestSnapshotAfterRun(t *testing.T) {
 	final := Snapshot()
 	if got := final.Counter("sysfs.reads") - after.Counter("sysfs.reads"); got <= 0 {
 		t.Fatalf("sysfs.reads did not advance: delta %d", got)
-	}
-}
-
-// TestWriteTrace exercises the public trace export: after a run the
-// exported timeline must be valid trace-event JSON with events on it.
-func TestWriteTrace(t *testing.T) {
-	b, err := NewBoard(BoardConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Run(100 * time.Millisecond)
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var f struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
-		t.Fatalf("trace output is not valid JSON: %v", err)
-	}
-	if len(f.TraceEvents) == 0 {
-		t.Fatal("trace export carries no events")
 	}
 }
