@@ -44,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -81,9 +82,18 @@ var runMeta struct {
 
 // noteRun records the seed and worker count a command handler resolved
 // from its flags, for the -ledger manifest written after the command.
+// A command that shards nothing records 0 workers.
 func noteRun(seed int64, workers int) {
 	runMeta.seed = seed
 	runMeta.workers = workers
+}
+
+// poolSize is the runner pool a -parallel value gives: GOMAXPROCS for 0.
+func poolSize(parallel int) int {
+	if parallel == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return parallel
 }
 
 // noteLineage records a supervised run's resume lineage for the
@@ -549,7 +559,7 @@ func cmdCharacterize(ctx context.Context, args []string, profile *faults.Profile
 	if err := (runFlags{Parallel: *parallel}).validate(); err != nil {
 		return err
 	}
-	noteRun(*seed, *parallel)
+	noteRun(*seed, poolSize(*parallel))
 	if *checkpoint != "" {
 		cfg, err := json.Marshal(jobs.CharacterizeConfig{
 			Levels:            *levels,
@@ -602,7 +612,7 @@ func cmdFingerprint(args []string, profile *faults.Profile) error {
 	if err := (runFlags{Parallel: *parallel}).validate(); err != nil {
 		return err
 	}
-	noteRun(*seed, *parallel)
+	noteRun(*seed, poolSize(*parallel))
 	cfg := core.FingerprintConfig{
 		Seed:           *seed,
 		TracesPerModel: *traces,
@@ -667,7 +677,7 @@ func cmdRSA(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	noteRun(*seed, 0)
+	noteRun(*seed, poolSize(0)) // the key shards run on GOMAXPROCS workers
 	res, err := core.RSAHammingWeight(core.RSAConfig{
 		Seed:           *seed,
 		Samples:        *samples,
@@ -749,7 +759,7 @@ func cmdApplicability(args []string, profile *faults.Profile) error {
 	if err := (runFlags{Parallel: *parallel}).validate(); err != nil {
 		return err
 	}
-	noteRun(*seed, *parallel)
+	noteRun(*seed, poolSize(*parallel))
 	rows, err := core.Applicability(core.ApplicabilityConfig{
 		Seed:        *seed,
 		Parallelism: *parallel,
@@ -777,7 +787,7 @@ func cmdRobustness(args []string) error {
 	if err := (runFlags{Parallel: *parallel}).validate(); err != nil {
 		return err
 	}
-	noteRun(*seed, *parallel)
+	noteRun(*seed, poolSize(*parallel))
 	cfg := core.RobustnessConfig{
 		Seed:           *seed,
 		Profile:        *prof,
@@ -841,7 +851,7 @@ func cmdCovert(args []string, profile *faults.Profile) error {
 	if err := (runFlags{Parallel: *parallel}).validate(); err != nil {
 		return err
 	}
-	noteRun(*seed, *parallel)
+	noteRun(*seed, poolSize(*parallel))
 	res, err := core.CovertTransmit(core.CovertConfig{
 		Seed:           *seed,
 		PayloadBits:    *bits,

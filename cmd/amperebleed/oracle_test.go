@@ -23,6 +23,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/golden"
@@ -167,6 +168,36 @@ func TestCharacterizeCheckpointReplay(t *testing.T) {
 		got := runChild(t, append(args, characterizeArgs...)...)
 		if d := golden.FirstDiff(got, want); d != "" {
 			t.Errorf("%v -checkpoint run: %s", global, d)
+		}
+	}
+}
+
+// TestManifestRecordsWorkers reads the non-canonical manifests, which
+// keep the worker count: a sharded command run at the default -parallel
+// 0 records the GOMAXPROCS workers its shards ran on, as rsa (sharded
+// with no -parallel flag) does, and a command that shards nothing
+// records 0.
+func TestManifestRecordsWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"characterize", "-levels", "4", "-samples", "3"}, runtime.GOMAXPROCS(0)},
+		{[]string{"characterize", "-levels", "4", "-samples", "3", "-parallel", "3"}, 3},
+		{[]string{"rsa", "-samples", "50"}, runtime.GOMAXPROCS(0)},
+		{[]string{"sensors"}, 0},
+	} {
+		ledgerPath := filepath.Join(t.TempDir(), "runs.jsonl")
+		runChild(t, append([]string{"-ledger", ledgerPath}, tc.args...)...)
+		ms, err := ledger.Read(ledgerPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != 1 {
+			t.Fatalf("%v: ledger holds %d manifests, want 1", tc.args, len(ms))
+		}
+		if ms[0].Workers != tc.want {
+			t.Errorf("%v: workers %d, want %d", tc.args, ms[0].Workers, tc.want)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func cmdResume(ctx context.Context, args []string) error {
 		Workers:        *workers,
 		CheckpointPath: path,
 	}
-	noteRun(cp.Seed, *workers)
+	noteRun(cp.Seed, poolSize(*workers))
 	noteResumedSpec(cp.Kind, cp.FaultProfile, cp.FaultIntensity)
 	done := len(cp.Completed) + len(cp.Quarantined)
 	fmt.Fprintf(os.Stderr, "resume: %s run %s at %d/%d shards (%d quarantined)\n",

@@ -88,8 +88,8 @@ func TestTickSteadyStateZeroAllocs(t *testing.T) {
 
 // TestSamplingSteadyStateZeroAllocs extends the contract through the
 // attacker's read path: a recorder polling curr1_input through sysfs
-// (fast-path resolve, cached hwmon rendering, reserved trace capacity)
-// must not allocate per tick either.
+// (bound file, cached hwmon rendering, reserved trace capacity) must
+// not allocate per tick either.
 func TestSamplingSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

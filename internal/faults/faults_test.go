@@ -96,7 +96,7 @@ func TestIsTransient(t *testing.T) {
 	}
 	for _, ratio := range []float64{0, 1} {
 		in := New(Profile{SysfsErrorRate: 1, SysfsEIORatio: ratio}, eng)
-		err := in.SysfsReadFault("/sys/class/hwmon/hwmon3/curr1_input")
+		err := in.SysfsReadFault("/sys/class/hwmon/hwmon3/curr1_input")()
 		if !trace.IsTransient(err) {
 			t.Errorf("EIORatio %v: injected %v not classified transient", ratio, err)
 		}
@@ -115,7 +115,7 @@ func TestSysfsReadFaultTargetsMeasurementAttrsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := New(Profile{SysfsErrorRate: 1, SysfsEIORatio: 1}, eng)
-	if err := in.SysfsReadFault("/sys/class/hwmon/hwmon3/curr1_input"); !errors.Is(err, trace.ErrIO) {
+	if err := in.SysfsReadFault("/sys/class/hwmon/hwmon3/curr1_input")(); !errors.Is(err, trace.ErrIO) {
 		t.Errorf("measurement attr at rate 1: err = %v, want ErrIO", err)
 	}
 	for _, path := range []string{
@@ -123,13 +123,13 @@ func TestSysfsReadFaultTargetsMeasurementAttrsOnly(t *testing.T) {
 		"/sys/class/hwmon/hwmon3/label",
 		"/sys/class/hwmon/hwmon3/update_interval",
 	} {
-		if err := in.SysfsReadFault(path); err != nil {
-			t.Errorf("metadata attr %s faulted: %v", path, err)
+		if hook := in.SysfsReadFault(path); hook != nil {
+			t.Errorf("metadata attr %s bound a fault hook", path)
 		}
 	}
 	// EIORatio 0 => all failures are EAGAIN.
 	in = New(Profile{SysfsErrorRate: 1}, eng)
-	if err := in.SysfsReadFault("/sys/class/hwmon/hwmon0/in1_input"); !errors.Is(err, trace.ErrAgain) {
+	if err := in.SysfsReadFault("/sys/class/hwmon/hwmon0/in1_input")(); !errors.Is(err, trace.ErrAgain) {
 		t.Errorf("EIORatio 0: err = %v, want ErrAgain", err)
 	}
 }
@@ -141,9 +141,10 @@ func TestSysfsReadFaultTargetsMeasurementAttrsOnly(t *testing.T) {
 func TestInjectorStreamsAreDeterministicAndPerSite(t *testing.T) {
 	p := Profile{SysfsErrorRate: 0.5, SysfsEIORatio: 0.5}
 	sequence := func(in *Injector, path string, n int) []bool {
+		hook := in.SysfsReadFault(path)
 		out := make([]bool, n)
 		for i := range out {
-			out[i] = in.SysfsReadFault(path) != nil
+			out[i] = hook() != nil
 		}
 		return out
 	}

@@ -56,25 +56,30 @@ func valueAttr(path string) bool {
 	return false
 }
 
-// SysfsReadFault is the hook for sysfs.FS.SetReadFault: each read of a
-// measurement attribute fails with probability SysfsErrorRate, split
-// EIO/EAGAIN by SysfsEIORatio. Faults are drawn from a per-path stream
-// so the sequence each attribute sees is independent of read ordering
-// across attributes.
-func (in *Injector) SysfsReadFault(path string) error {
+// SysfsReadFault is the read-fault binder for sysfs.FS.SetReadFault:
+// each read of a measurement attribute fails with probability
+// SysfsErrorRate, split EIO/EAGAIN by SysfsEIORatio; every other path
+// gets no hook. Faults are drawn from a per-path stream, looked up once
+// per binding, so the sequence each attribute sees is independent of
+// read ordering across attributes and of how often its path is bound.
+func (in *Injector) SysfsReadFault(path string) func() error {
 	if in.p.SysfsErrorRate <= 0 || !valueAttr(path) {
 		return nil
 	}
-	u := in.eng.Stream("faults/sysfs/" + path).Float64()
-	if u >= in.p.SysfsErrorRate {
-		return nil
+	rng := in.eng.Stream("faults/sysfs/" + path)
+	rate, eio := in.p.SysfsErrorRate, in.p.SysfsErrorRate*in.p.SysfsEIORatio
+	return func() error {
+		u := rng.Float64()
+		if u >= rate {
+			return nil
+		}
+		if u < eio {
+			cEIO.Inc()
+			return trace.ErrIO
+		}
+		cEAGAIN.Inc()
+		return trace.ErrAgain
 	}
-	if u < in.p.SysfsErrorRate*in.p.SysfsEIORatio {
-		cEIO.Inc()
-		return trace.ErrIO
-	}
-	cEAGAIN.Inc()
-	return trace.ErrAgain
 }
 
 // SensorFaults returns the INA226 latch hooks for one sensor: stale

@@ -154,7 +154,7 @@ type RunInfo struct {
 	// profile (empty/zero when fault injection is off).
 	FaultProfile   string
 	FaultIntensity float64
-	// Workers is the sharded-runner worker count (0 = serial/default).
+	// Workers is the sharded-runner worker count (0 = nothing sharded).
 	Workers int
 	// RunID identifies this run; ParentRunID is the run whose checkpoint
 	// it resumed from and ResumedShards how many shards that checkpoint

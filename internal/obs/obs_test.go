@@ -211,13 +211,18 @@ func TestResetZeroesInPlace(t *testing.T) {
 	}
 }
 
+// TestDefaultHelpers checks deltas on the process-wide registry, which
+// keeps its values across repeated runs of the test (-count=N).
 func TestDefaultHelpers(t *testing.T) {
 	name := "obs_test.helper"
+	before := Default.Snapshot()
 	C(name).Inc()
 	G(name).Set(1)
 	H(name).Observe(1)
-	s := Default.Snapshot()
-	if s.Counter(name) != 1 || s.Gauge(name) != 1 {
+	after := Default.Snapshot()
+	hb, _ := before.Histogram(name)
+	ha, _ := after.Histogram(name)
+	if after.Counter(name)-before.Counter(name) != 1 || after.Gauge(name) != 1 || ha.Count-hb.Count != 1 {
 		t.Fatal("default helpers did not record")
 	}
 }

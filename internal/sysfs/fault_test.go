@@ -12,12 +12,14 @@ func TestSetReadFault(t *testing.T) {
 	eagain := errors.New("resource temporarily unavailable")
 
 	var seen []string
-	f.SetReadFault(func(path string) error {
-		seen = append(seen, path)
-		if path == attr {
+	f.SetReadFault(func(path string) func() error {
+		if path != attr {
+			return nil
+		}
+		return func() error {
+			seen = append(seen, path)
 			return eagain
 		}
-		return nil
 	})
 
 	if _, err := f.ReadFile(Nobody, attr); !errors.Is(err, eagain) {
@@ -40,7 +42,9 @@ func TestSetReadFault(t *testing.T) {
 func TestReadFaultRunsAfterPermissionAndExistenceChecks(t *testing.T) {
 	f, _ := buildTree(t)
 	calls := 0
-	f.SetReadFault(func(string) error { calls++; return errors.New("EIO") })
+	f.SetReadFault(func(string) func() error {
+		return func() error { calls++; return errors.New("EIO") }
+	})
 
 	if _, err := f.ReadFile(Nobody, "class/hwmon/hwmon9/curr1_input"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing attr err = %v, want ErrNotExist", err)

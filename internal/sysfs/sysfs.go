@@ -8,6 +8,11 @@
 // read observes the live state of the simulated hardware, exactly like a
 // real sysfs show() method. The tree also exposes a standard io/fs view
 // (As) so discovery code can use fs.Glob/fs.WalkDir unchanged.
+//
+// A sampling loop polls one attribute path for the whole capture, so it
+// reads through a File (Bind): the path is walked again only after the
+// tree's structure has changed since the last walk, never on a read in
+// between.
 package sysfs
 
 import (
@@ -84,12 +89,19 @@ func (n *node) isDir() bool { return n.attr == nil }
 type FS struct {
 	root *node
 
-	// readFault, when set, is consulted on every permitted attribute
-	// read before the Show callback runs; a non-nil return is surfaced
-	// to the reader in place of the contents. It models the transient
-	// EAGAIN/EIO failures real hwmon reads exhibit on PetaLinux (the
-	// fault-injection layer installs it; see internal/faults).
-	readFault func(path string) error
+	// readFault, when set, binds the read-fault hook of a path: the
+	// hook it returns (nil for a path that never faults) is consulted
+	// on every permitted read of that path before the Show callback
+	// runs, and a non-nil return is surfaced to the reader in place of
+	// the contents. It models the transient EAGAIN/EIO failures real
+	// hwmon reads exhibit on PetaLinux (the fault-injection layer
+	// installs it; see internal/faults).
+	readFault func(path string) func() error
+
+	// gen counts structural changes: every node added or removed, and
+	// every SetReadFault. A File re-walks its path, and re-binds its
+	// fault hook, only when gen has moved since its last walk.
+	gen uint64
 
 	// Read-side observability: every attacker measurement is a sysfs
 	// read, so these counters are the ground truth of how much sensor
@@ -117,17 +129,30 @@ func New() *FS {
 }
 
 // SetReadFault installs (or, with nil, removes) the transient-read-
-// failure hook. The hook runs after permission checks succeed, exactly
-// where a real sysfs show() method can fail with EAGAIN or EIO, and
-// applies to ReadFile and to reads through the io/fs view alike.
-func (f *FS) SetReadFault(hook func(path string) error) { f.readFault = hook }
+// failure binder. bind(path) returns the hook for reads of path, or nil
+// for a path it never faults; a File calls it once per walk, ReadFile
+// and the io/fs view once per read. The hook runs after permission
+// checks succeed, exactly where a real sysfs show() method can fail
+// with EAGAIN or EIO.
+func (f *FS) SetReadFault(bind func(path string) func() error) {
+	f.readFault = bind
+	f.gen++
+}
 
-// injectReadFault runs the hook for one permitted read.
-func (f *FS) injectReadFault(p string) error {
+// bindFault returns the read-fault hook of path p, or nil.
+func (f *FS) bindFault(p string) func() error {
 	if f.readFault == nil {
 		return nil
 	}
-	if err := f.readFault(p); err != nil {
+	return f.readFault(p)
+}
+
+// injectReadFault runs a bound hook for one permitted read.
+func (f *FS) injectReadFault(hook func() error) error {
+	if hook == nil {
+		return nil
+	}
+	if err := hook(); err != nil {
 		f.obsFaulted.Inc()
 		return err
 	}
@@ -168,8 +193,9 @@ func splitPath(p string) ([]string, error) {
 
 // resolveFast walks a path that is already in canonical relative form —
 // no leading slash, no empty/"."/".." segments — without allocating.
-// That covers every hot-loop read path the probes use (e.g.
-// "class/hwmon/hwmon0/curr1_input"). It reports false whenever the walk
+// That covers the paths discovery reads and the paths probes bind
+// (e.g. "class/hwmon/hwmon0/curr1_input"), whose File re-walks them
+// here after each structural change. It reports false whenever the walk
 // cannot be completed losslessly (path needs cleaning, component
 // missing, file in the middle), letting the caller fall back to the
 // slow path for canonicalization and error reporting.
@@ -237,6 +263,7 @@ func (f *FS) MkdirAll(p string) error {
 		if !ok {
 			child = &node{name: part, children: make(map[string]*node)}
 			n.children[part] = child
+			f.gen++
 		}
 		if !child.isDir() {
 			return fmt.Errorf("sysfs: %s: not a directory", p)
@@ -274,6 +301,7 @@ func (f *FS) AddAttr(p string, a Attr) error {
 		return fmt.Errorf("sysfs: %s: %w", p, fs.ErrExist)
 	}
 	parent.children[name] = &node{name: name, attr: &a}
+	f.gen++
 	return nil
 }
 
@@ -301,6 +329,7 @@ func (f *FS) Remove(p string) error {
 		return fmt.Errorf("sysfs: %s: %w", p, fs.ErrNotExist)
 	}
 	delete(parent.children, name)
+	f.gen++
 	return nil
 }
 
@@ -321,13 +350,30 @@ func (f *FS) SetMode(p string, mode fs.FileMode) error {
 	return nil
 }
 
-// ReadFile reads an attribute as the given credential.
+// ReadFile reads an attribute as the given credential, walking the
+// path on every call.
 func (f *FS) ReadFile(c Cred, p string) (string, error) {
+	n, err := f.lookup(p)
+	if err != nil {
+		return "", err
+	}
+	return f.read(c, p, n, f.bindFault(p))
+}
+
+// lookup is resolve for a read: a failed walk counts as
+// sysfs.not_exist.
+func (f *FS) lookup(p string) (*node, error) {
 	n, err := f.resolve(p)
 	if err != nil {
 		f.obsMissing.Inc()
-		return "", err
 	}
+	return n, err
+}
+
+// read is the body every attribute read shares once its path has
+// resolved to n: the is-directory and permission checks, the fault
+// hook bound to p, then Show and the read counters.
+func (f *FS) read(c Cred, p string, n *node, fault func() error) (string, error) {
 	if n.isDir() {
 		return "", fmt.Errorf("sysfs: %s: is a directory", p)
 	}
@@ -335,7 +381,7 @@ func (f *FS) ReadFile(c Cred, p string) (string, error) {
 		f.obsDenied.Inc()
 		return "", fmt.Errorf("sysfs: read %s: %w", p, fs.ErrPermission)
 	}
-	if err := f.injectReadFault(p); err != nil {
+	if err := f.injectReadFault(fault); err != nil {
 		return "", fmt.Errorf("sysfs: read %s: %w", p, err)
 	}
 	out, err := n.attr.Show()
@@ -343,6 +389,41 @@ func (f *FS) ReadFile(c Cred, p string) (string, error) {
 		f.countRead(n, len(out))
 	}
 	return out, err
+}
+
+// File is one attribute path bound to the tree for repeated reads, a
+// sampling loop's open file. It keeps the node its path last resolved
+// to and that path's fault hook, and walks the path again only when the
+// tree's structure has changed since (see FS.gen). A failed walk is
+// never kept: the next read walks again. Reads are exactly ReadFile's —
+// same node, same errors, same counters and fault draws — because a
+// node can only stop being the one a path names when a node is added
+// or removed, and a permission change acts on the node itself. A File
+// is not safe for concurrent use.
+type File struct {
+	fsys  *FS
+	path  string
+	gen   uint64
+	node  *node // nil until a walk succeeds
+	fault func() error
+}
+
+// Bind returns a File reading path p. Nothing is walked until the
+// first Read.
+func (f *FS) Bind(p string) *File { return &File{fsys: f, path: p} }
+
+// Read reads the attribute as the given credential.
+func (b *File) Read(c Cred) (string, error) {
+	f := b.fsys
+	if b.node == nil || b.gen != f.gen {
+		n, err := f.lookup(b.path)
+		if err != nil {
+			b.node = nil
+			return "", err
+		}
+		b.node, b.gen, b.fault = n, f.gen, f.bindFault(b.path)
+	}
+	return f.read(c, b.path, b.node, b.fault)
 }
 
 // WriteFile writes an attribute as the given credential.
@@ -433,7 +514,7 @@ func (v *view) Open(name string) (fs.File, error) {
 		v.fsys.obsDenied.Inc()
 		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrPermission}
 	}
-	if err := v.fsys.injectReadFault(name); err != nil {
+	if err := v.fsys.injectReadFault(v.fsys.bindFault(name)); err != nil {
 		return nil, &fs.PathError{Op: "open", Path: name, Err: err}
 	}
 	content, err := n.attr.Show()

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/board"
+	"repro/internal/sysfs"
 	"repro/internal/trace"
 )
 
@@ -70,6 +72,36 @@ func BenchmarkResample(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := tr.ResampleInto(dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSysfsProbe measures one steady-state sensor read between
+// latches, as a recorder polls it: "bound" is SysfsProbe (bound file,
+// repeated text not re-parsed; allocs/op must report 0), "path" the
+// walk-and-parse read it replaced.
+func BenchmarkSysfsProbe(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		mk   func(*sysfs.FS, sysfs.Cred, string, float64) func() (float64, error)
+	}{
+		{"bound", trace.SysfsProbe},
+		{"path", pathProbe},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			soc, err := board.NewZCU102(board.Config{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			soc.Run(time.Second)
+			probe := tc.mk(soc.Sysfs(), sysfs.Nobody, "class/hwmon/hwmon0/curr1_input", 1e-3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := probe(); err != nil {
 					b.Fatal(err)
 				}
 			}

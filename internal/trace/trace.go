@@ -499,17 +499,41 @@ func (r *Recorder) Reset() {
 // SysfsProbe builds a probe that reads an integer hwmon attribute as the
 // given credential and scales it into base units (scale 1e-3 for the mA
 // and mV attributes, 1e-6 for µW). This is the attacker's actual access
-// path: an unprivileged file read.
+// path: an unprivileged file read. The probe holds the path as a bound
+// sysfs.File, so a read walks the path only after the tree has changed,
+// and it parses a reading only when its text differs from the last one
+// parsed: hwmon hands back the identical string until the sensor
+// latches a new value.
 func SysfsProbe(fsys *sysfs.FS, cred sysfs.Cred, path string, scale float64) func() (float64, error) {
-	return func() (float64, error) {
-		raw, err := fsys.ReadFile(cred, path)
-		if err != nil {
-			return 0, err
-		}
-		v, err := strconv.ParseInt(strings.TrimSpace(raw), 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("trace: parse %s: %w", path, err)
-		}
-		return float64(v) * scale, nil
+	p := &sysfsProbe{file: fsys.Bind(path), cred: cred, path: path, scale: scale}
+	return p.read
+}
+
+// sysfsProbe is the state behind a SysfsProbe: the bound file and the
+// last text it parsed, with that text's scaled value.
+type sysfsProbe struct {
+	file  *sysfs.File
+	cred  sysfs.Cred
+	path  string
+	scale float64
+
+	parsed bool
+	raw    string
+	v      float64
+}
+
+func (p *sysfsProbe) read() (float64, error) {
+	raw, err := p.file.Read(p.cred)
+	if err != nil {
+		return 0, err
 	}
+	if p.parsed && raw == p.raw {
+		return p.v, nil
+	}
+	n, err := strconv.ParseInt(strings.TrimSpace(raw), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("trace: parse %s: %w", p.path, err)
+	}
+	p.parsed, p.raw, p.v = true, raw, float64(n)*p.scale
+	return p.v, nil
 }
