@@ -4,18 +4,17 @@
 //
 // Paper experiments:
 //
-//	boards                     print the Table I board survey
 //	characterize [-levels]     run the Fig. 2 sweep
 //	fingerprint [-models ...]  fingerprint DPU accelerators (Table III)
 //	rsa [-samples]             recover RSA key Hamming weights (Fig. 4)
-//	mitigate                   demonstrate the Sec. V countermeasure
+//
+// Table I and the Sec. V mitigation are benchtab experiments
+// (benchtab -exp table1, benchtab -exp mitigation).
 //
 // Attack building blocks:
 //
 //	sensors                    discover hwmon sensors and print live readings
 //	survey                     rank sensors by variation under victim load
-//	watch [-channel] [-n]      poll one channel like the attack loop does
-//	export [-dir]              snapshot the sysfs tree to a real directory
 //
 // Extensions:
 //
@@ -58,7 +57,6 @@ import (
 	"repro/internal/obs/ledger"
 	"repro/internal/report"
 	"repro/internal/sysfs"
-	"repro/internal/virus"
 )
 
 // runMeta carries the per-command identity the run ledger needs out of
@@ -170,22 +168,16 @@ func run() int {
 	runCtx, stopSignals := watchSignals(context.Background(), sigCh, os.Exit)
 	defer stopSignals()
 	switch cmd {
-	case "boards":
-		err = cmdBoards()
 	case "sensors":
 		err = cmdSensors(args)
 	case "survey":
 		err = cmdSurvey(args)
-	case "watch":
-		err = cmdWatch(args)
 	case "characterize":
 		err = cmdCharacterize(runCtx, args, profile)
 	case "fingerprint":
 		err = cmdFingerprint(args, profile)
 	case "rsa":
 		err = cmdRSA(args)
-	case "mitigate":
-		err = cmdMitigate(args)
 	case "zoo":
 		err = cmdZoo()
 	case "profile":
@@ -196,8 +188,6 @@ func run() int {
 		err = cmdApplicability(args, profile)
 	case "robustness":
 		err = cmdRobustness(args)
-	case "export":
-		err = cmdExport(args)
 	case "covert":
 		err = cmdCovert(args, profile)
 	case "runs":
@@ -298,29 +288,21 @@ global flags (before the command):
                   to this JSONL run ledger
 
 commands:
-  boards        print the surveyed ARM-FPGA boards (Table I)
   sensors       discover hwmon sensors on a simulated ZCU102
   survey        rank sensors by observed variation while a victim runs
-  watch         poll one sensor channel like the attack loop
   characterize  sweep the power-virus victim (Fig. 2)
   fingerprint   fingerprint DPU accelerators (Table III)
   rsa           recover RSA key Hamming weights (Fig. 4)
-  mitigate      demonstrate the root-only mitigation (Sec. V)
   zoo           list the 39 DNN architectures of the fingerprinting suite
   profile       show where a model's inference time goes on the DPU
   leakage       run the TVLA fixed-vs-random leakage assessment
   applicability run the attack loop on all 8 Table I boards
   robustness    sweep a fault profile and plot accuracy vs fault rate
-  export        snapshot the simulated sysfs tree to a real directory
   covert        transmit bits over the FPGA->CPU covert channel
   runs          list, filter and diff run-ledger manifests
   resume        continue an interrupted supervised run from its
                 checkpoint file; completed shards replay, the result is
                 byte-identical to an uninterrupted run`)
-}
-
-func cmdBoards() error {
-	return report.RenderTableI(os.Stdout, board.Catalog())
 }
 
 // cmdRuns reads a run ledger and lists, filters, or diffs its
@@ -473,76 +455,6 @@ func cmdSurvey(args []string) error {
 			fmt.Sprintf("%.3f", r.RangeAmps))
 	}
 	return tab.Render(os.Stdout)
-}
-
-func cmdWatch(args []string) error {
-	fs := flag.NewFlagSet("watch", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "board seed")
-	label := fs.String("sensor", board.SensorFPGA, "sensor label")
-	kind := fs.String("channel", "current", "channel: current|voltage|power")
-	n := fs.Int("n", 20, "number of samples")
-	load := fs.Int("virus-groups", 0, "active power-virus groups (victim load)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	noteRun(*seed, 0)
-	b, err := board.NewZCU102(board.Config{Seed: *seed})
-	if err != nil {
-		return err
-	}
-	if *load > 0 {
-		if err := deployVirus(b, *load); err != nil {
-			return err
-		}
-	}
-	b.Run(100 * time.Millisecond)
-	atk, err := core.NewAttacker(b.Sysfs(), sysfs.Nobody)
-	if err != nil {
-		return err
-	}
-	probe, err := atk.Probe(core.Channel{Label: *label, Kind: core.Kind(strings.ToLower(*kind))})
-	if err != nil {
-		return err
-	}
-	dev, err := b.Sensor(*label)
-	if err != nil {
-		return err
-	}
-	// The achieved sampling rate — the quantity the channel capacity
-	// depends on — is recorded per poll and reported as the histogram's
-	// running median, so transient stalls show up as a rate dip.
-	rateHist := obs.H("attacker.sample_rate_hz")
-	last := b.Engine().Now()
-	for i := 0; i < *n; i++ {
-		b.Run(dev.UpdateInterval())
-		v, err := probe()
-		if err != nil {
-			return err
-		}
-		now := b.Engine().Now()
-		dt := now - last
-		last = now
-		rate := 0.0
-		if dt > 0 {
-			rate = 1 / dt.Seconds()
-			rateHist.Observe(rate)
-		}
-		fmt.Printf("t=%8s  %s %s = %.4f  rate=%5.1f Hz (p50 %.1f Hz over %d samples)\n",
-			now.Round(time.Millisecond), *label, *kind, v,
-			rate, rateHist.Quantile(0.5), rateHist.Count())
-	}
-	return nil
-}
-
-func deployVirus(b *board.ZCU102, groups int) error {
-	array, err := virus.New(virus.Config{})
-	if err != nil {
-		return err
-	}
-	if err := array.Deploy(b.Fabric()); err != nil {
-		return err
-	}
-	return array.SetActiveGroups(groups)
 }
 
 func cmdCharacterize(ctx context.Context, args []string, profile *faults.Profile) error {
@@ -813,31 +725,6 @@ func cmdRobustness(args []string) error {
 	return report.RenderRobustness(os.Stdout, res)
 }
 
-func cmdExport(args []string) error {
-	fs := flag.NewFlagSet("export", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "board seed")
-	dir := fs.String("dir", "sysfs-snapshot", "output directory")
-	asRoot := fs.Bool("root", false, "export with the root credential")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	noteRun(*seed, 0)
-	b, err := board.NewZCU102(board.Config{Seed: *seed})
-	if err != nil {
-		return err
-	}
-	b.Run(100 * time.Millisecond)
-	cred := sysfs.Nobody
-	if *asRoot {
-		cred = sysfs.Root
-	}
-	if err := b.Sysfs().Export(*dir, cred); err != nil {
-		return err
-	}
-	fmt.Printf("sysfs snapshot written to %s\n", *dir)
-	return nil
-}
-
 func cmdCovert(args []string, profile *faults.Profile) error {
 	fs := flag.NewFlagSet("covert", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "board seed")
@@ -865,23 +752,5 @@ func cmdCovert(args []string, profile *faults.Profile) error {
 	}
 	fmt.Printf("covert channel: %d bits at %v/symbol -> %.1f bps, BER %.4f (%d errors)\n",
 		res.BitsSent, res.SymbolPeriod, res.Throughput, res.BER(), res.BitErrors)
-	return nil
-}
-
-func cmdMitigate(args []string) error {
-	fs := flag.NewFlagSet("mitigate", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "board seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	noteRun(*seed, 0)
-	res, err := core.Mitigation(*seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("before mitigation: unprivileged attacker reads FPGA current = %.3f A\n", res.BeforeAttacker)
-	fmt.Printf("after  mitigation: unprivileged read fails with: %v\n", res.AfterAttackerErr)
-	fmt.Printf("after  mitigation: root monitoring still reads   = %.3f A\n", res.AfterRoot)
-	fmt.Printf("mitigation effective: %v\n", res.Effective())
 	return nil
 }

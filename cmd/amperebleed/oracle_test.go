@@ -98,6 +98,9 @@ func TestOracle(t *testing.T) {
 		{"leakage", []string{"leakage"}},
 		// A per-layer DPU schedule, pinned nowhere else.
 		{"profile", []string{"profile"}},
+		// The 39-model Table III suite: each model's input, MACs,
+		// parameters and layer count.
+		{"zoo", []string{"zoo"}},
 		// Table III on clean captures: 100-tree forests on 128-sample
 		// training folds of 16 classes.
 		{"fingerprint", append([]string{"fingerprint"}, fingerprintArgs...)},

@@ -20,7 +20,7 @@ import (
 func TestFaultsOnlyWhereInjected(t *testing.T) {
 	for _, args := range [][]string{
 		{"rsa", "-samples", "200"},
-		{"boards"},
+		{"zoo"},
 		{"profile"},
 		{"leakage"},
 		{"robustness"},
@@ -48,9 +48,9 @@ func TestFaultsOnlyWhereInjected(t *testing.T) {
 	}
 }
 
-// TestRejectsBadFlags: a flag the CLI no longer defines, or a value
-// that addresses nothing, fails with a message on stderr and nothing on
-// stdout.
+// TestRejectsBadFlags: a flag or command the CLI no longer defines, or
+// a value that addresses nothing, fails with a message on stderr and
+// nothing on stdout.
 func TestRejectsBadFlags(t *testing.T) {
 	ledgerPath := filepath.Join(t.TempDir(), "runs.jsonl")
 	if err := ledger.Append(ledgerPath, ledger.Manifest{SchemaVersion: 1, Tool: "benchtab", Command: "table1"}); err != nil {
@@ -62,7 +62,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		code int
 		want string
 	}{
-		{"retired trace flag", []string{"-trace-out", "t.json", "boards"}, 2, "flag provided but not defined: -trace-out"},
+		{"retired trace flag", []string{"-trace-out", "t.json", "zoo"}, 2, "flag provided but not defined: -trace-out"},
+		{"retired command", []string{"watch"}, 2, `unknown command "watch"`},
 		{"canonical below -1", []string{"runs", "-ledger", ledgerPath, "-canonical", "-3"}, 1, "-canonical index -3 outside the 1 filtered run(s)"},
 		{"canonical past the end", []string{"runs", "-ledger", ledgerPath, "-canonical", "1"}, 1, "-canonical index 1 outside the 1 filtered run(s)"},
 	} {

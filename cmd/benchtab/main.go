@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/board"
 	"repro/internal/core"
+	"repro/internal/dpu"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/ledger"
@@ -185,7 +186,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		caps, err := core.CollectDPUTraces(core.FingerprintConfig{
 			Seed:           *seed,
-			Models:         []string{"MobileNet-V1", "SqueezeNet-1.1", "EfficientNet-Lite0", "Inception-V3", "ResNet-50", "VGG-19"},
+			Models:         dpu.Fig3Models(),
 			TracesPerModel: 1,
 			TraceDuration:  5 * time.Second,
 			Durations:      []time.Duration{5 * time.Second},

@@ -38,19 +38,32 @@ func TestWireEveryCatalogBoard(t *testing.T) {
 	}
 }
 
-func TestNewByName(t *testing.T) {
-	b, err := New("VCK190", Config{Seed: 1})
-	if err != nil {
-		t.Fatalf("New(VCK190): %v", err)
+// wireByName builds a catalog board by name, Lookup then Wire.
+func wireByName(t *testing.T, name string, cfg Config) *SoC {
+	t.Helper()
+	spec, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("Lookup(%s): unknown board", name)
 	}
+	b, err := Wire(spec, cfg)
+	if err != nil {
+		t.Fatalf("Wire(%s): %v", name, err)
+	}
+	return b
+}
+
+// TestNewByName builds a board by catalog name: the name selects the
+// family's FPGA device.
+func TestNewByName(t *testing.T) {
+	b := wireByName(t, "VCK190", Config{Seed: 1})
 	if b.Spec().Family != FamilyVersal {
 		t.Fatalf("family = %s", b.Spec().Family)
 	}
 	if b.Fabric().Device().Name != "XCVC1902" {
 		t.Fatalf("device = %s", b.Fabric().Device().Name)
 	}
-	if _, err := New("NoSuchBoard", Config{}); err == nil {
-		t.Fatal("unknown board accepted")
+	if _, ok := Lookup("NoSuchBoard"); ok {
+		t.Fatal("unknown board found")
 	}
 }
 
@@ -69,14 +82,8 @@ func TestWireValidation(t *testing.T) {
 }
 
 func TestVersalCPUDrawsMore(t *testing.T) {
-	us, err := New("ZCU102", Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	versal, err := New("VEK280", Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	us := wireByName(t, "ZCU102", Config{Seed: 5})
+	versal := wireByName(t, "VEK280", Config{Seed: 5})
 	us.CPUFull().SetUtil(1)
 	versal.CPUFull().SetUtil(1)
 	us.Run(100 * time.Millisecond)
@@ -90,10 +97,7 @@ func TestVersalCPUDrawsMore(t *testing.T) {
 }
 
 func TestVersalFabricFitsBiggerVirus(t *testing.T) {
-	b, err := New("VHK158", Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := wireByName(t, "VHK158", Config{Seed: 1})
 	free := b.Fabric().Free()
 	if free.LUTs < 800000 {
 		t.Fatalf("Versal free LUTs = %d, want ~900k", free.LUTs)

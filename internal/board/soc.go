@@ -195,15 +195,6 @@ func NewZCU102(cfg Config) (*SoC, error) {
 	return Wire(spec, cfg)
 }
 
-// New builds any catalog board by name.
-func New(name string, cfg Config) (*SoC, error) {
-	spec, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("board: unknown board %q", name)
-	}
-	return Wire(spec, cfg)
-}
-
 // Wire assembles a board from a catalog spec: the family's FPGA device
 // and stabilizer band, CPU domains scaled to the CPU model, a DDR rail,
 // and the spec's full complement of INA226 sensors.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/imagenet"
 	"repro/internal/stats"
 	"repro/internal/sysfs"
+	"repro/internal/virus"
 )
 
 func newBoard(t *testing.T) *board.ZCU102 {
@@ -111,6 +112,45 @@ func TestAttackerProbe(t *testing.T) {
 	}
 	if _, err := a.Probe(Channel{Label: board.SensorFPGA, Kind: "bogus"}); err == nil {
 		t.Fatal("bogus kind accepted")
+	}
+}
+
+// TestAttackerSeesPowerVirus is the paper's core observation end to
+// end: an unprivileged probe of the FPGA current sees 100 power-virus
+// groups (100 k instances) switch on as a step of about 4 A, 40 mA per
+// group at the Fig. 2 calibration.
+func TestAttackerSeesPowerVirus(t *testing.T) {
+	b, err := board.NewZCU102(board.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := NewAttacker(b.Sysfs(), sysfs.Nobody)
+	array, err := virus.New(virus.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := array.Deploy(b.Fabric()); err != nil {
+		t.Fatal(err)
+	}
+	probe, err := a.Probe(Channel{Label: board.SensorFPGA, Kind: Current})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Run(100 * time.Millisecond)
+	idle, err := probe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := array.SetActiveGroups(100); err != nil {
+		t.Fatal(err)
+	}
+	b.Run(100 * time.Millisecond)
+	busy, err := probe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if step := busy - idle; step < 3.5 || step >= 4.5 {
+		t.Fatalf("100-group step = %v A, want about 4", step)
 	}
 }
 
@@ -668,8 +708,8 @@ func TestSurveyValidation(t *testing.T) {
 	}
 }
 
-// deployDPUForTest wires a DPU victim onto a board (mirrors the facade
-// helper without importing the root package).
+// deployDPUForTest wires a DPU victim onto a board, as the survey
+// command does.
 func deployDPUForTest(b *board.ZCU102) (*dpu.Engine, error) {
 	queries, err := imagenet.New(b.Engine().Stream("queries"))
 	if err != nil {

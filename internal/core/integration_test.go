@@ -10,7 +10,7 @@ import (
 )
 
 // Integration tests: several attack stages composed on one live board,
-// the way the CLI and examples use the library.
+// the way the CLIs use the library.
 
 // TestIntegrationTriageThenFingerprint runs the realistic end-to-end
 // story: discover sensors, triage them under victim load, record the

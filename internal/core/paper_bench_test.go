@@ -9,7 +9,7 @@
 // Heavy benchmarks use documented budget reductions relative to the
 // paper's capture sizes (see EXPERIMENTS.md); cmd/benchtab exposes flags
 // to raise them to paper scale.
-package ampere
+package core_test
 
 import (
 	"fmt"
@@ -20,7 +20,11 @@ import (
 	"time"
 
 	"repro/internal/board"
+	"repro/internal/core"
+	"repro/internal/dpu"
+	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/sysfs"
 )
 
 // once-per-process guards so repeated benchmark iterations print once.
@@ -34,11 +38,11 @@ var (
 	printObs      sync.Once
 )
 
-// reportObs prints the obs-layer headline numbers through the public
-// Snapshot API, so benchmark logs record the attacker's achieved
+// reportObs prints the obs-layer headline numbers from the process
+// snapshot, so benchmark logs record the attacker's achieved
 // sampling rate and engine throughput alongside the accuracy tables.
 func reportObs() {
-	s := Snapshot()
+	s := obs.Default.Snapshot()
 	if h, ok := s.Histogram("attacker.sample_rate_hz"); ok {
 		fmt.Printf("obs: attacker sample rate p50=%.1f Hz p99=%.1f Hz (%d channel-captures); %d captures; sim/wall ratio %.0fx\n",
 			h.P50, h.P99, h.Count, s.Counter("core.captures"), s.Gauge("sim.ratio"))
@@ -49,7 +53,7 @@ func reportObs() {
 // ARM-FPGA boards and their integrated INA226 sensor counts.
 func BenchmarkTableI_BoardCatalog(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cat := BoardCatalog()
+		cat := board.Catalog()
 		if len(cat) != 8 {
 			b.Fatalf("catalog size = %d, want 8", len(cat))
 		}
@@ -67,12 +71,12 @@ func BenchmarkTableI_BoardCatalog(b *testing.B) {
 // live simulated board.
 func BenchmarkTableII_SensitiveSensors(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		brd, err := NewBoard(BoardConfig{Seed: 1})
+		brd, err := board.NewZCU102(board.Config{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
 		brd.Run(50 * time.Millisecond)
-		atk, err := NewAttacker(brd.Sysfs(), Unprivileged)
+		atk, err := core.NewAttacker(brd.Sysfs(), sysfs.Nobody)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,7 +100,7 @@ func BenchmarkTableII_SensitiveSensors(b *testing.B) {
 // the paper's 10,000 samples.
 func BenchmarkFig2_Characterization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Characterize(CharacterizeConfig{SamplesPerLevel: 20})
+		res, err := core.Characterize(core.CharacterizeConfig{SamplesPerLevel: 20})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,15 +128,15 @@ func BenchmarkFig2_Characterization(b *testing.B) {
 // BenchmarkFig3_DNNTraces regenerates Fig. 3: current traces from the
 // four sensitive sensors while six representative DNNs run on the DPU.
 func BenchmarkFig3_DNNTraces(b *testing.B) {
-	channels := []Channel{
-		{Label: SensorCPUFull, Kind: Current},
-		{Label: SensorCPULow, Kind: Current},
-		{Label: SensorFPGA, Kind: Current},
-		{Label: SensorDDR, Kind: Current},
+	channels := []core.Channel{
+		{Label: board.SensorCPUFull, Kind: core.Current},
+		{Label: board.SensorCPULow, Kind: core.Current},
+		{Label: board.SensorFPGA, Kind: core.Current},
+		{Label: board.SensorDDR, Kind: core.Current},
 	}
 	for i := 0; i < b.N; i++ {
-		caps, err := CollectDPUTraces(FingerprintConfig{
-			Models:         Fig3Models(),
+		caps, err := core.CollectDPUTraces(core.FingerprintConfig{
+			Models:         dpu.Fig3Models(),
 			TracesPerModel: 1,
 			TraceDuration:  5 * time.Second,
 			Durations:      []time.Duration{5 * time.Second},
@@ -148,7 +152,7 @@ func BenchmarkFig3_DNNTraces(b *testing.B) {
 		// Each model must produce a distinct FPGA-current mean pattern.
 		means := map[string]float64{}
 		for _, c := range caps {
-			tr := c.Traces[Channel{Label: SensorFPGA, Kind: Current}]
+			tr := c.Traces[core.Channel{Label: board.SensorFPGA, Kind: core.Current}]
 			sum := 0.0
 			for _, s := range tr.Samples {
 				sum += s
@@ -173,7 +177,7 @@ func BenchmarkFig3_DNNTraces(b *testing.B) {
 // paper's full capture campaign.
 func BenchmarkTableIII_Fingerprinting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Fingerprint(FingerprintConfig{TracesPerModel: 10, Folds: 10})
+		res, err := core.Fingerprint(core.FingerprintConfig{TracesPerModel: 10, Folds: 10})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,15 +185,15 @@ func BenchmarkTableIII_Fingerprinting(b *testing.B) {
 			b.Fatalf("classes = %d, want 39", res.Classes)
 		}
 		full := 5 * time.Second
-		cur, err := res.Cell(Channel{Label: SensorFPGA, Kind: Current}, full)
+		cur, err := res.Cell(core.Channel{Label: board.SensorFPGA, Kind: core.Current}, full)
 		if err != nil {
 			b.Fatal(err)
 		}
-		vol, err := res.Cell(Channel{Label: SensorFPGA, Kind: Voltage}, full)
+		vol, err := res.Cell(core.Channel{Label: board.SensorFPGA, Kind: core.Voltage}, full)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pow, err := res.Cell(Channel{Label: SensorFPGA, Kind: Power}, full)
+		pow, err := res.Cell(core.Channel{Label: board.SensorFPGA, Kind: core.Power}, full)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +209,7 @@ func BenchmarkTableIII_Fingerprinting(b *testing.B) {
 			b.Fatalf("FPGA voltage top1 = %v, want near chance (paper 0.116)", vol.Top1)
 		}
 		printTableIII.Do(func() {
-			_ = report.RenderTableIII(os.Stdout, res, SensitiveChannels(),
+			_ = report.RenderTableIII(os.Stdout, res, core.SensitiveChannels(),
 				[]time.Duration{time.Second, 2 * time.Second, 3 * time.Second,
 					4 * time.Second, 5 * time.Second})
 		})
@@ -219,7 +223,7 @@ func BenchmarkTableIII_Fingerprinting(b *testing.B) {
 // paper's 100,000.
 func BenchmarkFig4_RSAHammingWeight(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RSAHammingWeight(RSAConfig{Samples: 5000})
+		res, err := core.RSAHammingWeight(core.RSAConfig{Samples: 5000})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -247,18 +251,18 @@ func BenchmarkAblation_UpdateInterval(b *testing.B) {
 		"Inception-V3", "ResNet-50", "VGG-19", "DenseNet-121", "ResNet-18"}
 	for i := 0; i < b.N; i++ {
 		run := func(interval time.Duration) float64 {
-			res, err := Fingerprint(FingerprintConfig{
+			res, err := core.Fingerprint(core.FingerprintConfig{
 				Models:         models,
 				TracesPerModel: 10,
 				TraceDuration:  2 * time.Second,
 				Durations:      []time.Duration{2 * time.Second},
-				Channels:       []Channel{{Label: SensorFPGA, Kind: Current}},
+				Channels:       []core.Channel{{Label: board.SensorFPGA, Kind: core.Current}},
 				UpdateInterval: interval,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			cell, err := res.Cell(Channel{Label: SensorFPGA, Kind: Current}, 2*time.Second)
+			cell, err := res.Cell(core.Channel{Label: board.SensorFPGA, Kind: core.Current}, 2*time.Second)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -281,13 +285,13 @@ func BenchmarkAblation_UpdateInterval(b *testing.B) {
 // unstabilized PDN, while the current channel barely changes.
 func BenchmarkAblation_Stabilizer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := CharacterizeConfig{Levels: 41, SamplesPerLevel: 10}
-		on, err := Characterize(cfg)
+		cfg := core.CharacterizeConfig{Levels: 41, SamplesPerLevel: 10}
+		on, err := core.Characterize(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg.DisableStabilizer = true
-		off, err := Characterize(cfg)
+		off, err := core.Characterize(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -310,11 +314,11 @@ func BenchmarkAblation_Stabilizer(b *testing.B) {
 // partially survives.
 func BenchmarkExtension_Interference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		quiet, err := RSAHammingWeight(RSAConfig{Samples: 1500})
+		quiet, err := core.RSAHammingWeight(core.RSAConfig{Samples: 1500})
 		if err != nil {
 			b.Fatal(err)
 		}
-		noisy, err := RSAHammingWeight(RSAConfig{Samples: 1500, ConcurrentDPUModel: "VGG-19"})
+		noisy, err := core.RSAHammingWeight(core.RSAConfig{Samples: 1500, ConcurrentDPUModel: "VGG-19"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -335,11 +339,11 @@ func BenchmarkExtension_Interference(b *testing.B) {
 // rates.
 func BenchmarkExtension_CovertChannel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		slow, err := CovertTransmit(CovertConfig{PayloadBits: 128, SymbolUpdates: 1})
+		slow, err := core.CovertTransmit(core.CovertConfig{PayloadBits: 128, SymbolUpdates: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		fast, err := CovertTransmit(CovertConfig{
+		fast, err := core.CovertTransmit(core.CovertConfig{
 			PayloadBits: 128, SymbolUpdates: 1, UpdateInterval: 2 * time.Millisecond,
 		})
 		if err != nil {
@@ -362,21 +366,21 @@ func BenchmarkAblation_SpectralFeatures(b *testing.B) {
 	models := []string{"MobileNet-V1", "SqueezeNet-1.1", "EfficientNet-Lite0",
 		"Inception-V3", "ResNet-50", "VGG-19", "DenseNet-121", "ResNet-18"}
 	for i := 0; i < b.N; i++ {
-		base := FingerprintConfig{
+		base := core.FingerprintConfig{
 			Models:         models,
 			TracesPerModel: 10,
 			TraceDuration:  2 * time.Second,
 			Durations:      []time.Duration{2 * time.Second},
-			Channels:       []Channel{{Label: SensorFPGA, Kind: Current}},
+			Channels:       []core.Channel{{Label: board.SensorFPGA, Kind: core.Current}},
 		}
-		caps, err := CollectDPUTraces(base)
+		caps, err := core.CollectDPUTraces(base)
 		if err != nil {
 			b.Fatal(err)
 		}
 		eval := func(spectral int) float64 {
 			cfg := base
 			cfg.SpectralBins = spectral
-			res, err := EvaluateCaptures(cfg, caps)
+			res, err := core.EvaluateCaptures(cfg, caps)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -403,7 +407,7 @@ func BenchmarkAblation_SpectralFeatures(b *testing.B) {
 // activity). The leak must vanish: all 17 keys collapse into one group.
 func BenchmarkAblation_MontgomeryLadder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RSAHammingWeight(RSAConfig{Samples: 2000, Countermeasure: true})
+		res, err := core.RSAHammingWeight(core.RSAConfig{Samples: 2000, Countermeasure: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -423,7 +427,7 @@ func BenchmarkAblation_MontgomeryLadder(b *testing.B) {
 func BenchmarkExtension_Applicability(b *testing.B) {
 	var printOnce sync.Once
 	for i := 0; i < b.N; i++ {
-		rows, err := Applicability(ApplicabilityConfig{})
+		rows, err := core.Applicability(core.ApplicabilityConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -444,14 +448,14 @@ func BenchmarkExtension_Applicability(b *testing.B) {
 // the Montgomery-ladder victim passes.
 func BenchmarkAblation_TVLA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		plain, err := AssessRSALeakage(LeakageConfig{})
+		plain, err := core.AssessRSALeakage(core.LeakageConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !plain.TVLA.Leaks {
 			b.Fatalf("plain victim passed TVLA (t=%v)", plain.TVLA.T)
 		}
-		ladder, err := AssessRSALeakage(LeakageConfig{Countermeasure: true})
+		ladder, err := core.AssessRSALeakage(core.LeakageConfig{Countermeasure: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -469,7 +473,7 @@ func BenchmarkAblation_TVLA(b *testing.B) {
 // restricting hwmon to root, the unprivileged sampling path fails.
 func BenchmarkAblation_Mitigation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Mitigation(int64(i + 1))
+		res, err := core.Mitigation(int64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}

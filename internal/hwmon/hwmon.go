@@ -49,7 +49,9 @@ type Entry struct {
 
 	// attrs keeps the attribute set so the entry can be re-exposed
 	// under a new index after a hotplug/renumber event. The Show/Store
-	// closures capture the device, not the path, so they survive moves.
+	// closures capture the device, not the path, so they survive moves,
+	// and each Mode is the entry's access policy: RestrictToRoot
+	// records the mitigation here, so a renumber re-applies it.
 	attrs map[string]sysfs.Attr
 }
 
@@ -97,7 +99,7 @@ func (s *Subsystem) Register(dev *ina226.Device) (*Entry, error) {
 		return nil, fmt.Errorf("hwmon: label %q already registered", label)
 	}
 	e := &Entry{
-		Index:  len(s.entries),
+		Index:  s.freeIndex(),
 		Label:  label,
 		Device: dev,
 	}
@@ -145,11 +147,28 @@ func (s *Subsystem) Register(dev *ina226.Device) (*Entry, error) {
 	return e, nil
 }
 
+// freeIndex is the lowest N no entry holds, the index the kernel's
+// hwmon ID allocator hands a newly probed device: 0, 1, 2, ... while
+// devices only register, and a gap left by a renumber after one.
+func (s *Subsystem) freeIndex() int {
+next:
+	for n := 0; ; n++ {
+		for _, e := range s.entries {
+			if e.Index == n {
+				continue next
+			}
+		}
+		return n
+	}
+}
+
 // Renumber simulates a hotplug re-enumeration: every entry's hwmonN
 // directory disappears and reappears under an index shifted by n (how
 // the kernel renumbers the class when a device resets and re-probes).
-// Attribute contents and labels are unchanged; only the paths move, so
-// any reader holding a stale path sees ENOENT until it re-discovers.
+// Attribute contents, labels and access policy are unchanged; only the
+// paths move, so any reader holding a stale path sees ENOENT until it
+// re-discovers. Each attribute is re-added with the entry's recorded
+// mode, so a RestrictToRoot survives the re-probe.
 func (s *Subsystem) Renumber(n int) error {
 	if n < 1 {
 		return fmt.Errorf("hwmon: renumber shift %d must be positive", n)
@@ -175,18 +194,26 @@ func (s *Subsystem) Renumber(n int) error {
 var ValueAttrs = []string{"curr1_input", "in1_input", "power1_input"}
 
 // RestrictToRoot applies the paper's mitigation (Sec. V) to one sensor:
-// its measurement attributes become readable by root only.
+// its measurement attributes become readable by root only. The mode is
+// the entry's policy, as a driver's attribute mode or a udev rule is on
+// Linux, not a one-off chmod: every later Renumber re-applies it. The
+// policy is recorded even for an attribute missing from the tree, whose
+// error is returned joined with any other.
 func (s *Subsystem) RestrictToRoot(label string) error {
 	e, ok := s.byLabel[label]
 	if !ok {
 		return fmt.Errorf("hwmon: unknown label %q", label)
 	}
-	for _, a := range ValueAttrs {
-		if err := s.fs.SetMode(e.Attr(a), sysfs.ModeRootOnly); err != nil {
-			return err
+	var errs []error
+	for _, name := range ValueAttrs {
+		a := e.attrs[name]
+		a.Mode = sysfs.ModeRootOnly
+		e.attrs[name] = a
+		if err := s.fs.SetMode(e.Attr(name), sysfs.ModeRootOnly); err != nil {
+			errs = append(errs, err)
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // RestrictAllToRoot applies RestrictToRoot to every registered sensor.

@@ -10,8 +10,8 @@
 // wall-time ratio) and the cost of the classifier's train/predict
 // phases. Every internal package records into the process-wide Default
 // registry; the CLIs print it as a text snapshot (-obs) and fold it
-// into the run ledger's manifests, and the public ampere.Snapshot API
-// returns it programmatically.
+// into the run ledger's manifests, and Default.Snapshot returns it
+// programmatically.
 //
 // Primitives are built for hot paths: a Counter.Add is one atomic add,
 // a Histogram.Observe is an atomic add into a geometric bucket, and
@@ -253,7 +253,7 @@ func NewRegistry() *Registry {
 }
 
 // Default is the process-wide registry every internal package records
-// into; ampere.Snapshot and the CLI's --obs outputs read it.
+// into; the CLIs' -obs outputs and the run ledger read it.
 var Default = NewRegistry()
 
 // Counter returns the named counter, creating it if needed.

@@ -30,8 +30,8 @@ func statOf(h *Histogram) HistogramStat {
 	}
 }
 
-// Snapshot is a point-in-time copy of a registry, the schema returned
-// by ampere.Snapshot.
+// Snapshot is a point-in-time copy of a registry, the schema the -obs
+// text output and the run ledger's manifests are built from.
 type Snapshot struct {
 	// TakenAt is the wall-clock snapshot time.
 	TakenAt time.Time `json:"taken_at"`

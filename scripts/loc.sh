@@ -12,7 +12,7 @@ set -eu
 
 cd "$(git rev-parse --show-toplevel)"
 files=$(git ls-files --cached --others --exclude-standard '*.go' | sort -u |
-    while IFS= read -r f; do [ -f "$f" ] && printf '%s\n' "$f"; done)
+    while IFS= read -r f; do [ ! -f "$f" ] || printf '%s\n' "$f"; done)
 count() { printf '%s\n' "$files" | grep $1 '_test\.go$' | xargs cat | wc -l; }
 echo "non-test Go lines: $(count -v)"
 echo "test Go lines:     $(count '')"
