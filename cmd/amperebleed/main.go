@@ -543,6 +543,9 @@ func cmdFingerprint(args []string, profile *faults.Profile) error {
 			4 * time.Second, 5 * time.Second}
 	}
 	cfg.Durations = durations
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 
 	var captures []*core.Capture
 	var err error

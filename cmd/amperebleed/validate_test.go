@@ -66,6 +66,12 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"retired command", []string{"watch"}, 2, `unknown command "watch"`},
 		{"canonical below -1", []string{"runs", "-ledger", ledgerPath, "-canonical", "-3"}, 1, "-canonical index -3 outside the 1 filtered run(s)"},
 		{"canonical past the end", []string{"runs", "-ledger", ledgerPath, "-canonical", "1"}, 1, "-canonical index 1 outside the 1 filtered run(s)"},
+		// A fingerprint run that cannot be evaluated fails before capture.
+		{"one fold", []string{"fingerprint", "-folds", "1"}, 1, "1-fold CV, need at least 2 folds"},
+		{"negative folds", []string{"fingerprint", "-folds", "-2"}, 1, "-2-fold CV, need at least 2 folds"},
+		{"one model", []string{"fingerprint", "-models", "VGG-11", "-traces", "3", "-folds", "3"}, 1, "1 distinct models, need at least 2"},
+		{"zero duration", []string{"fingerprint", "-duration", "0"}, 1, "duration 0s, want positive"},
+		{"negative duration", []string{"fingerprint", "-duration", "-1s"}, 1, "capture length -1s, want positive"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := childCommand(tc.args...)

@@ -322,6 +322,43 @@ func TestFingerprintValidation(t *testing.T) {
 	if _, err := CollectDPUTraces(cfg); err == nil {
 		t.Fatal("unknown model accepted")
 	}
+	// Configs that evaluation cannot run: each is rejected before any
+	// capture, by Validate, Fingerprint and EvaluateCaptures alike.
+	for _, tc := range []struct {
+		name string
+		edit func(*FingerprintConfig)
+	}{
+		{"one fold", func(c *FingerprintConfig) { c.Folds = 1 }},
+		{"negative folds", func(c *FingerprintConfig) { c.Folds = -2 }},
+		{"one model", func(c *FingerprintConfig) { c.Models = []string{"VGG-11"} }},
+		{"one model twice", func(c *FingerprintConfig) { c.Models = []string{"VGG-11", "VGG-11"} }},
+		{"zero duration", func(c *FingerprintConfig) { c.Durations = []time.Duration{0} }},
+		{"negative duration", func(c *FingerprintConfig) { c.Durations = []time.Duration{-time.Second} }},
+		{"negative capture length", func(c *FingerprintConfig) {
+			c.TraceDuration = -time.Second
+			c.Durations = []time.Duration{-time.Second}
+		}},
+	} {
+		cfg := tinyFingerprint()
+		tc.edit(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", tc.name)
+		}
+		if _, err := Fingerprint(cfg); err == nil {
+			t.Errorf("%s: Fingerprint accepted", tc.name)
+		}
+		if _, err := EvaluateCaptures(cfg, nil); err == nil || err.Error() == "core: no captures" {
+			t.Errorf("%s: EvaluateCaptures error %v, want a config error", tc.name, err)
+		}
+	}
+	// Collection needs neither two folds nor two models: bench collects
+	// one model per call, benchtab fig3 with one fold.
+	cfg = tinyFingerprint()
+	cfg.Models, cfg.TracesPerModel, cfg.Folds = []string{"VGG-11"}, 1, 1
+	cfg.Channels = []Channel{{Label: board.SensorFPGA, Kind: Current}}
+	if caps, err := CollectDPUTraces(cfg); err != nil || len(caps) != 1 {
+		t.Fatalf("one-model, one-fold collection: %d captures, %v", len(caps), err)
+	}
 }
 
 func TestClassifierImportanceBreakdown(t *testing.T) {

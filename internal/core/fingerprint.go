@@ -120,20 +120,43 @@ func (cfg *FingerprintConfig) fillDefaults() {
 }
 
 // Validate reports whether cfg, with its zero fields defaulted,
-// describes a runnable experiment: enough traces per model for the
-// folds, and no classified duration past the capture length.
-// Fingerprint and CollectDPUTraces run the same check.
+// describes a runnable experiment: at least two folds and two models,
+// enough traces per model for the folds, and every classified duration
+// positive and within the capture length. Fingerprint and
+// EvaluateCaptures run the same check; CollectDPUTraces runs it without
+// the two-fold and two-model minimums, which only evaluation needs.
 func (cfg FingerprintConfig) Validate() error {
 	cfg.fillDefaults()
+	return cfg.validateEval()
+}
+
+// validateEval is validate plus what cross-validation needs.
+func (cfg *FingerprintConfig) validateEval() error {
+	if cfg.Folds < 2 {
+		return fmt.Errorf("core: %d-fold CV, need at least 2 folds", cfg.Folds)
+	}
+	models := map[string]bool{}
+	for _, m := range cfg.Models {
+		models[m] = true
+	}
+	if len(models) < 2 {
+		return fmt.Errorf("core: %d distinct models, need at least 2 to classify", len(models))
+	}
 	return cfg.validate()
 }
 
 func (cfg *FingerprintConfig) validate() error {
+	if cfg.TraceDuration <= 0 {
+		return fmt.Errorf("core: capture length %v, want positive", cfg.TraceDuration)
+	}
 	if cfg.TracesPerModel < cfg.Folds {
 		return fmt.Errorf("core: %d traces/model cannot support %d-fold CV",
 			cfg.TracesPerModel, cfg.Folds)
 	}
 	for _, d := range cfg.Durations {
+		if d <= 0 {
+			return fmt.Errorf("core: duration %v, want positive", d)
+		}
 		if d > cfg.TraceDuration {
 			return fmt.Errorf("core: duration %v exceeds capture length %v", d, cfg.TraceDuration)
 		}
@@ -383,7 +406,7 @@ func (r *FingerprintResult) Cell(ch Channel, d time.Duration) (AccuracyCell, err
 // then per-(channel,duration) cross-validated random-forest evaluation.
 func Fingerprint(cfg FingerprintConfig) (*FingerprintResult, error) {
 	cfg.fillDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.validateEval(); err != nil {
 		return nil, err
 	}
 	captures, err := CollectDPUTraces(cfg)
@@ -397,7 +420,7 @@ func Fingerprint(cfg FingerprintConfig) (*FingerprintResult, error) {
 // captures (separated so ablations can reuse one collection).
 func EvaluateCaptures(cfg FingerprintConfig, captures []*Capture) (*FingerprintResult, error) {
 	cfg.fillDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.validateEval(); err != nil {
 		return nil, err
 	}
 	if len(captures) == 0 {

@@ -93,22 +93,26 @@ func EvaluateDetailed(ds *features.Dataset, cfg rforest.Config, k int, rng *rand
 	for i := range confusion {
 		confusion[i] = make([]int, classes)
 	}
+	// Every fold trains on rows of one table, sorted once.
+	table, err := rforest.NewTable(ds.X)
+	if err != nil {
+		return Detailed{}, fmt.Errorf("crossval: %w", err)
+	}
+	inTest := make([]bool, ds.Len())
 	var hits1, hitsN, total int
 	for fi, test := range folds {
-		inTest := make(map[int]bool, len(test))
+		clear(inTest)
 		for _, i := range test {
 			inTest[i] = true
 		}
-		var trX [][]float64
-		var trY []int
-		for i := range ds.X {
-			if !inTest[i] {
-				trX = append(trX, ds.X[i])
-				trY = append(trY, ds.Y[i])
+		train := make([]int, 0, ds.Len()-len(test))
+		for i, held := range inTest {
+			if !held {
+				train = append(train, i)
 			}
 		}
 		trainSpan := obs.StartSpan("ml.fold_train", nil)
-		forest, err := rforest.Train(cfg, trX, trY, classes)
+		forest, err := table.Train(cfg, train, ds.Y, classes)
 		trainSpan.End()
 		if err != nil {
 			return Detailed{}, fmt.Errorf("crossval: fold %d: %w", fi, err)

@@ -1,7 +1,9 @@
 package crossval
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/ml/features"
@@ -162,5 +164,75 @@ func TestEvaluateErrors(t *testing.T) {
 	ds := blobDataset(r, 2, 3, 5)
 	if _, err := Evaluate(ds, rforest.Config{Rand: r}, 100, r); err == nil {
 		t.Fatal("k > n accepted")
+	}
+}
+
+// TestEvaluateDetailedMatchesPerFoldTrain: training every fold on the
+// rows of one shared table gives the confusion matrix that training each
+// fold with rforest.Train on its rows copied out gives. The labels are
+// drawn per row, so no fold's rows are grouped by class, and a third of
+// the features are quantized so ties are common.
+func TestEvaluateDetailedMatchesPerFoldTrain(t *testing.T) {
+	const classes, k = 6, 5
+	for _, seed := range []int64{1, 2, 3} {
+		r := rand.New(rand.NewSource(seed))
+		var ds features.Dataset
+		for i := 0; i < 150; i++ {
+			y := r.Intn(classes)
+			x := make([]float64, 9)
+			for f := range x {
+				x[f] = float64(y) + 2*r.NormFloat64()
+				if f%3 == 0 {
+					x[f] = math.Round(x[f])
+				}
+			}
+			ds.Add(x, string(rune('A'+y)))
+		}
+		cfg := rforest.Config{Trees: 8}
+
+		rs := rand.New(rand.NewSource(seed))
+		cfg.Rand = rs
+		got, err := EvaluateDetailed(&ds, cfg, k, rs)
+		if err != nil {
+			t.Fatalf("seed %d: EvaluateDetailed: %v", seed, err)
+		}
+
+		rs = rand.New(rand.NewSource(seed))
+		cfg.Rand = rs
+		folds, err := Folds(ds.Len(), k, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]int, len(ds.Classes))
+		for i := range want {
+			want[i] = make([]int, len(ds.Classes))
+		}
+		for _, test := range folds {
+			held := map[int]bool{}
+			for _, i := range test {
+				held[i] = true
+			}
+			var trX [][]float64
+			var trY []int
+			for i := range ds.X {
+				if !held[i] {
+					trX, trY = append(trX, ds.X[i]), append(trY, ds.Y[i])
+				}
+			}
+			forest, err := rforest.Train(cfg, trX, trY, len(ds.Classes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, i := range test {
+				p, err := forest.Predict(ds.X[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[ds.Y[i]][p]++
+			}
+		}
+		if !reflect.DeepEqual(got.Confusion, want) {
+			t.Fatalf("seed %d: confusion\n%v\nwant (per-fold Train)\n%v", seed, got.Confusion, want)
+		}
 	}
 }

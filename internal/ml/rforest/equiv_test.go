@@ -28,6 +28,10 @@ func trainCases() check.Gen[trainCase] {
 	return check.Gen[trainCase]{
 		Generate: func(r *rand.Rand, size int) trainCase {
 			n := 1 + r.Intn(3*size+1)
+			if r.Intn(4) == 0 {
+				// Row counts at the edges of column's 64-bit words.
+				n = []int{1, 63, 64, 65, 129}[r.Intn(5)]
+			}
 			nFeat := 1 + r.Intn(10)
 			classes := 2 + r.Intn(8)
 			levels := make([]int, nFeat) // 0: continuous
@@ -103,14 +107,22 @@ func trainCases() check.Gen[trainCase] {
 	}
 }
 
-// trainBoth fits tc with Train, its split search pruned with margin,
-// and with the reference builder, each on its own copy of the seeded
-// stream, and returns the forests and the next Int63 each stream yields
-// afterwards.
+// trainBoth fits tc on all its rows with Table.Train, its split search
+// pruned with margin, and with the reference builder, each on its own
+// copy of the seeded stream, and returns the forests and the next Int63
+// each stream yields afterwards.
 func trainBoth(tc trainCase, margin func(int) float64) (got, want *Forest, gotNext, wantNext int64, err error) {
+	table, err := NewTable(tc.X)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
+	rows := make([]int, len(tc.X))
+	for i := range rows {
+		rows[i] = i
+	}
 	cfg := tc.Cfg
 	cfg.Rand = rand.New(rand.NewSource(tc.Seed))
-	if got, err = train(cfg, tc.X, tc.Y, tc.Classes, margin); err != nil {
+	if got, err = table.train(cfg, rows, tc.Y, tc.Classes, margin); err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("Train: %w", err)
 	}
 	gotNext = cfg.Rand.Int63()
@@ -164,6 +176,7 @@ func forestDiff(got, want *Forest) string {
 func matchesReference(margin func(int) float64) func(*check.T, trainCase) {
 	return func(c *check.T, tc trainCase) {
 		c.Classify(len(tc.X) >= 128, "128+ samples")
+		c.Classify(len(tc.X)%64 <= 1 || len(tc.X)%64 == 63, "samples at a word edge")
 		c.Classify(tc.Cfg.FeaturesPerSplit == 0, "default-features")
 		c.Classify(tc.Cfg.MinLeaf > 1, "min-leaf")
 		got, want, gotNext, wantNext, err := trainBoth(tc, margin)
@@ -181,6 +194,78 @@ func matchesReference(margin func(int) float64) func(*check.T, trainCase) {
 
 func TestPropTrainMatchesReference(t *testing.T) {
 	check.Forall(t, trainCases(), matchesReference(pruneMargin))
+}
+
+// subsetCase is a training problem and a shuffled subset of its rows.
+type subsetCase struct {
+	trainCase
+	Rows []int
+}
+
+// subsetCases draws a trainCase and a random nonempty subset of its
+// rows in random order. Shrinking halves the subset and the ensemble;
+// the table itself is kept.
+func subsetCases() check.Gen[subsetCase] {
+	g := trainCases()
+	return check.Gen[subsetCase]{
+		Generate: func(r *rand.Rand, size int) subsetCase {
+			tc := g.Generate(r, size)
+			perm := r.Perm(len(tc.X))
+			return subsetCase{tc, perm[:1+r.Intn(len(perm))]}
+		},
+		Shrink: func(sc subsetCase) []subsetCase {
+			var out []subsetCase
+			if h := len(sc.Rows) / 2; h > 0 {
+				out = append(out, subsetCase{sc.trainCase, sc.Rows[:h]}, subsetCase{sc.trainCase, sc.Rows[h:]})
+			}
+			if sc.Cfg.Trees > 1 {
+				c := sc
+				c.Cfg.Trees = 1
+				out = append(out, c)
+			}
+			return out
+		},
+		Describe: func(sc subsetCase) string {
+			return fmt.Sprintf("%s\nrows=%v", g.Describe(sc.trainCase), sc.Rows)
+		},
+	}
+}
+
+// TestPropTableTrainMatchesTrain: Table.Train over a shuffled subset of
+// the table's rows grows the forest Train grows on those rows copied
+// out in the same order, node for node, and leaves the random stream in
+// the same state.
+func TestPropTableTrainMatchesTrain(t *testing.T) {
+	check.Forall(t, subsetCases(), func(c *check.T, sc subsetCase) {
+		c.Classify(len(sc.Rows) < len(sc.X), "proper subset")
+		c.Classify(len(sc.X) > 64, "multi-word table")
+		X, Y := make([][]float64, len(sc.Rows)), make([]int, len(sc.Rows))
+		for j, r := range sc.Rows {
+			X[j], Y[j] = sc.X[r], sc.Y[r]
+		}
+		cfg := sc.Cfg
+		cfg.Rand = rand.New(rand.NewSource(sc.Seed))
+		want, err := Train(cfg, X, Y, sc.Classes)
+		if err != nil {
+			c.Fatalf("Train: %v", err)
+		}
+		wantNext := cfg.Rand.Int63()
+		table, err := NewTable(sc.X)
+		if err != nil {
+			c.Fatalf("NewTable: %v", err)
+		}
+		cfg.Rand = rand.New(rand.NewSource(sc.Seed))
+		got, err := table.Train(cfg, sc.Rows, sc.Y, sc.Classes)
+		if err != nil {
+			c.Fatalf("Table.Train: %v", err)
+		}
+		if d := forestDiff(got, want); d != "" {
+			c.Fatalf("forests differ: %s", d)
+		}
+		if next := cfg.Rand.Int63(); next != wantNext {
+			c.Fatalf("random stream after Table.Train yields %d, Train %d", next, wantNext)
+		}
+	})
 }
 
 // TestMutantPruneMargin shrinks the split search's pruning margin below

@@ -52,14 +52,109 @@ type Forest struct {
 	importance []float64
 }
 
-// Train fits a forest on samples X with labels Y in [0, classes).
-func Train(cfg Config, X [][]float64, Y []int, classes int) (*Forest, error) {
-	return train(cfg, X, Y, classes, pruneMargin)
+// Table is a feature matrix with every column sorted once, so forests
+// trained on different subsets of its rows, such as the training folds
+// of a cross-validation, share one sort.
+type Table struct {
+	xt     [][]float64 // xt[f][r] = X[r][f]
+	sorted [][]int32   // sorted[f]: every row, ascending by xt[f]
+	rank   [][]int32   // rank[f][r]: the position of row r in sorted[f]
 }
 
-// train is Train with the split search's pruning margin as a parameter,
-// so tests can check that a smaller margin changes the forest.
-func train(cfg Config, X [][]float64, Y []int, classes int, margin func(present int) float64) (*Forest, error) {
+// NewTable checks that X is a non-empty rectangular matrix of finite
+// values and sorts each of its columns.
+func NewTable(X [][]float64) (*Table, error) {
+	if len(X) == 0 {
+		return nil, errors.New("rforest: no samples")
+	}
+	n, nFeat := len(X), len(X[0])
+	if nFeat == 0 {
+		return nil, errors.New("rforest: zero-width feature vectors")
+	}
+	for i, x := range X {
+		if len(x) != nFeat {
+			return nil, fmt.Errorf("rforest: sample %d has %d features, want %d", i, len(x), nFeat)
+		}
+		// The split search orders values by comparison, which NaN defeats.
+		for j, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("rforest: sample %d feature %d is %v, want finite", i, j, v)
+			}
+		}
+	}
+	t := &Table{
+		xt:     make([][]float64, nFeat),
+		sorted: make([][]int32, nFeat),
+		rank:   make([][]int32, nFeat),
+	}
+	xt, sorted, rank := make([]float64, nFeat*n), make([]int32, nFeat*n), make([]int32, nFeat*n)
+	// Sort each column as integers, without a comparator: the value's
+	// order key with the row index written over its low bits.
+	mask := uint64(1)<<bits.Len(uint(n-1)) - 1
+	keys := make([]uint64, n)
+	for f := range t.xt {
+		xf, order, rf := xt[f*n:(f+1)*n], sorted[f*n:(f+1)*n], rank[f*n:(f+1)*n]
+		for s, x := range X {
+			xf[s] = x[f]
+			keys[s] = orderKey(x[f])&^mask | uint64(s)
+		}
+		slices.Sort(keys)
+		// Values that differ only in the overwritten bits share a run of
+		// equal high bits: sort each such run by value. A run of equal
+		// values is already in order.
+		for i := 0; i < n; {
+			j, inOrder := i+1, true
+			for ; j < n && keys[j]&^mask == keys[i]&^mask; j++ {
+				inOrder = inOrder && xf[keys[j-1]&mask] <= xf[keys[j]&mask]
+			}
+			if !inOrder {
+				slices.SortFunc(keys[i:j], func(p, q uint64) int { return cmp.Compare(xf[p&mask], xf[q&mask]) })
+			}
+			i = j
+		}
+		for i, k := range keys {
+			order[i] = int32(k & mask)
+			rf[k&mask] = int32(i)
+		}
+		t.xt[f], t.sorted[f], t.rank[f] = xf, order, rf
+	}
+	return t, nil
+}
+
+// orderKey maps a finite v to an integer that orders as v does, putting
+// -0 before the equal +0; NewTable has rejected NaN.
+func orderKey(v float64) uint64 {
+	u := math.Float64bits(v)
+	if u>>63 != 0 {
+		return ^u
+	}
+	return u | 1<<63
+}
+
+// Train fits a forest on samples X with labels Y in [0, classes).
+func Train(cfg Config, X [][]float64, Y []int, classes int) (*Forest, error) {
+	t, err := NewTable(X)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]int, len(X))
+	for i := range rows {
+		rows[i] = i
+	}
+	return t.Train(cfg, rows, Y, classes)
+}
+
+// Train fits a forest on the table's rows listed in rows, each at most
+// once. Y labels every row of the table with a class in [0, classes).
+// The forest is the one Train grows on those rows copied out in the
+// order listed, with the same draws from cfg.Rand.
+func (t *Table) Train(cfg Config, rows []int, Y []int, classes int) (*Forest, error) {
+	return t.train(cfg, rows, Y, classes, pruneMargin)
+}
+
+// train is Table.Train with the split search's pruning margin as a
+// parameter, so tests can check that a smaller margin changes the forest.
+func (t *Table) train(cfg Config, rows []int, Y []int, classes int, margin func(present int) float64) (*Forest, error) {
 	if cfg.Trees == 0 {
 		cfg.Trees = 100
 	}
@@ -75,31 +170,31 @@ func train(cfg Config, X [][]float64, Y []int, classes int, margin func(present 
 	if cfg.Trees < 1 || cfg.MaxDepth < 1 || cfg.MinLeaf < 1 {
 		return nil, errors.New("rforest: non-positive hyperparameter")
 	}
-	if len(X) == 0 || len(X) != len(Y) {
-		return nil, fmt.Errorf("rforest: %d samples vs %d labels", len(X), len(Y))
+	n, nFeat := len(t.rank[0]), len(t.xt)
+	if len(Y) != n {
+		return nil, fmt.Errorf("rforest: %d samples vs %d labels", n, len(Y))
 	}
 	if classes < 2 {
 		return nil, errors.New("rforest: need at least two classes")
-	}
-	nFeat := len(X[0])
-	if nFeat == 0 {
-		return nil, errors.New("rforest: zero-width feature vectors")
-	}
-	for i, x := range X {
-		if len(x) != nFeat {
-			return nil, fmt.Errorf("rforest: sample %d has %d features, want %d", i, len(x), nFeat)
-		}
-		// The split search orders values by comparison, which NaN defeats.
-		for j, v := range x {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("rforest: sample %d feature %d is %v, want finite", i, j, v)
-			}
-		}
 	}
 	for i, y := range Y {
 		if y < 0 || y >= classes {
 			return nil, fmt.Errorf("rforest: label %d of sample %d outside [0,%d)", y, i, classes)
 		}
+	}
+	if len(rows) == 0 {
+		return nil, errors.New("rforest: no training rows")
+	}
+	// A row listed twice would set one rank bit for two samples.
+	seen := make([]bool, n)
+	for _, r := range rows {
+		if r < 0 || r >= n {
+			return nil, fmt.Errorf("rforest: row %d outside [0,%d)", r, n)
+		}
+		if seen[r] {
+			return nil, fmt.Errorf("rforest: row %d listed twice", r)
+		}
+		seen[r] = true
 	}
 	if cfg.FeaturesPerSplit == 0 {
 		cfg.FeaturesPerSplit = int(math.Ceil(math.Sqrt(float64(nFeat))))
@@ -111,10 +206,10 @@ func train(cfg Config, X [][]float64, Y []int, classes int, margin func(present 
 	f := &Forest{cfg: cfg, features: nFeat, classes: classes}
 	f.trees = make([]tree, cfg.Trees)
 	f.importance = make([]float64, nFeat)
-	b := newBuilder(cfg, X, Y, classes)
+	b := newBuilder(cfg, t, rows, Y, classes)
 	b.margin = margin
-	for t := range f.trees {
-		f.trees[t] = b.tree()
+	for i := range f.trees {
+		f.trees[i] = b.tree()
 	}
 	// Normalize the accumulated impurity decreases to sum to 1.
 	var total float64
@@ -136,26 +231,28 @@ func (f *Forest) Importances() []float64 {
 	return append([]float64(nil), f.importance...)
 }
 
-// builder grows the trees of one Train call. Each feature column is
-// sorted once; each tree filters the sorted columns down to its
-// bootstrap draw, and each split partitions them stably, so no node
-// sorts. All scratch is reused across nodes and trees.
+// builder grows the trees of one Table.Train call. Each tree keeps one
+// list of its drawn rows; each node owns a range of it, and a split
+// partitions that range stably. A node orders only the features it
+// draws: it sets its rows' ranks in a bitset and reads them back in
+// ascending order through the table's sorted column. All scratch is
+// reused across nodes and trees.
 //
 // The forest is the one a per-node sort over all classes would grow, bit
 // for bit: a split depends only on the label counts at distinct-value
-// boundaries, which the order of tied values never reaches, and a class
-// absent from a node adds 0 to its Gini sum.
+// boundaries, which neither the order of tied values nor the order of
+// the row list reaches, and a class absent from a node adds 0 to its
+// Gini sum.
 type builder struct {
 	cfg    Config
+	t      *Table
+	rows   []int // the training rows; a bootstrap draws len(rows) of them
 	y      []int
-	xt     [][]float64 // xt[f][s] = X[s][f]
-	sorted [][]int32   // sorted[f]: every sample, ascending by xt[f]
 	margin func(present int) float64
 
 	// Per tree.
-	weight    []float64 // bootstrap multiplicity per sample; they sum to len(X)
-	drawn     []uint8   // 1 for a sample with nonzero weight, else 0
-	cols      [][]int32 // cols[f]: drawn samples ascending by xt[f]; each node owns one [lo,hi)
+	weight    []float64 // bootstrap multiplicity per table row
+	samples   []int32   // the drawn rows; each node owns one [lo,hi)
 	nodes     []node
 	leafProba []float64 // leaf class distributions, in node order
 
@@ -163,91 +260,44 @@ type builder struct {
 	hist, left, right []float64
 	present           []int // classes with a nonzero count, ascending
 	feats             []int
-	goLeft            []uint8 // 1 for a sample going left, else 0
+	set               []uint64 // rank bitset, empty between calls to column
+	order             []int32  // column's output
 	spill             []int32
 
 	importance []float64 // accumulated impurity decrease per feature
 }
 
-func newBuilder(cfg Config, X [][]float64, Y []int, classes int) *builder {
-	n, nFeat := len(X), len(X[0])
-	b := &builder{
+func newBuilder(cfg Config, t *Table, rows []int, Y []int, classes int) *builder {
+	n, m, nFeat := len(Y), len(rows), len(t.xt)
+	return &builder{
 		cfg:        cfg,
+		t:          t,
+		rows:       rows,
 		y:          Y,
-		xt:         make([][]float64, nFeat),
-		sorted:     make([][]int32, nFeat),
 		weight:     make([]float64, n),
-		drawn:      make([]uint8, n),
-		cols:       make([][]int32, nFeat),
+		samples:    make([]int32, m),
 		hist:       make([]float64, classes),
 		left:       make([]float64, classes),
 		right:      make([]float64, classes),
 		feats:      make([]int, nFeat),
-		goLeft:     make([]uint8, n),
-		spill:      make([]int32, n),
+		set:        make([]uint64, (n+63)/64),
+		order:      make([]int32, m),
+		spill:      make([]int32, m),
 		importance: make([]float64, nFeat),
 	}
-	xt, sorted, cols := make([]float64, nFeat*n), make([]int32, nFeat*n), make([]int32, nFeat*n)
-	// Sort each column as integers, without a comparator: the value's
-	// order key with the sample index written over its low bits.
-	mask := uint64(1)<<bits.Len(uint(n-1)) - 1
-	keys := make([]uint64, n)
-	for f := range b.xt {
-		xf, order := xt[f*n:(f+1)*n], sorted[f*n:(f+1)*n]
-		for s, x := range X {
-			xf[s] = x[f]
-			keys[s] = orderKey(x[f])&^mask | uint64(s)
-		}
-		slices.Sort(keys)
-		// Values that differ only in the overwritten bits share a run of
-		// equal high bits: sort each such run by value. A run of equal
-		// values is already in order.
-		for i := 0; i < n; {
-			j, inOrder := i+1, true
-			for ; j < n && keys[j]&^mask == keys[i]&^mask; j++ {
-				inOrder = inOrder && xf[keys[j-1]&mask] <= xf[keys[j]&mask]
-			}
-			if !inOrder {
-				slices.SortFunc(keys[i:j], func(p, q uint64) int { return cmp.Compare(xf[p&mask], xf[q&mask]) })
-			}
-			i = j
-		}
-		for i, k := range keys {
-			order[i] = int32(k & mask)
-		}
-		b.xt[f], b.sorted[f], b.cols[f] = xf, order, cols[f*n:(f+1)*n]
-	}
-	return b
-}
-
-// orderKey maps a finite v to an integer that orders as v does, putting
-// -0 before the equal +0; Train has rejected NaN.
-func orderKey(v float64) uint64 {
-	u := math.Float64bits(v)
-	if u>>63 != 0 {
-		return ^u
-	}
-	return u | 1<<63
 }
 
 // tree draws a bootstrap sample and grows one tree on it.
 func (b *builder) tree() tree {
 	clear(b.weight)
-	for range b.weight {
-		b.weight[b.cfg.Rand.Intn(len(b.weight))]++
+	for range b.rows {
+		b.weight[b.rows[b.cfg.Rand.Intn(len(b.rows))]]++
 	}
-	for s, w := range b.weight {
-		b.drawn[s] = b2u(w > 0)
-	}
-	// Filter without a branch: every sample is written, only the drawn
-	// ones advance the write position.
 	m := 0
-	for f, order := range b.sorted {
-		col := b.cols[f]
-		m = 0
-		for _, s := range order {
-			col[m] = s
-			m += int(b.drawn[s])
+	for _, r := range b.rows {
+		if b.weight[r] > 0 {
+			b.samples[m] = int32(r)
+			m++
 		}
 	}
 	b.nodes, b.leafProba = b.nodes[:0], b.leafProba[:0]
@@ -264,8 +314,8 @@ func (b *builder) tree() tree {
 	return tree{nodes: nodes}
 }
 
-// grow builds the subtree over the samples in [lo,hi) of the columns and
-// returns its node index.
+// grow builds the subtree over the samples in [lo,hi) and returns its
+// node index.
 func (b *builder) grow(lo, hi, depth int) int32 {
 	n := b.histogram(lo, hi)
 	id := int32(len(b.nodes))
@@ -287,7 +337,6 @@ func (b *builder) grow(lo, hi, depth int) int32 {
 		return id
 	}
 	b.accumulateImportance(feat, n, nl, nr)
-	b.partition(lo, hi)
 	l := b.grow(lo, lo+ml, depth+1)
 	r := b.grow(lo+ml, hi, depth+1)
 	b.nodes[id].feature = feat
@@ -302,7 +351,7 @@ func (b *builder) grow(lo, hi, depth int) int32 {
 func (b *builder) histogram(lo, hi int) float64 {
 	clear(b.hist)
 	n := 0.0
-	for _, s := range b.cols[0][lo:hi] {
+	for _, s := range b.samples[lo:hi] {
 		w := b.weight[s]
 		b.hist[b.y[s]] += w
 		n += w
@@ -321,7 +370,7 @@ func (b *builder) histogram(lo, hi int) float64 {
 func (b *builder) accumulateImportance(feat int, n, nl, nr float64) {
 	decrease := gini(b.hist, n) - nl/n*gini(b.left, nl) - nr/n*gini(b.right, nr)
 	if decrease > 0 {
-		b.importance[feat] += n / float64(len(b.weight)) * decrease
+		b.importance[feat] += n / float64(len(b.rows)) * decrease
 	}
 }
 
@@ -344,7 +393,7 @@ func (b *builder) featureSubset() []int {
 }
 
 // bestSplit searches a random feature subset for the threshold with the
-// lowest weighted Gini impurity, reading each feature's order from its
+// lowest weighted Gini impurity, ordering each feature's samples with
 // column.
 //
 // At each distinct-value boundary the exact impurity giniBound is known
@@ -360,7 +409,7 @@ func (b *builder) bestSplit(lo, hi int, n float64) (feat int, thr float64, ok bo
 		sq += b.hist[c] * b.hist[c]
 	}
 	for _, f := range b.featureSubset() {
-		col, xf := b.cols[f][lo:hi], b.xt[f]
+		col, xf := b.column(f, lo, hi), b.t.xt[f]
 		left, right := b.left, b.right
 		clear(left)
 		copy(right, b.hist)
@@ -390,6 +439,30 @@ func (b *builder) bestSplit(lo, hi int, n float64) (feat int, thr float64, ok bo
 		}
 	}
 	return feat, thr, ok
+}
+
+// column returns the samples in [lo,hi) ascending by feature f, in the
+// order of the table's sorted[f]. It sets each sample's rank in b.set,
+// then reads the set bits back in ascending order, scanning only the
+// words between the lowest and the highest rank and clearing each one,
+// so b.set is empty again for the next call.
+func (b *builder) column(f, lo, hi int) []int32 {
+	rank, set := b.t.rank[f], b.set
+	first, last := int32(len(rank)), int32(0)
+	for _, s := range b.samples[lo:hi] {
+		r := rank[s]
+		set[r>>6] |= 1 << (r & 63)
+		first, last = min(first, r), max(last, r)
+	}
+	order, sorted, i := b.order[:hi-lo], b.t.sorted[f], 0
+	for w := first >> 6; w <= last>>6; w++ {
+		for word := set[w]; word != 0; word &= word - 1 {
+			order[i] = sorted[w<<6|int32(bits.TrailingZeros64(word))]
+			i++
+		}
+		set[w] = 0
+	}
+	return order
 }
 
 // moveSquares returns the sums of squared class counts sl and sr after
@@ -441,54 +514,32 @@ func splitGini(left, right []float64, present []int, nl, nr, n float64) float64 
 	return nl/n*gl + nr/n*gr
 }
 
-// divide sends each sample in [lo,hi) to a side of thr on feat, recording
-// it in b.goLeft and the children's histograms in b.left and b.right. It
-// returns the left child's bootstrap count and its number of distinct
-// samples. The side comes from the comparison, not from the boundary the
-// threshold was chosen at: the midpoint of two adjacent floats can round
-// onto the upper one.
+// divide sends each sample in [lo,hi) to a side of thr on feat,
+// recording the children's histograms in b.left and b.right, and
+// partitions the range stably, left-going samples first. It returns the
+// left child's bootstrap count and its number of distinct samples. The
+// side comes from the comparison, not from the boundary the threshold
+// was chosen at: the midpoint of two adjacent floats can round onto the
+// upper one.
 func (b *builder) divide(lo, hi, feat int, thr float64) (nl float64, ml int) {
 	clear(b.left)
 	clear(b.right)
-	xf := b.xt[feat]
-	for _, s := range b.cols[0][lo:hi] {
+	xf, seg, j := b.t.xt[feat], b.samples[lo:hi], 0
+	for _, s := range seg {
 		w, c := b.weight[s], b.y[s]
-		left := xf[s] <= thr
-		b.goLeft[s] = b2u(left)
-		if left {
+		if xf[s] <= thr {
 			b.left[c] += w
 			nl += w
+			seg[ml] = s
 			ml++
 		} else {
 			b.right[c] += w
+			b.spill[j] = s
+			j++
 		}
 	}
+	copy(seg[ml:], b.spill[:j])
 	return nl, ml
-}
-
-// partition reorders [lo,hi) of every column stably, left-going samples
-// first. Each sample is written to both sides and advances one, so the
-// loop has no branch to mispredict.
-func (b *builder) partition(lo, hi int) {
-	spill := b.spill[:hi-lo]
-	for _, col := range b.cols {
-		seg, k, j := col[lo:hi], 0, 0
-		for _, s := range seg {
-			l := int(b.goLeft[s])
-			seg[k], spill[j] = s, s
-			k += l
-			j += 1 - l
-		}
-		copy(seg[k:], spill[:j])
-	}
-}
-
-// b2u is 1 for true and 0 for false.
-func b2u(v bool) uint8 {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // gini computes the Gini impurity of a class histogram with total n.

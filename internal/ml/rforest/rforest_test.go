@@ -54,6 +54,25 @@ func TestTrainValidation(t *testing.T) {
 			t.Errorf("%s: invalid input accepted", c.name)
 		}
 	}
+	table, err := NewTable(X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		rows []int
+		y    []int
+	}{
+		{"no rows", nil, Y},
+		{"negative row", []int{-1, 0}, Y},
+		{"row past the table", []int{0, 2}, Y},
+		{"duplicate row", []int{1, 1}, Y},
+		{"labels vs table rows", []int{0}, []int{0}},
+	} {
+		if _, err := table.Train(Config{Rand: rng()}, c.rows, c.y, 2); err == nil {
+			t.Errorf("%s: invalid input accepted", c.name)
+		}
+	}
 }
 
 func TestDefaultsMatchPaper(t *testing.T) {
