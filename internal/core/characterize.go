@@ -9,6 +9,7 @@ import (
 	"repro/internal/board"
 	"repro/internal/faults"
 	"repro/internal/leakage"
+	"repro/internal/power"
 	"repro/internal/ro"
 	"repro/internal/runner"
 	"repro/internal/stats"
@@ -217,16 +218,7 @@ func measureLevel(cfg CharacterizeConfig, seed int64, level int) (LevelReading, 
 	if err != nil {
 		return LevelReading{}, err
 	}
-	bank, err := ro.New(ro.Config{
-		NominalVolts: fpgaRail.NominalVoltage(),
-		// 1.27%/10 mV supply sensitivity, the calibration point that puts
-		// the current/RO variation ratio at the paper's 261×.
-		VoltSensitivity:           1.27,
-		Volts:                     fpgaRail.Voltage,
-		LocalDroopVoltsPerElement: 2e-9,
-		JitterHz:                  50e3,
-		Rand:                      b.Engine().Stream("ro-bank"),
-	})
+	bank, err := ro.New(roBaseline(b, fpgaRail))
 	if err != nil {
 		return LevelReading{}, err
 	}
@@ -303,6 +295,22 @@ func measureLevel(cfg CharacterizeConfig, seed int64, level int) (LevelReading, 
 		ROCount:        sumR / float64(cfg.SamplesPerLevel),
 		CurrentSamples: curSamples,
 	}, nil
+}
+
+// roBaseline configures the Fig. 2 ring-oscillator bank on the FPGA
+// rail, with its jitter on the board's private "ro-bank" stream.
+func roBaseline(b *board.SoC, fpgaRail *power.Rail) ro.Config {
+	return ro.Config{
+		BaseHz:       400e6,
+		NominalVolts: fpgaRail.NominalVoltage(),
+		// 1.27%/10 mV supply sensitivity, the calibration point that puts
+		// the current/RO variation ratio at the paper's 261×.
+		VoltSensitivity:           1.27,
+		Volts:                     fpgaRail.Voltage,
+		LocalDroopVoltsPerElement: 2e-9,
+		JitterHz:                  50e3,
+		Rand:                      b.Engine().Stream("ro-bank"),
+	}
 }
 
 // fitCharacterize turns the per-level readings into the Fig. 2 channel

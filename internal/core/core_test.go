@@ -11,7 +11,9 @@ import (
 
 	"repro/internal/board"
 	"repro/internal/dpu"
+	"repro/internal/fabric"
 	"repro/internal/imagenet"
+	"repro/internal/ro"
 	"repro/internal/stats"
 	"repro/internal/sysfs"
 	"repro/internal/virus"
@@ -247,6 +249,68 @@ func TestCharacterizeVariationRatioFullSweep(t *testing.T) {
 	}
 	t.Logf("ratio %.1f, current r %.5f, RO r %.5f, %.2f LSB/level",
 		res.VariationRatio, res.Current.Pearson, res.RO.Pearson, res.Current.LSBPerLevel)
+}
+
+// railProbe is a fabric circuit that records the lowest rail voltage
+// any tick showed, read where the RO bank reads it: inside the tick.
+type railProbe struct {
+	volts func() float64
+	low   float64
+}
+
+func (p *railProbe) CircuitName() string           { return "rail-probe" }
+func (p *railProbe) Utilization() fabric.Resources { return fabric.Resources{} }
+func (p *railProbe) ActiveElements() float64       { return 0 }
+func (p *railProbe) Step(now, dt time.Duration)    { p.low = min(p.low, p.volts()) }
+
+// TestFig2ROClampCannotFire: the RO bank steps a tick oscillator by
+// oscillator only when some loop's frequency could go negative. Fig. 2's
+// worst case — stabilizer off, every virus group on, the most active
+// clock region's local droop — must leave the deterministic frequency
+// thousands of jitter σ above zero, so that path never runs there.
+func TestFig2ROClampCannotFire(t *testing.T) {
+	b, err := board.NewZCU102(board.Config{Seed: 1, DisableStabilizer: true})
+	if err != nil {
+		t.Fatalf("NewZCU102: %v", err)
+	}
+	array, err := virus.New(virus.Config{Groups: virus.DefaultGroups})
+	if err != nil {
+		t.Fatalf("virus.New: %v", err)
+	}
+	if err := array.Deploy(b.Fabric()); err != nil {
+		t.Fatalf("Deploy virus: %v", err)
+	}
+	rail, err := b.Rail(board.RailFPGA)
+	if err != nil {
+		t.Fatalf("Rail: %v", err)
+	}
+	cfg := roBaseline(b, rail)
+	bank, err := ro.New(cfg)
+	if err != nil {
+		t.Fatalf("ro.New: %v", err)
+	}
+	if err := bank.Deploy(b.Fabric()); err != nil {
+		t.Fatalf("Deploy bank: %v", err)
+	}
+	probe := &railProbe{volts: rail.Voltage, low: math.Inf(1)}
+	b.Fabric().MustPlace(probe, b.Fabric().SpreadEvenly())
+	if err := array.SetActiveGroups(virus.DefaultGroups); err != nil {
+		t.Fatalf("SetActiveGroups: %v", err)
+	}
+	b.Run(time.Second)
+	hottest := 0.0
+	for _, row := range b.Fabric().RegionMap() {
+		for _, a := range row {
+			hottest = max(hottest, a)
+		}
+	}
+	v := probe.low - cfg.LocalDroopVoltsPerElement*hottest
+	f := cfg.BaseHz * (1 + cfg.VoltSensitivity*(v-cfg.NominalVolts))
+	t.Logf("lowest rail %.4f V, largest local droop %.2g V: %.4g Hz = %.0f σ", probe.low,
+		cfg.LocalDroopVoltsPerElement*hottest, f, f/cfg.JitterHz)
+	if f < 1000*cfg.JitterHz {
+		t.Fatalf("worst-case RO frequency %.4g Hz is only %.0f jitter σ above zero, want thousands", f, f/cfg.JitterHz)
+	}
 }
 
 func TestCharacterizeValidation(t *testing.T) {

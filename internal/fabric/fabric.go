@@ -114,10 +114,11 @@ type Fabric struct {
 	// completed tick; nextShares is being filled by the tick in
 	// progress. regionMap is built from shares by the first RegionMap
 	// call after a Step that changed a share, or after a Place
-	// (regionMapBuilt).
+	// (regionMapBuilt). regionMapGen counts those changes.
 	shares, nextShares []float64
 	regionMap          [][]float64
 	regionMapBuilt     bool
+	regionMapGen       uint64
 }
 
 // Config configures a Fabric.
@@ -219,7 +220,7 @@ func (f *Fabric) Place(c Circuit, regions []Region) error {
 	f.placed = append(f.placed, placement{circuit: c, regions: append([]Region(nil), regions...)})
 	f.shares = append(f.shares, 0)
 	f.nextShares = append(f.nextShares, 0)
-	f.regionMapBuilt = false
+	f.invalidateRegionMap()
 	return nil
 }
 
@@ -257,10 +258,17 @@ func (f *Fabric) Step(now, dt time.Duration) {
 	}
 	f.shares, f.nextShares = f.nextShares, f.shares
 	if changed {
-		f.regionMapBuilt = false
+		f.invalidateRegionMap()
 	}
 	f.totalActivity = total
 	f.current = f.model.CurrentFor(total, f.volts())
+}
+
+// invalidateRegionMap marks the region map stale after a share changed
+// or a circuit was placed.
+func (f *Fabric) invalidateRegionMap() {
+	f.regionMapBuilt = false
+	f.regionMapGen++
 }
 
 // buildRegionMap sums the last completed tick's shares into the region
@@ -298,3 +306,9 @@ func (f *Fabric) RegionMap() [][]float64 {
 	}
 	return f.regionMap
 }
+
+// RegionMapGen returns the region map's generation: it moves whenever a
+// Step changes a circuit's share or a Place adds one, so while it holds
+// still RegionMap returns the same values. A reader that derives state
+// from the map re-reads the map only when the generation moves.
+func (f *Fabric) RegionMapGen() uint64 { return f.regionMapGen }

@@ -9,7 +9,8 @@ package fabric
 // activity for random runs of ticks, so the fabric keeps a built map
 // across ticks, and change it wholesale, by a few ulps, or back to an
 // earlier count, so a map kept across a change in the low bits, or one
-// checked against the wrong tick's shares, shows.
+// checked against the wrong tick's shares, shows. RegionMapGen must move
+// on every tick that changes the map.
 
 import (
 	"fmt"
@@ -199,11 +200,15 @@ func regionMapMatchesEager(step func(f *Fabric, now, dt time.Duration)) func(*ch
 					ct.Fatalf("after the placement before tick %d: RegionMap %v, eager map %v", i, got, prev)
 				}
 			}
+			gen := f.RegionMapGen()
 			step(f, time.Duration(i)*time.Millisecond, time.Millisecond)
 			if !sameRegions(reader.seen, prev) {
 				ct.Fatalf("tick %d: reader saw %v, previous tick's map is %v", i, reader.seen, prev)
 			}
 			want := eagerRegions(f)
+			if f.RegionMapGen() == gen && !sameRegions(want, prev) {
+				ct.Fatalf("tick %d: the map changed but RegionMapGen held at %d", i, gen)
+			}
 			if read {
 				if got := readRegions(f); !sameRegions(got, want) {
 					ct.Fatalf("tick %d: RegionMap %v, eager map %v", i, got, want)

@@ -30,6 +30,7 @@ func TestNewValidation(t *testing.T) {
 		func(c Config) Config { c.Volts = nil; return c },
 		func(c Config) Config { c.JitterHz = 1; return c }, // no rng
 		func(c Config) Config { c.JitterHz = -1; return c },
+		func(c Config) Config { c.VoltSensitivity = -1; return c },
 	}
 	for i, mutate := range cases {
 		if _, err := New(mutate(good)); err == nil {
@@ -111,25 +112,117 @@ func TestJitterRequiresAndUsesRand(t *testing.T) {
 	}
 }
 
-func TestFrequencyAccessor(t *testing.T) {
-	b := newBank(t, Config{Count: 2, NominalVolts: 0.85, Volts: fixedVolts(0.85)})
-	b.Step(0, time.Millisecond)
-	f, err := b.Frequency(0)
-	if err != nil || math.Abs(f-400e6) > 1 {
-		t.Fatalf("Frequency = %v, %v", f, err)
+// TestCountsFollowFrequency: across runs of ticks that change the rail
+// voltage and dt, a count is the sum of each tick's frequency times its
+// dt, to within the float rounding of a closed-form sum.
+func TestCountsFollowFrequency(t *testing.T) {
+	v := 0.85
+	b := newBank(t, Config{Count: 2, NominalVolts: 0.85, Volts: func() float64 { return v }})
+	want := 0.0
+	for i, dt := range []time.Duration{time.Millisecond, time.Millisecond, 300 * time.Microsecond, time.Millisecond} {
+		v = 0.85 - 0.002*float64(i)
+		b.Step(0, dt)
+		want += 400e6 * (1 + 1.3*(v-0.85)) * dt.Seconds()
 	}
-	if _, err := b.Frequency(5); err == nil {
-		t.Fatal("out-of-range oscillator accepted")
+	for i, c := range b.Sample() {
+		if math.Abs(float64(c)-want) > 1 {
+			t.Fatalf("count[%d] = %d, want %.1f", i, c, want)
+		}
 	}
 }
 
 func TestNegativeFrequencyClamps(t *testing.T) {
 	// Collapse the voltage far below nominal: frequency clamps at zero
-	// rather than counting backwards.
-	b := newBank(t, Config{Count: 1, NominalVolts: 0.85, Volts: fixedVolts(0)})
-	b.Step(0, time.Millisecond)
-	if c := b.Sample()[0]; c != 0 {
-		t.Fatalf("count = %d, want 0 at collapsed rail", c)
+	// rather than counting backwards, and a stopped loop has no jitter.
+	for _, jitter := range []float64{0, 1e6} {
+		b := newBank(t, Config{Count: 3, NominalVolts: 0.85, Volts: fixedVolts(0),
+			JitterHz: jitter, Rand: sim.NewRand(3)})
+		for s := 0; s < 20; s++ {
+			b.Step(0, time.Millisecond)
+			for i, c := range b.Sample() {
+				if c != 0 {
+					t.Fatalf("jitter %g, sample %d: count[%d] = %d, want 0 at collapsed rail", jitter, s, i, c)
+				}
+			}
+		}
+	}
+}
+
+// TestWindowJitterNeverCountsBackwards: a loop barely running, with
+// window jitter a thousand times its mean count, still never returns a
+// negative count or leaves a carry outside [0, 1).
+func TestWindowJitterNeverCountsBackwards(t *testing.T) {
+	stop := 0.85 - 1/1.3 // the rail voltage at which the loop stops
+	b := newBank(t, Config{Count: 4, NominalVolts: 0.85, Volts: fixedVolts(stop + 1e-6),
+		JitterHz: 1e6, Rand: sim.NewRand(4)})
+	zeros := 0
+	for s := 0; s < 200; s++ {
+		b.Step(0, time.Millisecond)
+		for i, c := range b.Sample() {
+			if c < 0 || b.carry[i] < 0 || b.carry[i] >= 1 {
+				t.Fatalf("sample %d, RO %d: count %d carry %v", s, i, c, b.carry[i])
+			}
+			if c == 0 {
+				zeros++
+			}
+		}
+	}
+	if zeros < 200 {
+		t.Fatalf("only %d of 800 windows clamped at zero; the scenario no longer tests the clamp", zeros)
+	}
+}
+
+// windowCountVariance runs windows of ticks 500 µs steps at a constant
+// rail and returns the variance of the per-oscillator counts. mutate, if
+// not nil, runs on the bank before each sample.
+func windowCountVariance(t *testing.T, jitter float64, ticks, windows int, mutate func(*Bank)) float64 {
+	t.Helper()
+	b := newBank(t, Config{Count: 8, NominalVolts: 0.85, Volts: fixedVolts(0.84),
+		JitterHz: jitter, Rand: sim.NewRand(21)})
+	var counts []float64
+	for w := 0; w < windows; w++ {
+		for k := 0; k < ticks; k++ {
+			b.Step(0, 500*time.Microsecond)
+		}
+		if mutate != nil {
+			mutate(b)
+		}
+		for _, c := range b.Sample() {
+			counts = append(counts, float64(c))
+		}
+	}
+	mean := 0.0
+	for _, c := range counts {
+		mean += c
+	}
+	mean /= float64(len(counts))
+	ss := 0.0
+	for _, c := range counts {
+		ss += (c - mean) * (c - mean)
+	}
+	return ss / float64(len(counts)-1)
+}
+
+// TestWindowJitterVariance: per-tick N(0, σ) jitter summed over T ticks
+// of dt gives a count variance of (σ·dt·√T)². 8000 counts pin the
+// sample variance to about ±1.6% (1σ); a window drawn with σ·dt·T, as if
+// the per-tick errors were fully correlated, is 70 times too wide.
+func TestWindowJitterVariance(t *testing.T) {
+	const sigma, ticks = 50e3, 70
+	want := math.Pow(sigma*500e-6*math.Sqrt(ticks), 2)
+	check := func(got float64) bool { return math.Abs(got/want-1) < 0.12 }
+	if got := windowCountVariance(t, sigma, ticks, 1000, nil); !check(got) {
+		t.Fatalf("count variance %.0f, want (σ·dt·√T)² = %.0f", got, want)
+	}
+	// The mutant scales each window's jitter by T instead of √T.
+	linear := func(b *Bank) {
+		b.fold()
+		for i := range b.jvar {
+			b.jvar[i] *= ticks
+		}
+	}
+	if got := windowCountVariance(t, sigma, ticks, 200, linear); check(got) {
+		t.Fatalf("jitter scaled by T passed the variance check: %.0f vs %.0f", got, want)
 	}
 }
 
@@ -159,11 +252,18 @@ func TestDeployOnFabricWithLocalDroop(t *testing.T) {
 	hot := &hotCircuit{active: 1e5}
 	fab.MustPlace(hot, []fabric.Region{{Row: 0, Col: 0}})
 	fab.Step(0, time.Millisecond)
-	fab.Step(0, time.Millisecond) // second tick sees region activity from first
-	f0, _ := bank.Frequency(0)    // deployed round-robin: RO 0 is in (0,0)
-	f1, _ := bank.Frequency(1)    // RO 1 is in a different region
-	if f0 >= f1 {
-		t.Fatalf("local droop missing: f0=%v f1=%v", f0, f1)
+	bank.Sample()                 // the first tick sees no activity yet
+	fab.Step(0, time.Millisecond) // the second sees the first's
+	counts := bank.Sample()
+	// Deployed round-robin over the device's regions: RO 0 sits in (0,0).
+	regions := len(fab.SpreadEvenly())
+	for i, c := range counts {
+		if i%regions == 0 && c >= counts[1] {
+			t.Fatalf("RO %d in the hot region counted %d, RO 1 elsewhere %d", i, c, counts[1])
+		}
+		if i%regions != 0 && c != counts[1] {
+			t.Fatalf("RO %d outside the hot region counted %d, RO 1 %d", i, c, counts[1])
+		}
 	}
 }
 
@@ -186,8 +286,8 @@ func TestLocalDroopNeedsDeploy(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			plain := newBank(t, Config{Count: 4, NominalVolts: 0.85, Volts: fixedVolts(0.85)})
 			tc.step(t, plain)
-			if f, _ := plain.Frequency(0); f != 400e6 {
-				t.Fatalf("bank without local droop: frequency %v, want 400e6", f)
+			if c := plain.Sample()[0]; c != 400000 {
+				t.Fatalf("bank without local droop: count %d, want 400000", c)
 			}
 			droopy := newBank(t, Config{Count: 4, NominalVolts: 0.85, Volts: fixedVolts(0.85),
 				LocalDroopVoltsPerElement: 1e-8})
@@ -252,7 +352,7 @@ func jitteredTwins(t *testing.T) (*Bank, *Bank) {
 
 // TestSampleMeanMatchesSample: SampleMean reads and resets the counters
 // in place, and must equal the mean of Sample's counts on a twin bank
-// while leaving the same fractional carry behind.
+// while making the same draws and leaving the same fractional carry.
 func TestSampleMeanMatchesSample(t *testing.T) {
 	a, b := jitteredTwins(t)
 	for i := 0; i < 200; i++ {
@@ -268,9 +368,9 @@ func TestSampleMeanMatchesSample(t *testing.T) {
 		if got := a.SampleMean(); got != want {
 			t.Fatalf("sample %d: SampleMean = %v, mean of Sample = %v", i, got, want)
 		}
-		for k := range a.phase {
-			if a.phase[k] != b.phase[k] {
-				t.Fatalf("sample %d: RO %d carry %v vs %v", i, k, a.phase[k], b.phase[k])
+		for k := range a.carry {
+			if a.carry[k] != b.carry[k] {
+				t.Fatalf("sample %d: RO %d carry %v vs %v", i, k, a.carry[k], b.carry[k])
 			}
 		}
 	}
