@@ -18,6 +18,7 @@ type UtilizationSource struct {
 	idle    float64 // amps at zero utilization
 	dynamic float64 // additional amps at full utilization
 	util    float64
+	sync    func() // brings the rail's lazy chain up to date; nil if none or eager
 }
 
 // NewUtilizationSource returns a load drawing idle amps at util 0 and
@@ -38,13 +39,20 @@ func (u *UtilizationSource) SourceName() string { return u.name }
 // Current implements power.Source.
 func (u *UtilizationSource) Current() float64 { return u.idle + u.dynamic*u.util }
 
-// SetUtil sets the utilization, clamped to [0,1].
+// SetUtil sets the utilization, clamped to [0,1]. A change first
+// brings the rail's lazily stepped chain up to the present tick, so
+// the pending ticks replay at the utilization they ran at.
 func (u *UtilizationSource) SetUtil(x float64) {
 	if x < 0 {
 		x = 0
 	}
 	if x > 1 {
 		x = 1
+	}
+	// Test sync first: the DPU writes on every tick, and whether the
+	// value changed is a branch the CPU cannot predict.
+	if u.sync != nil && x != u.util {
+		u.sync()
 	}
 	u.util = x
 }

@@ -46,15 +46,37 @@ func placeRSA(t testing.TB, b *SoC) {
 	}
 }
 
+// busReader returns a function that reads every sensor's bus voltage
+// (in1_input) through bound sysfs files. Each read syncs its sensor, so
+// on a lazy PS chain it replays the chain's pending ticks. The rendered
+// millivolt text is cached while its value repeats, so in steady state
+// the reads themselves do not allocate.
+func busReader(t testing.TB, b *SoC) func() {
+	var files []*sysfs.File
+	for _, e := range b.Hwmon().Entries() {
+		files = append(files, b.Sysfs().Bind(e.Attr("in1_input")))
+	}
+	return func() {
+		for _, f := range files {
+			if _, err := f.Read(sysfs.Nobody); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestTickSteadyStateZeroAllocs pins the allocation contract: once
-// warmed up, the board tick loop — rails, regulators, the four stepped
-// INA226s, the 14 deferred ones and every latch — performs zero heap
-// allocations. It gates whole update windows rather than single ticks:
-// AllocsPerRun floors allocations per run, so one allocation per latch
-// (1 in 70 ticks) would read as 0 per tick. The stale-sensor board adds
-// the latch fault hooks, the rsa board Fig. 4's victim on the fabric. A
-// regression here multiplies across the millions of ticks a
-// fingerprinting campaign simulates.
+// warmed up, the board tick loop — the FPGA rail and regulator, the
+// four sensitive INA226s (three with a lazy PS chain), the 14 deferred
+// ones and every latch — performs zero heap allocations. It gates
+// whole update windows rather than single ticks: AllocsPerRun floors
+// allocations per run, so one allocation per latch (1 in 70 ticks)
+// would read as 0 per tick. The stale-sensor board adds the latch fault
+// hooks, the rsa board Fig. 4's victim on the fabric, and the read-all
+// board reads every sensor through sysfs once per window, which
+// replays all three PS chains and the 14 misc rails; the Run-only
+// cases never sync a lazy chain. A regression here multiplies across
+// the millions of ticks a fingerprinting campaign simulates.
 func TestTickSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -64,13 +86,15 @@ func TestTickSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		rsa  bool
+		name    string
+		cfg     Config
+		rsa     bool
+		readAll bool
 	}{
-		{"clean", Config{Seed: 1}, false},
-		{"stale-sensor", Config{Seed: 1, Faults: &stale}, false},
-		{"rsa", Config{Seed: 1}, true},
+		{"clean", Config{Seed: 1}, false, false},
+		{"stale-sensor", Config{Seed: 1, Faults: &stale}, false, false},
+		{"rsa", Config{Seed: 1}, true, false},
+		{"read-all", Config{Seed: 1}, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := newSteadyBoard(t, tc.cfg)
@@ -78,7 +102,15 @@ func TestTickSteadyStateZeroAllocs(t *testing.T) {
 				placeRSA(t, b)
 				b.Run(time.Second)
 			}
-			allocs := testing.AllocsPerRun(50, func() { b.Run(ina226.DefaultUpdateInterval) })
+			read := func() {}
+			if tc.readAll {
+				read = busReader(t, b)
+				read() // bind the files, render the first values
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				b.Run(ina226.DefaultUpdateInterval)
+				read()
+			})
 			if allocs != 0 {
 				t.Fatalf("steady-state update window allocated %v objects/op, want 0", allocs)
 			}
@@ -114,15 +146,33 @@ func TestSamplingSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkTick measures the steady-state cost of one simulation tick
-// on a full ZCU102: the four sensitive INA226s stepped, the 14 misc-rail
-// ones deferred (counted and latched, integrated only when read, which
-// here is never); allocs/op must report 0.
+// on a full ZCU102: the fabric, the FPGA rail and regulator, the FPGA
+// INA226 integrating on the tick, and the other 17 INA226s deferred
+// (counted and latched, integrated only when read). In idle nothing is
+// read, so the three PS chains (background load, rail, regulator)
+// never run; read-all reads every sensor through sysfs once per 35 ms
+// window, replaying every deferred tick, PS chains included.
+// allocs/op must report 0 in both.
 func BenchmarkTick(b *testing.B) {
-	soc := newSteadyBoard(b, Config{Seed: 1})
-	eng := soc.Engine()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Tick()
+	window := int(ina226.DefaultUpdateInterval / Step)
+	for _, readAll := range []bool{false, true} {
+		name := "idle"
+		if readAll {
+			name = "read-all"
+		}
+		b.Run(name, func(b *testing.B) {
+			soc := newSteadyBoard(b, Config{Seed: 1})
+			eng := soc.Engine()
+			read := busReader(b, soc)
+			read()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				eng.Tick()
+				if readAll && i%window == 0 {
+					read()
+				}
+			}
+		})
 	}
 }

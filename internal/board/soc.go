@@ -173,8 +173,10 @@ type SoC struct {
 	hw   *hwmon.Subsystem
 	fab  *fabric.Fabric
 
-	rails map[RailID]*power.Rail
-	regs  map[RailID]*pdn.Regulator
+	rails  map[RailID]*power.Rail
+	regs   map[RailID]*pdn.Regulator
+	chains map[RailID]*psChain
+	gate   psGate
 
 	cpuFull *UtilizationSource
 	cpuLow  *UtilizationSource
@@ -183,6 +185,124 @@ type SoC struct {
 	sensors map[string]*ina226.Device
 
 	injector *faults.Injector // nil unless Config.Faults enabled
+}
+
+// psChain is one PS rail's upstream: its OS background load, the rail
+// and the rail's regulator. The engine does not step a lazy chain; the
+// rail's INA226 does (ina226.Probe.Upstream), deferred like the
+// misc-rail sensors, so the chain runs only when something observes
+// the sensor and then replays every pending tick. Nothing else reads
+// the chain, and its one input, the utilization, syncs it before
+// changing, so the replay is bit-identical to stepping it on the tick.
+// A chain whose rail or regulator is handed out (SoC.Rail,
+// SoC.Regulator), whose regulator carries a fault disturbance that
+// counts on the tick, or that is synced on nearly every tick anyway,
+// goes eager: the board's psGate steps it on the tick from then on.
+type psChain struct {
+	parts  [3]sim.Steppable // background load, rail, regulator: tick order
+	load   *UtilizationSource
+	sensor *ina226.Device
+	gate   *psGate
+	eager  bool
+	busy   int // utilization changes in a row that found at most one tick pending
+}
+
+// eagerAfter is how many utilization changes in a row, each finding at
+// most one pending tick, make a chain eager: replaying one tick at a
+// time costs more than stepping the chain on the tick (the DPU moves
+// the utilization on most ticks).
+const eagerAfter = 4
+
+// Step advances the chain by one tick.
+func (c *psChain) Step(now, dt time.Duration) {
+	for i := range c.parts {
+		c.parts[i].Step(now, dt)
+	}
+}
+
+// sync brings the chain up to date before its utilization changes.
+func (c *psChain) sync() {
+	if c.sensor.Sync() > 1 {
+		c.busy = 0
+		return
+	}
+	if c.busy++; c.busy == eagerAfter {
+		c.makeEager()
+	}
+}
+
+// makeEager brings the chain up to date and has the gate step it on
+// every tick from then on.
+func (c *psChain) makeEager() {
+	if c.eager {
+		return
+	}
+	c.sensor.Undefer()
+	c.eager, c.load.sync = true, nil
+	*c.gate = append(*c.gate, c)
+}
+
+// psGate steps the eager PS chains. The engine steps it after the
+// fabric, so a chain sees the utilization the fabric's victims set on
+// the same tick, and before the sensors.
+type psGate []*psChain
+
+// Step advances every eager chain by one tick, all background loads
+// first: independent work the CPU can overlap, which measured faster
+// than stepping each chain whole.
+func (g *psGate) Step(now, dt time.Duration) {
+	for _, c := range *g {
+		c.parts[0].Step(now, dt)
+	}
+	for _, c := range *g {
+		c.parts[1].Step(now, dt)
+		c.parts[2].Step(now, dt)
+	}
+}
+
+// psRail describes one PS supply: its rail and stabilizer band, the
+// utilization load's idle and full-scale currents, the board's load
+// slot, and the OS background activity on the rail (mean, diffusion,
+// reversion rate and max of an Ornstein-Uhlenbeck process).
+type psRail struct {
+	id            RailID
+	volts         float64
+	band          pdn.Band
+	idle, dynamic float64
+	load          **UtilizationSource
+	background    [4]float64
+}
+
+// psRails returns the board's three PS supplies: the utilization-driven
+// CPU domains, scaled to the CPU model, and the DDR rail. The OS
+// background activity is calibrated so the CPU channels are
+// informative but noisy (the paper's 83.7%/55.7% CPU fingerprinting
+// accuracies) while DDR stays comparatively clean.
+func (b *SoC) psRails() []psRail {
+	cpuScale := 1.0
+	if b.spec.CPUModel == "Cortex-A72" {
+		cpuScale = a72PowerScale
+	}
+	return []psRail{
+		{RailCPUFull, 0.85, BandZynqUltraScale, cpuFullIdleAmps * cpuScale, cpuFullDynamicAmps * cpuScale,
+			&b.cpuFull, [4]float64{0.10, 0.30, 20, 0.8}},
+		{RailCPULow, 0.85, BandZynqUltraScale, cpuLowIdleAmps * cpuScale, cpuLowDynamicAmps * cpuScale,
+			&b.cpuLow, [4]float64{0.05, 0.04, 20, 0.4}},
+		{RailDDR, 1.20, pdn.Band{Min: 1.14, Max: 1.26}, ddrIdleAmps, ddrDynamicAmps,
+			&b.ddr, [4]float64{0.08, 0.06, 20, 0.6}},
+	}
+}
+
+// sensitiveRails wires the four Table II sensors to their rails.
+var sensitiveRails = []struct {
+	label string
+	rail  RailID
+	shunt float64
+}{
+	{SensorCPUFull, RailCPUFull, psShuntOhms},
+	{SensorCPULow, RailCPULow, psShuntOhms},
+	{SensorFPGA, RailFPGA, fpgaShuntOhms},
+	{SensorDDR, RailDDR, psShuntOhms},
 }
 
 // ZCU102 is an alias for the generic SoC type: the ZCU102 is the
@@ -199,6 +319,57 @@ func NewZCU102(cfg Config) (*SoC, error) {
 // and stabilizer band, CPU domains scaled to the CPU model, a DDR rail,
 // and the spec's full complement of INA226 sensors.
 func Wire(spec Spec, cfg Config) (*SoC, error) {
+	b, err := newSoC(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.wireFPGA(cfg); err != nil {
+		return nil, err
+	}
+	for _, def := range b.psRails() {
+		c, err := b.newPSChain(def)
+		if err != nil {
+			return nil, err
+		}
+		b.chains[def.id] = c
+	}
+
+	// --- Engine wiring: the fabric feeds the FPGA rail, the rail its
+	// regulator, and the sensors sample last so each tick they see
+	// settled values. A lazy PS chain is stepped by its sensor, an
+	// eager one by the gate. ---
+	b.eng.MustRegister("fabric", b.fab)
+	b.eng.MustRegister("rail/"+string(RailFPGA), b.rails[RailFPGA])
+	b.eng.MustRegister("reg/"+string(RailFPGA), b.regs[RailFPGA])
+	b.eng.MustRegister("ps", &b.gate)
+
+	// --- Sensors: the four sensitive ones (Table II)... ---
+	for _, sd := range sensitiveRails {
+		rail := b.rails[sd.rail]
+		probe := ina226.Probe{CurrentAmps: rail.Current, BusVolts: rail.Voltage}
+		c := b.chains[sd.rail]
+		if c != nil {
+			probe.Upstream = c
+		}
+		dev, err := b.addSensor(cfg, sd.label, sd.shunt, probe, c != nil)
+		if err != nil {
+			return nil, err
+		}
+		if c != nil {
+			c.sensor, c.load.sync = dev, c.sync
+		}
+	}
+	// --- ...and the board's remaining rails. ---
+	if err := b.addMiscSensors(cfg); err != nil {
+		return nil, err
+	}
+	b.injectFaults(cfg)
+	return b, nil
+}
+
+// newSoC validates spec and returns an empty board: engine, sysfs tree
+// and hwmon class.
+func newSoC(spec Spec, cfg Config) (*SoC, error) {
 	if spec.Name == "" || spec.INASensors < 4 {
 		return nil, fmt.Errorf("board: spec %q needs a name and >= 4 sensors", spec.Name)
 	}
@@ -217,182 +388,144 @@ func Wire(spec Spec, cfg Config) (*SoC, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &SoC{
+	return &SoC{
 		spec:    spec,
 		eng:     eng,
 		tree:    tree,
 		hw:      hw,
 		rails:   make(map[RailID]*power.Rail),
 		regs:    make(map[RailID]*pdn.Regulator),
+		chains:  make(map[RailID]*psChain),
 		sensors: make(map[string]*ina226.Device),
-	}
+	}, nil
+}
 
-	// The FPGA rail runs at the family-typical VCCINT nominal (0.85 V on
-	// Zynq UltraScale+, 0.80 V on Versal), inside the stabilizer band.
-	band := spec.VoltageBand
+// wireFPGA builds the fabric and the stabilized VCCINT rail that feeds
+// it, unregistered. The rail runs at the family-typical nominal (0.85 V
+// on Zynq UltraScale+, 0.80 V on Versal), inside the stabilizer band.
+func (b *SoC) wireFPGA(cfg Config) error {
+	band := b.spec.VoltageBand
 	nominal := 0.85
-	if spec.Family == FamilyVersal {
+	if b.spec.Family == FamilyVersal {
 		nominal = 0.80
 	}
 	if !band.Contains(nominal) {
 		nominal = (band.Min + band.Max) / 2
 	}
-	cpuScale := 1.0
-	if spec.CPUModel == "Cortex-A72" {
-		cpuScale = a72PowerScale
-	}
-
-	// --- FPGA rail: fabric load, stabilized VCCINT. ---
-	fpgaRail, err := power.NewRail(power.RailConfig{
+	rail, err := power.NewRail(power.RailConfig{
 		Name: string(RailFPGA), NominalVoltage: nominal,
 		StaticCurrent: fpgaStaticAmps, NoiseSigma: fpgaNoiseAmps,
-		Rand: eng.Stream("rail/" + string(RailFPGA)),
+		Rand: b.eng.Stream("rail/" + string(RailFPGA)),
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	b.rails[RailFPGA] = fpgaRail
+	b.rails[RailFPGA] = rail
 	b.fab, err = fabric.New(fabric.Config{
-		Device:        deviceFor(spec),
+		Device:        deviceFor(b.spec),
 		CapPerElement: CapPerElement,
-		Voltage:       fpgaRail.Voltage,
+		Voltage:       rail.Voltage,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	fpgaRail.MustAttach(b.fab)
-	fpgaReg, err := pdn.NewRegulator(pdn.RegulatorConfig{
-		Rail:        fpgaRail,
+	rail.MustAttach(b.fab)
+	reg, err := pdn.NewRegulator(pdn.RegulatorConfig{
+		Rail:        rail,
 		Band:        band,
 		Drop:        pdn.DropModel{ResistanceOhm: 0.008, InductanceHenry: 2e-10},
 		LoadLineOhm: fpgaLoadLineOhm,
 		Disabled:    cfg.DisableStabilizer,
 	})
 	if err != nil {
+		return err
+	}
+	b.regs[RailFPGA] = reg
+	return nil
+}
+
+// newPSChain builds one PS supply's load, background load, rail and
+// regulator, unregistered, and records the rail, regulator and load on
+// the board.
+func (b *SoC) newPSChain(def psRail) (*psChain, error) {
+	name := string(def.id)
+	rail, err := power.NewRail(power.RailConfig{
+		Name: name, NominalVoltage: def.volts,
+		StaticCurrent: 0, NoiseSigma: psNoiseAmps,
+		Rand: b.eng.Stream("rail/" + name),
+	})
+	if err != nil {
 		return nil, err
 	}
-	b.regs[RailFPGA] = fpgaReg
+	load, err := NewUtilizationSource("load/"+name, def.idle, def.dynamic)
+	if err != nil {
+		return nil, err
+	}
+	rail.MustAttach(load)
+	bg := def.background
+	os, err := NewBackgroundLoad("os/"+name, bg[0], bg[1], bg[2], bg[3], b.eng.Stream("os/"+name))
+	if err != nil {
+		return nil, err
+	}
+	rail.MustAttach(os)
+	reg, err := pdn.NewRegulator(pdn.RegulatorConfig{
+		Rail: rail, Band: def.band,
+		Drop:        pdn.DropModel{ResistanceOhm: 0.005, InductanceHenry: 2e-10},
+		LoadLineOhm: 0.002,
+	})
+	if err != nil {
+		return nil, err
+	}
+	b.rails[def.id] = rail
+	b.regs[def.id] = reg
+	*def.load = load
+	return &psChain{parts: [3]sim.Steppable{os, rail, reg}, load: load, gate: &b.gate}, nil
+}
 
-	// --- PS rails: utilization-driven CPU domains and DDR. ---
-	type psRail struct {
-		id            RailID
-		volts         float64
-		band          pdn.Band
-		idle, dynamic float64
-		load          **UtilizationSource
-	}
-	psDefs := []psRail{
-		{RailCPUFull, 0.85, BandZynqUltraScale, cpuFullIdleAmps * cpuScale, cpuFullDynamicAmps * cpuScale, &b.cpuFull},
-		{RailCPULow, 0.85, BandZynqUltraScale, cpuLowIdleAmps * cpuScale, cpuLowDynamicAmps * cpuScale, &b.cpuLow},
-		{RailDDR, 1.20, pdn.Band{Min: 1.14, Max: 1.26}, ddrIdleAmps, ddrDynamicAmps, &b.ddr},
-	}
-	// OS background activity per PS rail: mean/diffusion/reversion/max,
-	// calibrated so the CPU channels are informative but noisy (the
-	// paper's 83.7%/55.7% CPU fingerprinting accuracies) while DDR stays
-	// comparatively clean.
-	background := map[RailID][4]float64{
-		RailCPUFull: {0.10, 0.30, 20, 0.8},
-		RailCPULow:  {0.05, 0.04, 20, 0.4},
-		RailDDR:     {0.08, 0.06, 20, 0.6},
-	}
-	for _, def := range psDefs {
-		rail, err := power.NewRail(power.RailConfig{
-			Name: string(def.id), NominalVoltage: def.volts,
-			StaticCurrent: 0, NoiseSigma: psNoiseAmps,
-			Rand: eng.Stream("rail/" + string(def.id)),
-		})
-		if err != nil {
-			return nil, err
-		}
-		load, err := NewUtilizationSource("load/"+string(def.id), def.idle, def.dynamic)
-		if err != nil {
-			return nil, err
-		}
-		rail.MustAttach(load)
-		bg := background[def.id]
-		os, err := NewBackgroundLoad("os/"+string(def.id), bg[0], bg[1], bg[2], bg[3],
-			eng.Stream("os/"+string(def.id)))
-		if err != nil {
-			return nil, err
-		}
-		rail.MustAttach(os)
-		eng.MustRegister("os/"+string(def.id), os)
-		reg, err := pdn.NewRegulator(pdn.RegulatorConfig{
-			Rail: rail, Band: def.band,
-			Drop:        pdn.DropModel{ResistanceOhm: 0.005, InductanceHenry: 2e-10},
-			LoadLineOhm: 0.002,
-		})
-		if err != nil {
-			return nil, err
-		}
-		b.rails[def.id] = rail
-		b.regs[def.id] = reg
-		*def.load = load
-	}
-
-	// --- Engine wiring: loads feed rails, rails feed regulators, and
-	// the sensors sample last so each tick they see settled values. ---
-	eng.MustRegister("fabric", b.fab)
-	for _, id := range []RailID{RailFPGA, RailCPUFull, RailCPULow, RailDDR} {
-		eng.MustRegister("rail/"+string(id), b.rails[id])
-		eng.MustRegister("reg/"+string(id), b.regs[id])
-	}
-
-	// --- Sensors: the four sensitive ones (Table II)... ---
-	sensitive := []struct {
-		label string
-		rail  RailID
-		shunt float64
-	}{
-		{SensorCPUFull, RailCPUFull, psShuntOhms},
-		{SensorCPULow, RailCPULow, psShuntOhms},
-		{SensorFPGA, RailFPGA, fpgaShuntOhms},
-		{SensorDDR, RailDDR, psShuntOhms},
-	}
-	for _, sd := range sensitive {
-		rail := b.rails[sd.rail]
-		if err := b.addSensor(cfg, sd.label, sd.shunt, ina226.Probe{
-			CurrentAmps: rail.Current,
-			BusVolts:    rail.Voltage,
-		}, false); err != nil {
-			return nil, err
-		}
-	}
-	// --- ...and the board's remaining rails, carrying fixed bias loads.
-	// Their probes read only their own stream and constants, so they are
-	// deferred: integrated when read, not on every tick. ---
-	for _, m := range miscRailsFor(spec) {
+// addMiscSensors adds the board's remaining rails, carrying fixed bias
+// loads. Their probes read only their own stream and constants, so
+// they are deferred: integrated when read, not on every tick.
+func (b *SoC) addMiscSensors(cfg Config) error {
+	for _, m := range miscRailsFor(b.spec) {
 		m := m
-		rng := eng.Stream("misc/" + m.label)
-		if err := b.addSensor(cfg, m.label, psShuntOhms, ina226.Probe{
+		rng := b.eng.Stream("misc/" + m.label)
+		if _, err := b.addSensor(cfg, m.label, psShuntOhms, ina226.Probe{
 			CurrentAmps: func() float64 { return m.amps + rng.NormFloat64()*0.001 },
 			BusVolts:    func() float64 { return m.volts },
 		}, true); err != nil {
-			return nil, err
+			return err
 		}
 	}
-
-	// --- Fault injection (optional): hook every layer of the stack. ---
-	if cfg.Faults != nil && cfg.Faults.Enabled() {
-		inj := faults.New(*cfg.Faults, eng)
-		b.injector = inj
-		tree.SetReadFault(inj.SysfsReadFault)
-		for label, dev := range b.sensors {
-			dev.SetFaults(inj.SensorFaults(label))
-		}
-		for id, reg := range b.regs {
-			reg.SetDisturbance(inj.RegulatorDisturbance(string(id)))
-		}
-		// Registered last so a renumber lands after the tick's sensor
-		// updates, like an asynchronous kernel event between samples.
-		if hp := inj.HotplugStepper(hw); hp != nil {
-			eng.MustRegister("faults/hotplug", hp)
-		}
-	}
-	return b, nil
+	return nil
 }
 
-func (b *SoC) addSensor(cfg Config, label string, shunt float64, probe ina226.Probe, deferred bool) error {
+// injectFaults hooks the profile's fault mix, when cfg has an enabled
+// one, into every layer of the stack.
+func (b *SoC) injectFaults(cfg Config) {
+	if cfg.Faults == nil || !cfg.Faults.Enabled() {
+		return
+	}
+	inj := faults.New(*cfg.Faults, b.eng)
+	b.injector = inj
+	b.tree.SetReadFault(inj.SysfsReadFault)
+	for label, dev := range b.sensors {
+		dev.SetFaults(inj.SensorFaults(label))
+	}
+	for id, reg := range b.regs {
+		d := inj.RegulatorDisturbance(string(id))
+		reg.SetDisturbance(d)
+		if d != nil {
+			b.observe(id) // the transients count on the tick
+		}
+	}
+	// Registered last so a renumber lands after the tick's sensor
+	// updates, like an asynchronous kernel event between samples.
+	if hp := inj.HotplugStepper(b.hw); hp != nil {
+		b.eng.MustRegister("faults/hotplug", hp)
+	}
+}
+
+func (b *SoC) addSensor(cfg Config, label string, shunt float64, probe ina226.Probe, deferred bool) (*ina226.Device, error) {
 	dev, err := ina226.New(ina226.Config{
 		Label:           label,
 		ShuntOhms:       shunt,
@@ -405,14 +538,23 @@ func (b *SoC) addSensor(cfg Config, label string, shunt float64, probe ina226.Pr
 		Deferred:        deferred,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if _, err := b.hw.Register(dev); err != nil {
-		return err
+		return nil, err
 	}
 	b.eng.MustRegister("ina226/"+label, dev)
 	b.sensors[label] = dev
-	return nil
+	return dev, nil
+}
+
+// observe makes a PS chain eager: its rail or regulator is about to be
+// read or perturbed by something other than its sensor. It is a no-op
+// for the FPGA rail.
+func (b *SoC) observe(id RailID) {
+	if c := b.chains[id]; c != nil {
+		c.makeEager()
+	}
 }
 
 // Spec returns the catalog entry the board was wired from.
@@ -430,21 +572,26 @@ func (b *SoC) Hwmon() *hwmon.Subsystem { return b.hw }
 // Fabric returns the PL fabric for deploying victim circuits.
 func (b *SoC) Fabric() *fabric.Fabric { return b.fab }
 
-// Rail returns one of the four monitored rails.
+// Rail returns one of the four monitored rails. A PS rail is kept up
+// to date on every tick from then on, so what the caller reads is
+// never stale.
 func (b *SoC) Rail(id RailID) (*power.Rail, error) {
 	r, ok := b.rails[id]
 	if !ok {
 		return nil, fmt.Errorf("board: unknown rail %q", id)
 	}
+	b.observe(id)
 	return r, nil
 }
 
-// Regulator returns the regulator of one of the monitored rails.
+// Regulator returns the regulator of one of the monitored rails. A PS
+// rail's chain is stepped on every tick from then on, as for Rail.
 func (b *SoC) Regulator(id RailID) (*pdn.Regulator, error) {
 	r, ok := b.regs[id]
 	if !ok {
 		return nil, fmt.Errorf("board: unknown rail %q", id)
 	}
+	b.observe(id)
 	return r, nil
 }
 

@@ -69,8 +69,9 @@ func (o op) String() string {
 }
 
 // program is one differential scenario: the rail the probe reports
-// (its own stream's noise on a constant current, a constant bus
-// voltage), the ADC noise, the fault rates and the ops.
+// (its own stream's noise on a constant current plus a drift its
+// upstream steps per tick, a constant bus voltage), the ADC noise, the
+// fault rates and the ops.
 type program struct {
 	Seed        int64
 	Amps, Volts float64
@@ -174,14 +175,21 @@ func newTwin(p program, deferred bool) (*twin, error) {
 		return nil, err
 	}
 	probeRng := eng.Stream("misc/" + twinLabel)
+	upRng := eng.Stream("upstream/" + twinLabel)
 	amps, volts := p.Amps, p.Volts
+	// The upstream's state depends on the absolute tick and on its own
+	// stream, so a replay must step it at each tick's own now.
+	var drift float64
 	cfg := ina226.Config{
 		Label:      twinLabel,
 		ShuntOhms:  0.002,
 		CurrentLSB: 1e-3,
 		Probe: ina226.Probe{
-			CurrentAmps: func() float64 { return amps + probeRng.NormFloat64()*0.001 },
+			CurrentAmps: func() float64 { return amps + drift + probeRng.NormFloat64()*0.001 },
 			BusVolts:    func() float64 { return volts },
+			Upstream: sim.StepFunc(func(now, dt time.Duration) {
+				drift = 0.05*float64(now/time.Millisecond%7) + upRng.NormFloat64()*0.002
+			}),
 		},
 		Rand:     eng.Stream("ina226/" + twinLabel),
 		Deferred: deferred,
@@ -273,6 +281,12 @@ func counted(f func()) [4]int64 {
 // the ops whose accessor runs on the deferred device with its sync()
 // removed (the mutant).
 func deferredMatchesEager(unsynced func(op) bool) func(*check.T, program) {
+	return deferredMutant(unsynced, ina226.Unsynced)
+}
+
+// deferredMutant is the property with the ops that target picks run on
+// the deferred device under mutant.
+func deferredMutant(target func(op) bool, mutant func(*ina226.Device, func())) func(*check.T, program) {
 	return func(c *check.T, p program) {
 		eager, err := newTwin(p, false)
 		if err != nil {
@@ -287,8 +301,8 @@ func deferredMatchesEager(unsynced func(op) bool) func(*check.T, program) {
 			var want, got string
 			wantDelta := counted(func() { want = eager.apply(o) })
 			gotDelta := counted(func() {
-				if unsynced != nil && unsynced(o) {
-					ina226.Unsynced(deferred.dev, func() { got = deferred.apply(o) })
+				if target != nil && target(o) {
+					mutant(deferred.dev, func() { got = deferred.apply(o) })
 					return
 				}
 				got = deferred.apply(o)
@@ -339,4 +353,19 @@ func TestMutantDeferredMissingSync(t *testing.T) {
 			t.Logf("caught at program %d: %s", rep.FailIter, rep.Logs)
 		})
 	}
+}
+
+// TestMutantDeferredReplayLate steps the probe's upstream one tick late
+// in the replay, as a sync that read its clock after advancing it
+// would, and requires the differential property to fail.
+func TestMutantDeferredReplayLate(t *testing.T) {
+	syncs := func(o op) bool { return o.Kind != opTick }
+	rep := check.Run(t.Name(), programs, deferredMutant(syncs, ina226.ReplayLate), check.Iters(200))
+	if rep.ConfigErr != "" {
+		t.Fatal(rep.ConfigErr)
+	}
+	if !rep.Failed {
+		t.Fatalf("a late replay clock went unnoticed in %d programs", rep.Iters)
+	}
+	t.Logf("caught at program %d: %s", rep.FailIter, rep.Logs)
 }

@@ -10,3 +10,19 @@ func Unsynced(d *Device, f func()) {
 	f()
 	d.pend = pend
 }
+
+// ReplayLate runs f with d's replay clock one tick late, so a sync
+// inside f steps the probe's upstream at each pending tick's
+// successor's now. The deferred-device mutant test uses it to prove the
+// differential suite notices a replay with the wrong now.
+func ReplayLate(d *Device, f func()) {
+	if d.pend == 0 {
+		f()
+		return
+	}
+	d.pendNow += d.lastDt
+	f()
+	if d.pend > 0 {
+		d.pendNow -= d.lastDt
+	}
+}

@@ -66,6 +66,11 @@ type Probe struct {
 	CurrentAmps func() float64
 	// BusVolts returns the instantaneous rail voltage in volts.
 	BusVolts func() float64
+	// Upstream, when set, steps the components the probe reads, once
+	// per device tick just before the device samples the probe: on the
+	// tick for an eager device, at replay with that tick's own now for
+	// a deferred one. Leave it nil when the engine steps them.
+	Upstream sim.Steppable
 }
 
 // Config describes one INA226 instance.
@@ -93,11 +98,15 @@ type Config struct {
 	// inputs only when something can observe them: the first register
 	// access after a run of ticks replays them in order (see sync).
 	//
-	// Precondition: the probe reads nothing but its own random stream
-	// and constants, and no other component draws from that stream or
-	// from Rand. The replay then consumes every stream exactly as the
-	// per-tick integration would, and the registers come out bit for
-	// bit the same.
+	// Precondition: the probe and its Upstream read nothing but their
+	// own named random streams, constants, and inputs whose setters
+	// call Sync before they change the value; no other component draws
+	// from those streams or from Rand, or reads the upstream's state
+	// without syncing first; and the device is stepped once per engine
+	// tick, so the pending ticks' now values are consecutive. The
+	// replay then consumes every stream and sees every input exactly as
+	// the per-tick integration would, and the registers come out bit
+	// for bit the same.
 	Deferred bool
 }
 
@@ -142,11 +151,13 @@ type Device struct {
 
 	// Deferred integration (Config.Deferred). accTime stays the latch
 	// schedule's clock; the replay runs its own clock from syncTime,
-	// accTime as of the last sync, over pend ticks of lastDt. latchAt
-	// is the pending-tick index (1-based) of the last latch that was
-	// not skipped, 0 if none, and latchMask that latch's flip mask.
+	// accTime as of the last sync, over pend ticks of lastDt, the first
+	// of them stepped at pendNow. latchAt is the pending-tick index
+	// (1-based) of the last latch that was not skipped, 0 if none, and
+	// latchMask that latch's flip mask.
 	deferred  bool
 	pend      int
+	pendNow   time.Duration
 	syncTime  time.Duration
 	latchAt   int
 	latchMask LatchedRegs
@@ -297,9 +308,12 @@ func (d *Device) Step(now, dt time.Duration) {
 		d.lastDt, d.lastSec = dt, dt.Seconds()
 	}
 	if d.deferred {
+		if d.pend == 0 {
+			d.pendNow = now
+		}
 		d.pend++
 	} else {
-		d.integrate()
+		d.integrate(now)
 	}
 	d.accTime += dt
 	if d.accTime >= d.interval {
@@ -307,8 +321,12 @@ func (d *Device) Step(now, dt time.Duration) {
 	}
 }
 
-// integrate adds one tick of the analog inputs to the window.
-func (d *Device) integrate() {
+// integrate steps the probe's upstream for the tick at now and adds
+// the tick's analog inputs to the window.
+func (d *Device) integrate(now time.Duration) {
+	if d.probe.Upstream != nil {
+		d.probe.Upstream.Step(now, d.lastDt)
+	}
 	vShunt := d.probe.CurrentAmps() * d.shuntOhms
 	vBus := d.probe.BusVolts()
 	if d.nShunt > 0 {
@@ -349,19 +367,41 @@ func (d *Device) latch() {
 	d.convert(window, mask)
 }
 
-// sync replays a deferred device's pending ticks in order: the probe
-// and noise draws and the window resets of each tick, on a clock of its
-// own. Only the last recorded latch is converted, since each latch
-// overwrites every register and the alert flag. Every accessor that
-// observes analog-derived state, or changes what the replay depends on
-// (interval, calibration, alert configuration, dt), calls it first.
+// Sync brings a deferred device up to date and returns the number of
+// ticks it replayed; an eager device has none. An input the probe or
+// its upstream reads calls it before the value changes (see
+// Config.Deferred).
+func (d *Device) Sync() int {
+	n := d.pend
+	d.sync()
+	return n
+}
+
+// Undefer syncs a deferred device, which integrates on every tick from
+// then on, and hands the probe's upstream back to the caller: the
+// device no longer steps it, so the caller must step it on every tick
+// before the device.
+func (d *Device) Undefer() {
+	d.sync()
+	d.deferred = false
+	d.probe.Upstream = nil
+}
+
+// sync replays a deferred device's pending ticks in order: the
+// upstream steps, the probe and noise draws and the window resets of
+// each tick, on a clock of its own. Only the last recorded latch is
+// converted, since each latch overwrites every register and the alert
+// flag. Every accessor that observes analog-derived state, or changes
+// what the replay depends on (interval, calibration, alert
+// configuration, dt), calls it first.
 func (d *Device) sync() {
 	if d.pend == 0 {
 		return
 	}
-	t := d.syncTime
+	t, now := d.syncTime, d.pendNow
 	for i := 1; i <= d.pend; i++ {
-		d.integrate()
+		d.integrate(now)
+		now += d.lastDt
 		t += d.lastDt
 		if t >= d.interval {
 			if i == d.latchAt {

@@ -292,9 +292,6 @@ func (b *Bank) Sample() []int {
 // aggregate statistic the Fig. 2 comparison uses. It makes the same
 // draws and leaves the same carry as Sample, and allocates nothing.
 func (b *Bank) SampleMean() float64 {
-	if len(b.carry) == 0 {
-		return 0
-	}
 	b.fold()
 	sum := 0
 	for i := range b.carry {

@@ -302,17 +302,21 @@ func TestLocalDroopNeedsDeploy(t *testing.T) {
 	}
 }
 
-func TestSampleMeanEmptyBank(t *testing.T) {
-	b := newBank(t, Config{Count: 0, NominalVolts: 1, Volts: fixedVolts(1)})
-	// Count 0 means "use default 32"? No: explicit zero takes default, so
-	// build a 1-RO bank and verify SampleMean matches Sample.
-	if b.Count() != 32 {
-		t.Fatalf("Count = %d, want default 32", b.Count())
-	}
-	b.Step(0, time.Millisecond)
-	m := b.SampleMean()
-	if m <= 0 {
-		t.Fatalf("SampleMean = %v", m)
+// TestSampleMeanOneOscillator: on a one-oscillator bank the mean is
+// that oscillator's count, the one value Sample returns on a twin.
+func TestSampleMeanOneOscillator(t *testing.T) {
+	cfg := Config{Count: 1, NominalVolts: 1, Volts: fixedVolts(1)}
+	a, b := newBank(t, cfg), newBank(t, cfg)
+	for i := 0; i < 5; i++ {
+		a.Step(0, time.Millisecond)
+		b.Step(0, time.Millisecond)
+		counts := b.Sample()
+		if len(counts) != 1 {
+			t.Fatalf("Sample returned %d counts, want 1", len(counts))
+		}
+		if got := a.SampleMean(); got != float64(counts[0]) || got <= 0 {
+			t.Fatalf("sample %d: SampleMean = %v, oscillator count %d", i, got, counts[0])
+		}
 	}
 }
 
