@@ -1,14 +1,18 @@
 package board
 
-// Differential suite for the lazy PS chains: a board from Wire, whose
+// Differential suite for the lazy PS chains and the latch clock: a
+// board from Wire, whose sensors are on one ina226.Clock and whose
 // three PS chains (background load, rail, regulator) are stepped by
 // their deferred sensors, and an eager twin that wireEager builds from
 // the same parts and stream names, registered with the engine in the
-// order Wire used before the chains went lazy. Both run the same
-// random program of ticks, utilization changes (between ticks, and
-// from a fabric circuit during the tick, as the DPU makes them), hwmon
-// reads, interval changes, rail and regulator accesses under one fault
-// preset. After
+// order Wire used before the chains went lazy, every sensor an eager
+// engine part of its own. Both run the same random program of ticks,
+// utilization changes (between ticks, and from a fabric circuit during
+// the tick, as the DPU makes them), hwmon reads (some aimed at, just
+// after or just before a sensor's latch tick), interval changes,
+// configuration writes with and without the reset bit, Undefer of a
+// misc-rail sensor mid-window, rail and regulator accesses under one
+// fault preset. After
 // every op the op's result, every sensor's Updates() and the deltas of
 // the sensor, fault and sysfs counters must agree; the registers are
 // compared at snapshot ops and at the end, since reading them syncs
@@ -31,9 +35,9 @@ import (
 )
 
 // wireEager is Wire with every PS chain registered with the engine and
-// its sensor integrating on the tick, in Wire's former registration
-// order: background loads, fabric, rails each followed by their
-// regulator, sensors, hotplug.
+// every sensor an eager engine part integrating on the tick, in Wire's
+// former registration order: background loads, fabric, rails each
+// followed by their regulator, sensors, hotplug.
 func wireEager(spec Spec, cfg Config) (*SoC, error) {
 	b, err := newSoC(spec, cfg)
 	if err != nil {
@@ -57,15 +61,22 @@ func wireEager(spec Spec, cfg Config) (*SoC, error) {
 		b.eng.MustRegister("rail/"+string(def.id), chains[i].parts[1])
 		b.eng.MustRegister("reg/"+string(def.id), chains[i].parts[2])
 	}
+	var sensors []*ina226.Device
 	for _, sd := range sensitiveRails {
 		rail := b.rails[sd.rail]
 		probe := ina226.Probe{CurrentAmps: rail.Current, BusVolts: rail.Voltage}
-		if _, err := b.addSensor(cfg, sd.label, sd.shunt, probe, false); err != nil {
+		dev, err := b.newSensor(cfg, sd.label, sd.shunt, probe)
+		if err != nil {
 			return nil, err
 		}
+		sensors = append(sensors, dev)
 	}
-	if err := b.addMiscSensors(cfg); err != nil {
+	misc, err := b.newMiscSensors(cfg)
+	if err != nil {
 		return nil, err
+	}
+	for _, dev := range append(sensors, misc...) {
+		b.eng.MustRegister("ina226/"+dev.Label(), dev)
 	}
 	b.injectFaults(cfg)
 	return b, nil
@@ -81,16 +92,22 @@ const (
 	lazyRail
 	lazyDisturb
 	lazyDrive
+	lazyLatch
+	lazyConfig
+	lazyUndefer
 	lazySnapshot
 )
 
-var lazyOpNames = [...]string{"tick", "setutil", "read", "interval", "rail", "disturb", "drive", "snapshot"}
+var lazyOpNames = [...]string{"tick", "setutil", "read", "interval", "rail", "disturb", "drive", "latch", "config", "undefer", "snapshot"}
 
 // lazyOp is one step of a program. N is the tick count (lazyTick), the
 // load (lazySetUtil: 0 CPU full, 1 CPU low, 2 DDR), the sensor index
-// (lazyRead, lazyInterval), the rail index (lazyRail, lazyDisturb) or
-// the circuit's period in ticks (lazyDrive, 0 stops it); M is the
-// attribute (lazyRead) or the interval in ms (lazyInterval).
+// (lazyRead, lazyInterval, lazyLatch, lazyConfig, lazyUndefer), the
+// rail index (lazyRail, lazyDisturb) or the circuit's period in ticks
+// (lazyDrive, 0 stops it); M is the attribute (lazyRead), the interval
+// in ms (lazyInterval), where the read lands (lazyLatch: 0 on the
+// latch tick, 1 one tick after it, 2 one tick before the next) or the
+// configuration register value (lazyConfig).
 // A lazySetUtil with Same writes the present utilization back.
 type lazyOp struct {
 	Kind lazyOpKind
@@ -106,8 +123,10 @@ func (o lazyOp) String() string {
 			return fmt.Sprintf("setutil(%d,same)", o.N)
 		}
 		return fmt.Sprintf("setutil(%d,%.3f)", o.N, o.X)
-	case lazyRead, lazyInterval:
+	case lazyRead, lazyInterval, lazyLatch:
 		return fmt.Sprintf("%s(%d,%d)", lazyOpNames[o.Kind], o.N, o.M)
+	case lazyConfig:
+		return fmt.Sprintf("config(%d,%#04x)", o.N, o.M)
 	default:
 		return fmt.Sprintf("%s(%d)", lazyOpNames[o.Kind], o.N)
 	}
@@ -149,6 +168,15 @@ var lazyOps = check.SliceOf(check.Gen[lazyOp]{
 			o.N = r.Intn(len(lazyRails))
 		case lazyDrive:
 			o.N = []int{0, 1, 1, 2, 5}[r.Intn(5)]
+		case lazyLatch:
+			o.N, o.M = r.Intn(zcu102Sensors), r.Intn(3)
+		case lazyConfig:
+			o.N, o.M = r.Intn(zcu102Sensors), r.Intn(1<<15)
+			if r.Intn(3) == 0 {
+				o.M |= 1 << 15 // reset
+			}
+		case lazyUndefer:
+			o.N = len(sensitiveRails) + r.Intn(zcu102Sensors-len(sensitiveRails))
 		}
 		return o
 	},
@@ -209,12 +237,46 @@ func newUtilCircuit(b *SoC) (*utilCircuit, error) {
 	return d, b.Fabric().Place(d, b.Fabric().SpreadEvenly())
 }
 
+// aimAtLatch ticks the eager twin b until sensor label latches, or for
+// at most a second, then as far as o.M asks (see lazyOp), and returns
+// how many ticks it ran.
+func aimAtLatch(b *SoC, label string, o lazyOp) int {
+	d, _ := b.Sensor(label)
+	eng, updates, n := b.Engine(), d.Updates(), 0
+	for d.Updates() == updates && n < int(time.Second/Step) {
+		eng.Tick()
+		n++
+	}
+	extra := 0
+	switch o.M {
+	case 1:
+		extra = 1
+	case 2:
+		extra = int((d.UpdateInterval()+Step-1)/Step) - 1
+	}
+	eng.Run(time.Duration(extra) * Step)
+	return n + extra
+}
+
 // lazyApply runs o on b, whose fabric carries d, and renders its
-// result.
-func lazyApply(b *SoC, d *utilCircuit, labels []string, o lazyOp) string {
+// result. ticks is a lazyLatch op's tick count (aimAtLatch), which the
+// eager twin has already run.
+func lazyApply(b *SoC, d *utilCircuit, labels []string, o lazyOp, ticks int) string {
 	switch o.Kind {
 	case lazyTick:
 		b.Run(time.Duration(o.N) * Step)
+		return ""
+	case lazyLatch:
+		if b.clock != nil {
+			b.Run(time.Duration(ticks) * Step)
+		}
+		return lazyApply(b, d, labels, lazyOp{Kind: lazyRead, N: o.N}, 0)
+	case lazyConfig:
+		s, _ := b.Sensor(labels[o.N])
+		return fmt.Sprint(s.WriteRegister(ina226.RegConfig, uint16(o.M)), s.UpdateInterval())
+	case lazyUndefer:
+		s, _ := b.Sensor(labels[o.N])
+		s.Undefer()
 		return ""
 	case lazySetUtil:
 		u := []*UtilizationSource{b.CPUFull(), b.CPULow(), b.DDR()}[o.N]
@@ -331,8 +393,14 @@ func lazyChainMatchesEager(mutate func(*SoC)) func(*check.T, lazyProgram) {
 		}
 		for i, o := range p.Ops {
 			var want, got string
-			wantDelta := lazyCounted(func() { want = lazyApply(eager, eagerCircuit, labels, o) })
-			gotDelta := lazyCounted(func() { got = lazyApply(lazy, lazyCircuit, labels, o) })
+			var ticks int
+			wantDelta := lazyCounted(func() {
+				if o.Kind == lazyLatch {
+					ticks = aimAtLatch(eager, labels[o.N], o)
+				}
+				want = lazyApply(eager, eagerCircuit, labels, o, ticks)
+			})
+			gotDelta := lazyCounted(func() { got = lazyApply(lazy, lazyCircuit, labels, o, ticks) })
 			if got != want {
 				c.Fatalf("op %d %v: lazy %q, eager %q", i, o, got, want)
 			}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/hwmon"
 	"repro/internal/ina226"
 	"repro/internal/rsa"
 	"repro/internal/sysfs"
@@ -46,15 +47,18 @@ func placeRSA(t testing.TB, b *SoC) {
 	}
 }
 
-// busReader returns a function that reads every sensor's bus voltage
-// (in1_input) through bound sysfs files. Each read syncs its sensor, so
-// on a lazy PS chain it replays the chain's pending ticks. The rendered
-// millivolt text is cached while its value repeats, so in steady state
-// the reads themselves do not allocate.
-func busReader(t testing.TB, b *SoC) func() {
+// valueReader returns a function that reads every sensor's value
+// attributes (curr1_input, in1_input, power1_input) through bound
+// sysfs files. Each read syncs its sensor, so on a lazy PS chain it
+// replays the chain's pending ticks. hwmon renders a value only when
+// it changes and interns every rendering, so in steady state the reads
+// themselves do not allocate.
+func valueReader(t testing.TB, b *SoC) func() {
 	var files []*sysfs.File
 	for _, e := range b.Hwmon().Entries() {
-		files = append(files, b.Sysfs().Bind(e.Attr("in1_input")))
+		for _, attr := range hwmon.ValueAttrs {
+			files = append(files, b.Sysfs().Bind(e.Attr(attr)))
+		}
 	}
 	return func() {
 		for _, f := range files {
@@ -73,9 +77,10 @@ func busReader(t testing.TB, b *SoC) func() {
 // allocations per run, so one allocation per latch (1 in 70 ticks)
 // would read as 0 per tick. The stale-sensor board adds the latch fault
 // hooks, the rsa board Fig. 4's victim on the fabric, and the read-all
-// board reads every sensor through sysfs once per window, which
-// replays all three PS chains and the 14 misc rails; the Run-only
-// cases never sync a lazy chain. A regression here multiplies across
+// board reads every sensor's current, voltage and power through sysfs
+// once per window, which replays all three PS chains and the 14 misc
+// rails and renders the values that changed; the Run-only cases never
+// sync a lazy chain. A regression here multiplies across
 // the millions of ticks a fingerprinting campaign simulates.
 func TestTickSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -104,7 +109,7 @@ func TestTickSteadyStateZeroAllocs(t *testing.T) {
 			}
 			read := func() {}
 			if tc.readAll {
-				read = busReader(t, b)
+				read = valueReader(t, b)
 				read() // bind the files, render the first values
 			}
 			allocs := testing.AllocsPerRun(50, func() {
@@ -146,13 +151,13 @@ func TestSamplingSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkTick measures the steady-state cost of one simulation tick
-// on a full ZCU102: the fabric, the FPGA rail and regulator, the FPGA
-// INA226 integrating on the tick, and the other 17 INA226s deferred
-// (counted and latched, integrated only when read). In idle nothing is
-// read, so the three PS chains (background load, rail, regulator)
-// never run; read-all reads every sensor through sysfs once per 35 ms
-// window, replaying every deferred tick, PS chains included.
-// allocs/op must report 0 in both.
+// on a full ZCU102: the fabric, the FPGA rail and regulator, and the
+// board's INA226 latch clock, which steps the FPGA sensor on the tick
+// and touches the other 17, deferred, only at their latches. In idle
+// nothing is read, so the three PS chains (background load, rail,
+// regulator) never run; read-all reads every sensor's current, voltage
+// and power through sysfs once per 35 ms window, replaying every
+// deferred tick, PS chains included. allocs/op must report 0 in both.
 func BenchmarkTick(b *testing.B) {
 	window := int(ina226.DefaultUpdateInterval / Step)
 	for _, readAll := range []bool{false, true} {
@@ -163,7 +168,7 @@ func BenchmarkTick(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			soc := newSteadyBoard(b, Config{Seed: 1})
 			eng := soc.Engine()
-			read := busReader(b, soc)
+			read := valueReader(b, soc)
 			read()
 			b.ReportAllocs()
 			b.ResetTimer()

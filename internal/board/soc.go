@@ -183,17 +183,19 @@ type SoC struct {
 	ddr     *UtilizationSource
 
 	sensors map[string]*ina226.Device
+	clock   *ina226.Clock
 
 	injector *faults.Injector // nil unless Config.Faults enabled
 }
 
 // psChain is one PS rail's upstream: its OS background load, the rail
 // and the rail's regulator. The engine does not step a lazy chain; the
-// rail's INA226 does (ina226.Probe.Upstream), deferred like the
-// misc-rail sensors, so the chain runs only when something observes
-// the sensor and then replays every pending tick. Nothing else reads
-// the chain, and its one input, the utilization, syncs it before
-// changing, so the replay is bit-identical to stepping it on the tick.
+// rail's INA226 does (ina226.Probe.Upstream), deferred on the board's
+// latch clock like the misc-rail sensors, so the chain runs only when
+// something observes the sensor and then replays every pending tick.
+// Nothing else reads the chain, and its one input, the utilization,
+// syncs it before changing, so the replay is bit-identical to stepping
+// it on the tick.
 // A chain whose rail or regulator is handed out (SoC.Rail,
 // SoC.Regulator), whose regulator carries a fault disturbance that
 // counts on the tick, or that is synced on nearly every tick anyway,
@@ -335,15 +337,19 @@ func Wire(spec Spec, cfg Config) (*SoC, error) {
 	}
 
 	// --- Engine wiring: the fabric feeds the FPGA rail, the rail its
-	// regulator, and the sensors sample last so each tick they see
-	// settled values. A lazy PS chain is stepped by its sensor, an
-	// eager one by the gate. ---
+	// regulator, and the sensors' latch clock runs last so each tick
+	// they see settled values. A lazy PS chain is stepped by its
+	// sensor, an eager one by the gate. ---
 	b.eng.MustRegister("fabric", b.fab)
 	b.eng.MustRegister("rail/"+string(RailFPGA), b.rails[RailFPGA])
 	b.eng.MustRegister("reg/"+string(RailFPGA), b.regs[RailFPGA])
 	b.eng.MustRegister("ps", &b.gate)
+	b.clock = ina226.NewClock()
+	b.eng.MustRegister("ina226", b.clock)
 
-	// --- Sensors: the four sensitive ones (Table II)... ---
+	// --- Sensors: the four sensitive ones (Table II)... The FPGA
+	// sensor reads the engine-stepped VCCINT, so it integrates on the
+	// tick; the PS ones are deferred with their chains. ---
 	for _, sd := range sensitiveRails {
 		rail := b.rails[sd.rail]
 		probe := ina226.Probe{CurrentAmps: rail.Current, BusVolts: rail.Voltage}
@@ -351,17 +357,24 @@ func Wire(spec Spec, cfg Config) (*SoC, error) {
 		if c != nil {
 			probe.Upstream = c
 		}
-		dev, err := b.addSensor(cfg, sd.label, sd.shunt, probe, c != nil)
+		dev, err := b.newSensor(cfg, sd.label, sd.shunt, probe)
 		if err != nil {
 			return nil, err
 		}
+		b.clock.Add(dev)
 		if c != nil {
 			c.sensor, c.load.sync = dev, c.sync
+		} else {
+			dev.Undefer()
 		}
 	}
-	// --- ...and the board's remaining rails. ---
-	if err := b.addMiscSensors(cfg); err != nil {
+	// --- ...and the board's remaining rails, all deferred. ---
+	misc, err := b.newMiscSensors(cfg)
+	if err != nil {
 		return nil, err
+	}
+	for _, dev := range misc {
+		b.clock.Add(dev)
 	}
 	b.injectFaults(cfg)
 	return b, nil
@@ -482,21 +495,25 @@ func (b *SoC) newPSChain(def psRail) (*psChain, error) {
 	return &psChain{parts: [3]sim.Steppable{os, rail, reg}, load: load, gate: &b.gate}, nil
 }
 
-// addMiscSensors adds the board's remaining rails, carrying fixed bias
-// loads. Their probes read only their own stream and constants, so
-// they are deferred: integrated when read, not on every tick.
-func (b *SoC) addMiscSensors(cfg Config) error {
+// newMiscSensors builds the sensors of the board's remaining rails,
+// carrying fixed bias loads. Their probes read only their own stream
+// and constants, so they can be deferred: integrated when read, not on
+// every tick.
+func (b *SoC) newMiscSensors(cfg Config) ([]*ina226.Device, error) {
+	var devs []*ina226.Device
 	for _, m := range miscRailsFor(b.spec) {
 		m := m
 		rng := b.eng.Stream("misc/" + m.label)
-		if _, err := b.addSensor(cfg, m.label, psShuntOhms, ina226.Probe{
+		dev, err := b.newSensor(cfg, m.label, psShuntOhms, ina226.Probe{
 			CurrentAmps: func() float64 { return m.amps + rng.NormFloat64()*0.001 },
 			BusVolts:    func() float64 { return m.volts },
-		}, true); err != nil {
-			return err
+		})
+		if err != nil {
+			return nil, err
 		}
+		devs = append(devs, dev)
 	}
-	return nil
+	return devs, nil
 }
 
 // injectFaults hooks the profile's fault mix, when cfg has an enabled
@@ -525,7 +542,9 @@ func (b *SoC) injectFaults(cfg Config) {
 	}
 }
 
-func (b *SoC) addSensor(cfg Config, label string, shunt float64, probe ina226.Probe, deferred bool) (*ina226.Device, error) {
+// newSensor builds one of the board's INA226s and exposes it through
+// hwmon; the caller hands it to whatever steps it.
+func (b *SoC) newSensor(cfg Config, label string, shunt float64, probe ina226.Probe) (*ina226.Device, error) {
 	dev, err := ina226.New(ina226.Config{
 		Label:           label,
 		ShuntOhms:       shunt,
@@ -535,7 +554,6 @@ func (b *SoC) addSensor(cfg Config, label string, shunt float64, probe ina226.Pr
 		NoiseBusVolts:   50e-6,
 		Probe:           probe,
 		Rand:            b.eng.Stream("ina226/" + label),
-		Deferred:        deferred,
 	})
 	if err != nil {
 		return nil, err
@@ -543,7 +561,6 @@ func (b *SoC) addSensor(cfg Config, label string, shunt float64, probe ina226.Pr
 	if _, err := b.hw.Register(dev); err != nil {
 		return nil, err
 	}
-	b.eng.MustRegister("ina226/"+label, dev)
 	b.sensors[label] = dev
 	return dev, nil
 }

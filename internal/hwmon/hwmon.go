@@ -23,8 +23,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/ina226"
 	"repro/internal/sysfs"
@@ -244,12 +246,67 @@ type rendered struct {
 	s string
 }
 
+// Renderings are interned process-wide: every attribute of every board
+// shares one table of the integers rendered so far, since the text of
+// an integer does not depend on the attribute. New renderings are
+// carved from shared chunks (the text from a byte chunk, the pair from
+// a slab), so rendering a value never seen before allocates only once
+// per chunk, and a value seen before not at all.
+var texts struct {
+	sync.Mutex
+	m    map[int64]*rendered
+	buf  []byte     // unused tail of the text chunk
+	slab []rendered // unused tail of the pair chunk
+}
+
+const (
+	// maxTexts bounds the table; values past it are rendered from the
+	// chunks without being interned.
+	maxTexts  = 1 << 12
+	textChunk = 4096
+	slabChunk = 256
+)
+
+// textOf returns the interned rendering of n: its decimal digits and a
+// newline.
+func textOf(n int64) *rendered {
+	texts.Lock()
+	defer texts.Unlock()
+	if r, ok := texts.m[n]; ok {
+		return r
+	}
+	var digits [24]byte
+	b := append(strconv.AppendInt(digits[:0], n, 10), '\n')
+	if len(texts.buf) < len(b) {
+		texts.buf = make([]byte, textChunk)
+	}
+	k := copy(texts.buf, b)
+	// The chunk's bytes are written once, here, and never again, so the
+	// string may alias them.
+	s := unsafe.String(&texts.buf[0], k)
+	texts.buf = texts.buf[k:]
+	if len(texts.slab) == 0 {
+		texts.slab = make([]rendered, slabChunk)
+	}
+	r := &texts.slab[0]
+	texts.slab = texts.slab[1:]
+	*r = rendered{n: n, s: s}
+	if texts.m == nil {
+		texts.m = make(map[int64]*rendered)
+	}
+	if len(texts.m) < maxTexts {
+		texts.m[n] = r
+	}
+	return r
+}
+
 // cachedInt returns a Show callback rendering scaled(v()) with a
-// trailing newline, reusing the previous string while the rounded
-// integer is unchanged. The INA226 latches registers once per update
+// trailing newline. The INA226 latches registers once per update
 // interval (~70 simulation ticks at the default 35 ms), so the dozens
-// of polls in between re-read an identical value; caching makes those
-// reads allocation-free while producing byte-identical contents.
+// of polls in between re-read an identical value and return the last
+// rendering; a changed value takes its interned rendering (textOf).
+// Steady-state polling therefore does not allocate, and the contents
+// are byte-identical to formatting the value afresh.
 func cachedInt(v func() float64, scale float64) func() (string, error) {
 	var cache atomic.Pointer[rendered]
 	return func() (string, error) {
@@ -257,7 +314,7 @@ func cachedInt(v func() float64, scale float64) func() (string, error) {
 		if c := cache.Load(); c != nil && c.n == n {
 			return c.s, nil
 		}
-		c := &rendered{n: n, s: strconv.FormatInt(n, 10) + "\n"}
+		c := textOf(n)
 		cache.Store(c)
 		return c.s, nil
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io/fs"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -237,4 +238,33 @@ func TestNegativeFormatting(t *testing.T) {
 	if got := formatMicro(1.2345678); strings.TrimSpace(got) != "1234568" {
 		t.Fatalf("formatMicro = %q", got)
 	}
+}
+
+// TestCachedIntMatchesFormatting reads value attributes from several
+// goroutines at once, each through its own renderer over a wandering
+// value, so the shared table of renderings is filled, hit and capped
+// concurrently; every text must equal formatting the value afresh.
+// Run it under -race.
+func TestCachedIntMatchesFormatting(t *testing.T) {
+	const workers, reads = 4, 3 * maxTexts
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var v float64
+			show := cachedMilli(func() float64 { return v })
+			for i := range reads {
+				// A walk over negative and positive values, spread so the
+				// workers together pass the table's cap.
+				v = float64((i*7919+w*104729)%(4*maxTexts)-2*maxTexts) / 1e3
+				got, err := show()
+				if want := formatMilli(v); got != want || err != nil {
+					t.Errorf("rendering of %v = %q, %v; want %q", v, got, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,10 +1,11 @@
 package ina226_test
 
-// Differential suite for Config.Deferred: a deferred device and an eager
-// twin, each on its own engine with the same seed (so identical probe,
-// noise and fault streams), run the same random program of ticks,
-// accessors, register writes, interval changes and fault-hook swaps.
-// Every observation must agree bit for bit.
+// Differential suite for a deferred device: a device deferred on a
+// Clock and an eager twin stepped directly, each on its own engine with
+// the same seed (so identical probe, noise and fault streams), run the
+// same random program of ticks, accessors, register writes, interval
+// changes and fault-hook swaps. Every observation must agree bit for
+// bit.
 //
 // After each op the suite compares what does not sync the deferred
 // device: the op's own result, Updates() and the process counters'
@@ -160,11 +161,13 @@ var programs = check.Gen[program]{
 	},
 }
 
-// twin is one device with the engine and injector its streams come from.
+// twin is one device with the injector its streams come from and, for
+// the deferred twin, the clock that steps it.
 type twin struct {
-	dev *ina226.Device
-	inj *faults.Injector
-	now time.Duration
+	dev   *ina226.Device
+	clock *ina226.Clock
+	inj   *faults.Injector
+	now   time.Duration
 }
 
 const twinLabel = "ina226_u78"
@@ -191,8 +194,7 @@ func newTwin(p program, deferred bool) (*twin, error) {
 				drift = 0.05*float64(now/time.Millisecond%7) + upRng.NormFloat64()*0.002
 			}),
 		},
-		Rand:     eng.Stream("ina226/" + twinLabel),
-		Deferred: deferred,
+		Rand: eng.Stream("ina226/" + twinLabel),
 	}
 	if p.Noisy {
 		cfg.NoiseShuntVolts, cfg.NoiseBusVolts = 2e-6, 50e-6
@@ -201,7 +203,12 @@ func newTwin(p program, deferred bool) (*twin, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &twin{dev: dev, inj: faults.New(faults.Profile{StaleRate: p.Stale, BitFlipRate: p.Flip}, eng)}, nil
+	tw := &twin{dev: dev, inj: faults.New(faults.Profile{StaleRate: p.Stale, BitFlipRate: p.Flip}, eng)}
+	if deferred {
+		tw.clock = ina226.NewClock()
+		tw.clock.Add(dev)
+	}
+	return tw, nil
 }
 
 // apply runs o on the twin and renders its result.
@@ -209,8 +216,12 @@ func (tw *twin) apply(o op) string {
 	d := tw.dev
 	switch o.Kind {
 	case opTick:
+		var step sim.Steppable = d
+		if tw.clock != nil {
+			step = tw.clock
+		}
 		for range o.N {
-			d.Step(tw.now, o.Dt)
+			step.Step(tw.now, o.Dt)
 			tw.now += o.Dt
 		}
 		return ""

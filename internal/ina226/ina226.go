@@ -20,6 +20,13 @@
 // observes. The hwmon update interval is configurable between 2 and
 // 35 ms; the default is 35 ms and changing it requires root, both facts
 // the attack model depends on.
+//
+// Since nothing a device does between two latches is observable, a
+// board steps all of its devices through one latch Clock. The clock
+// steps the eager devices on every tick and touches a deferred one only
+// at the tick that closes its window, where the fault draws and the
+// counters advance exactly as on an eager device; the deferred device's
+// analog integration is replayed when something reads it.
 package ina226
 
 import (
@@ -93,21 +100,6 @@ type Config struct {
 	Probe Probe
 	// Rand supplies the noise stream; required when any noise is set.
 	Rand *sim.Rand
-	// Deferred keeps the latch schedule on the tick (fault draws, the
-	// update counter, the conversion counter) but integrates the analog
-	// inputs only when something can observe them: the first register
-	// access after a run of ticks replays them in order (see sync).
-	//
-	// Precondition: the probe and its Upstream read nothing but their
-	// own named random streams, constants, and inputs whose setters
-	// call Sync before they change the value; no other component draws
-	// from those streams or from Rand, or reads the upstream's state
-	// without syncing first; and the device is stepped once per engine
-	// tick, so the pending ticks' now values are consecutive. The
-	// replay then consumes every stream and sees every input exactly as
-	// the per-tick integration would, and the registers come out bit
-	// for bit the same.
-	Deferred bool
 }
 
 // Device is one simulated INA226.
@@ -149,17 +141,21 @@ type Device struct {
 	lastDt  time.Duration
 	lastSec float64
 
-	// Deferred integration (Config.Deferred). accTime stays the latch
-	// schedule's clock; the replay runs its own clock from syncTime,
-	// accTime as of the last sync, over pend ticks of lastDt, the first
-	// of them stepped at pendNow. latchAt is the pending-tick index
-	// (1-based) of the last latch that was not skipped, 0 if none, and
-	// latchMask that latch's flip mask.
+	// Deferred integration (see Clock). accTime is the eager window's
+	// clock and unused while deferred: the clock closes the window at
+	// tick count next. The replay runs its own window clock from
+	// syncTime, the window time at tick count syncTick, up to which the
+	// device is integrated. latchAt is the tick count of the last
+	// pending latch that was not skipped, 0 if none, and latchMask that
+	// latch's flip mask. order is the device's place on its clock, the
+	// order in which the clock steps it when eager.
+	clock     *Clock
+	order     int
 	deferred  bool
-	pend      int
-	pendNow   time.Duration
+	next      int64
+	syncTick  int64
 	syncTime  time.Duration
-	latchAt   int
+	latchAt   int64
 	latchMask LatchedRegs
 }
 
@@ -207,7 +203,6 @@ func New(cfg Config) (*Device, error) {
 		nShunt:     cfg.NoiseShuntVolts,
 		nBus:       cfg.NoiseBusVolts,
 		configReg:  cfgDefault,
-		deferred:   cfg.Deferred,
 	}
 	d.encodeIntervalInConfig()
 	return d, nil
@@ -274,6 +269,7 @@ func (d *Device) SetUpdateInterval(v time.Duration) error {
 	d.sync()
 	d.interval = v
 	d.encodeIntervalInConfig()
+	d.reschedule()
 	return nil
 }
 
@@ -299,22 +295,15 @@ func (d *Device) encodeIntervalInConfig() {
 // Updates returns how many register latches have occurred.
 func (d *Device) Updates() uint64 { return d.updates }
 
-// Step implements sim.Steppable: integrate the analog inputs and latch
-// the registers when the update window closes. A deferred device only
-// counts the tick and keeps the latch schedule; sync integrates later.
+// Step implements sim.Steppable for an eager device: integrate the
+// analog inputs and latch the registers when the update window closes.
+// A Clock calls it for its eager devices; a device on no clock is
+// eager and may be stepped by the engine directly.
 func (d *Device) Step(now, dt time.Duration) {
 	if dt != d.lastDt {
-		d.sync() // pending ticks replay at the dt they were stepped with
 		d.lastDt, d.lastSec = dt, dt.Seconds()
 	}
-	if d.deferred {
-		if d.pend == 0 {
-			d.pendNow = now
-		}
-		d.pend++
-	} else {
-		d.integrate(now)
-	}
+	d.integrate(now)
 	d.accTime += dt
 	if d.accTime >= d.interval {
 		d.latch()
@@ -339,12 +328,16 @@ func (d *Device) integrate(now time.Duration) {
 	d.accBus += vBus * d.lastSec
 }
 
-// latch closes the update window: it draws the fault decisions and
-// advances the counters, then converts the window's inputs, or, on a
-// deferred device, records the latch for sync to convert.
+// latch closes the update window on the tick: it draws the fault
+// decisions and advances the counters, then converts the window's
+// inputs, or, on a deferred device, schedules the next latch and
+// records this one for sync to convert.
 func (d *Device) latch() {
 	window := d.accTime
 	d.accTime = 0
+	if d.deferred {
+		d.clock.schedule(d, 0)
+	}
 	if d.faults.SkipLatch != nil && d.faults.SkipLatch() {
 		// Stale-latch fault: the conversion result is lost; readers keep
 		// seeing the previous registers and update count for another
@@ -361,7 +354,7 @@ func (d *Device) latch() {
 	d.updates++
 	obsConversions.Inc()
 	if d.deferred {
-		d.latchAt, d.latchMask = d.pend, mask
+		d.latchAt, d.latchMask = d.clock.n, mask
 		return
 	}
 	d.convert(window, mask)
@@ -369,48 +362,70 @@ func (d *Device) latch() {
 
 // Sync brings a deferred device up to date and returns the number of
 // ticks it replayed; an eager device has none. An input the probe or
-// its upstream reads calls it before the value changes (see
-// Config.Deferred).
+// its upstream reads calls it before the value changes (see Clock.Add).
 func (d *Device) Sync() int {
-	n := d.pend
+	n := d.pending()
 	d.sync()
 	return n
 }
 
-// Undefer syncs a deferred device, which integrates on every tick from
-// then on, and hands the probe's upstream back to the caller: the
+// pending returns how many ticks the clock stepped since the device
+// was last synced; an eager device has none.
+func (d *Device) pending() int {
+	if !d.deferred {
+		return 0
+	}
+	return int(d.clock.n - d.syncTick)
+}
+
+// Undefer syncs a deferred device, which its clock steps on every tick
+// from then on, and hands the probe's upstream back to the caller: the
 // device no longer steps it, so the caller must step it on every tick
 // before the device.
 func (d *Device) Undefer() {
-	d.sync()
-	d.deferred = false
+	if d.deferred {
+		d.sync()
+		d.accTime = d.syncTime // the eager window picks up where the replay ended
+		d.deferred = false
+		d.clock.undefer(d)
+	}
 	d.probe.Upstream = nil
+}
+
+// reschedule moves a deferred device's next latch after its window
+// changed; the device must be synced.
+func (d *Device) reschedule() {
+	if d.deferred {
+		d.clock.schedule(d, d.syncTime)
+	}
 }
 
 // sync replays a deferred device's pending ticks in order: the
 // upstream steps, the probe and noise draws and the window resets of
-// each tick, on a clock of its own. Only the last recorded latch is
+// each tick, on a window clock of its own and with each tick's now
+// derived from the device's clock. Only the last recorded latch is
 // converted, since each latch overwrites every register and the alert
 // flag. Every accessor that observes analog-derived state, or changes
 // what the replay depends on (interval, calibration, alert
 // configuration, dt), calls it first.
 func (d *Device) sync() {
-	if d.pend == 0 {
+	if d.pending() == 0 {
 		return
 	}
-	t, now := d.syncTime, d.pendNow
-	for i := 1; i <= d.pend; i++ {
+	c := d.clock
+	t, now := d.syncTime, c.nowAt(d.syncTick)
+	for k := d.syncTick + 1; k <= c.n; k++ {
 		d.integrate(now)
 		now += d.lastDt
 		t += d.lastDt
 		if t >= d.interval {
-			if i == d.latchAt {
+			if k == d.latchAt {
 				d.convert(t, d.latchMask)
 			}
 			d.accShunt, d.accBus, t = 0, 0, 0
 		}
 	}
-	d.syncTime, d.pend, d.latchAt = t, 0, 0
+	d.syncTick, d.syncTime, d.latchAt = c.n, t, 0
 }
 
 // convert turns a window's integrated inputs into register values using

@@ -107,10 +107,11 @@ func (d *Device) WriteRegister(r Register, v uint16) error {
 	case RegConfig:
 		if v&(1<<cfgResetBit) != 0 {
 			d.reset()
-			return nil
+		} else {
+			d.configReg = v
+			d.applyConfig()
 		}
-		d.configReg = v
-		d.applyConfig()
+		d.reschedule()
 		return nil
 	case RegCalibration:
 		if v == 0 {

@@ -136,11 +136,17 @@ func (e *Engine) Stream(name string) *Rand {
 
 // Tick advances the simulation by one step.
 func (e *Engine) Tick() {
+	e.step()
+	e.obsTicks.Inc()
+}
+
+// step advances the simulation by one step without counting it; Run
+// and RunUntil count their ticks in one Add.
+func (e *Engine) step() {
 	for _, p := range e.parts {
 		p.Step(e.now, e.dt)
 	}
 	e.now += e.dt
-	e.obsTicks.Inc()
 }
 
 // account records a completed Run/RunUntil stretch in the obs layer:
@@ -168,8 +174,9 @@ func (e *Engine) Run(d time.Duration) int {
 	n := int((d + e.dt - 1) / e.dt)
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		e.Tick()
+		e.step()
 	}
+	e.obsTicks.Add(int64(n))
 	e.account(time.Duration(n)*e.dt, time.Since(start))
 	return n
 }
@@ -179,13 +186,18 @@ func (e *Engine) Run(d time.Duration) int {
 // predicate fired.
 func (e *Engine) RunUntil(pred func() bool, budget time.Duration) bool {
 	start, simStart := time.Now(), e.now
-	defer func() { e.account(e.now-simStart, time.Since(start)) }()
+	var n int64
+	defer func() {
+		e.obsTicks.Add(n)
+		e.account(e.now-simStart, time.Since(start))
+	}()
 	deadline := e.now + budget
 	for e.now < deadline {
 		if pred() {
 			return true
 		}
-		e.Tick()
+		e.step()
+		n++
 	}
 	return pred()
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestNewEngineValidation(t *testing.T) {
@@ -113,6 +115,37 @@ func TestRunUntil(t *testing.T) {
 	ok = e.RunUntil(func() bool { return false }, 10*time.Millisecond)
 	if ok {
 		t.Fatal("RunUntil fired on constant-false predicate")
+	}
+}
+
+// TestTickCounter pins sim.ticks: Run and RunUntil add the ticks they
+// executed in one step, with or without an early stop, and a direct
+// Tick counts one.
+func TestTickCounter(t *testing.T) {
+	ticks := obs.C("sim.ticks")
+	e := MustNewEngine(time.Millisecond, 0)
+	count := 0
+	e.MustRegister("c", StepFunc(func(now, dt time.Duration) { count++ }))
+	for _, tc := range []struct {
+		name string
+		run  func()
+		want int64
+	}{
+		{"Run", func() { e.Run(10 * time.Millisecond) }, 10},
+		{"Run rounded up", func() { e.Run(2500 * time.Microsecond) }, 3},
+		{"RunUntil early stop", func() { e.RunUntil(func() bool { return count >= 20 }, time.Second) }, 7},
+		{"RunUntil fired at once", func() { e.RunUntil(func() bool { return true }, time.Second) }, 0},
+		{"RunUntil budget", func() { e.RunUntil(func() bool { return false }, 5*time.Millisecond) }, 5},
+		{"Tick", e.Tick, 1},
+	} {
+		before, steps := ticks.Value(), count
+		tc.run()
+		if got := ticks.Value() - before; got != tc.want {
+			t.Errorf("%s: sim.ticks moved by %d, want %d", tc.name, got, tc.want)
+		}
+		if got := int64(count - steps); got != tc.want {
+			t.Errorf("%s: %d ticks stepped, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 
