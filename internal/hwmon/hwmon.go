@@ -246,57 +246,41 @@ type rendered struct {
 	s string
 }
 
-// Renderings are interned process-wide: every attribute of every board
-// shares one table of the integers rendered so far, since the text of
-// an integer does not depend on the attribute. New renderings are
-// carved from shared chunks (the text from a byte chunk, the pair from
-// a slab), so rendering a value never seen before allocates only once
-// per chunk, and a value seen before not at all.
-var texts struct {
+// Changed values are rendered into chunks shared by every attribute:
+// the texts into a byte chunk, the pairs into a slab, so a change
+// allocates only its share of a chunk.
+var chunks struct {
 	sync.Mutex
-	m    map[int64]*rendered
-	buf  []byte     // unused tail of the text chunk
+	text []byte     // unused tail of the text chunk
 	slab []rendered // unused tail of the pair chunk
 }
 
 const (
-	// maxTexts bounds the table; values past it are rendered from the
-	// chunks without being interned.
-	maxTexts  = 1 << 12
 	textChunk = 4096
 	slabChunk = 256
 )
 
-// textOf returns the interned rendering of n: its decimal digits and a
-// newline.
-func textOf(n int64) *rendered {
-	texts.Lock()
-	defer texts.Unlock()
-	if r, ok := texts.m[n]; ok {
-		return r
-	}
+// render returns a new rendering of n: its decimal digits and a
+// newline, cut from the shared chunks.
+func render(n int64) *rendered {
 	var digits [24]byte
 	b := append(strconv.AppendInt(digits[:0], n, 10), '\n')
-	if len(texts.buf) < len(b) {
-		texts.buf = make([]byte, textChunk)
+	chunks.Lock()
+	defer chunks.Unlock()
+	if len(chunks.text) < len(b) {
+		chunks.text = make([]byte, textChunk)
 	}
-	k := copy(texts.buf, b)
+	k := copy(chunks.text, b)
 	// The chunk's bytes are written once, here, and never again, so the
 	// string may alias them.
-	s := unsafe.String(&texts.buf[0], k)
-	texts.buf = texts.buf[k:]
-	if len(texts.slab) == 0 {
-		texts.slab = make([]rendered, slabChunk)
+	s := unsafe.String(&chunks.text[0], k)
+	chunks.text = chunks.text[k:]
+	if len(chunks.slab) == 0 {
+		chunks.slab = make([]rendered, slabChunk)
 	}
-	r := &texts.slab[0]
-	texts.slab = texts.slab[1:]
+	r := &chunks.slab[0]
+	chunks.slab = chunks.slab[1:]
 	*r = rendered{n: n, s: s}
-	if texts.m == nil {
-		texts.m = make(map[int64]*rendered)
-	}
-	if len(texts.m) < maxTexts {
-		texts.m[n] = r
-	}
 	return r
 }
 
@@ -304,9 +288,9 @@ func textOf(n int64) *rendered {
 // trailing newline. The INA226 latches registers once per update
 // interval (~70 simulation ticks at the default 35 ms), so the dozens
 // of polls in between re-read an identical value and return the last
-// rendering; a changed value takes its interned rendering (textOf).
-// Steady-state polling therefore does not allocate, and the contents
-// are byte-identical to formatting the value afresh.
+// rendering; a changed value is rendered into the shared chunks
+// (render). Steady-state polling therefore does not allocate, and the
+// contents are byte-identical to formatting the value afresh.
 func cachedInt(v func() float64, scale float64) func() (string, error) {
 	var cache atomic.Pointer[rendered]
 	return func() (string, error) {
@@ -314,7 +298,7 @@ func cachedInt(v func() float64, scale float64) func() (string, error) {
 		if c := cache.Load(); c != nil && c.n == n {
 			return c.s, nil
 		}
-		c := textOf(n)
+		c := render(n)
 		cache.Store(c)
 		return c.s, nil
 	}

@@ -3,8 +3,11 @@ package hwmon
 import (
 	"errors"
 	"io/fs"
+	"math"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -240,29 +243,29 @@ func TestNegativeFormatting(t *testing.T) {
 	}
 }
 
-// TestCachedIntMatchesFormatting reads value attributes from several
-// goroutines at once, each through its own renderer over a wandering
-// value, so the shared table of renderings is filled, hit and capped
-// concurrently; every text must equal formatting the value afresh.
-// Run it under -race.
+// TestCachedIntMatchesFormatting reads one value attribute from several
+// goroutines at once over a value that changes on every read, so the
+// renderings fill several of the shared chunks concurrently. Each
+// read must return a well-formed rendering of a value newer than the
+// one its goroutine read before. Run it under -race.
 func TestCachedIntMatchesFormatting(t *testing.T) {
-	const workers, reads = 4, 3 * maxTexts
+	const workers, reads = 4, 2 * slabChunk
+	var next atomic.Int64
+	show := cachedMilli(func() float64 { return float64(next.Add(1)-workers*reads/2) / 1e3 })
 	var wg sync.WaitGroup
-	for w := range workers {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var v float64
-			show := cachedMilli(func() float64 { return v })
-			for i := range reads {
-				// A walk over negative and positive values, spread so the
-				// workers together pass the table's cap.
-				v = float64((i*7919+w*104729)%(4*maxTexts)-2*maxTexts) / 1e3
+			last := int64(math.MinInt64)
+			for range reads {
 				got, err := show()
-				if want := formatMilli(v); got != want || err != nil {
-					t.Errorf("rendering of %v = %q, %v; want %q", v, got, err, want)
+				n, perr := strconv.ParseInt(strings.TrimSuffix(got, "\n"), 10, 64)
+				if err != nil || perr != nil || got != formatMilli(float64(n)/1e3) || n <= last {
+					t.Errorf("read %q, %v after %d; want the rendering of a later value", got, err, last)
 					return
 				}
+				last = n
 			}
 		}()
 	}

@@ -18,8 +18,9 @@ import (
 // since the last one (see Device.Sync).
 //
 // Every device on a clock starts deferred; Device.Undefer makes it
-// eager, and the clock then steps it on every tick, in the order the
-// devices were added.
+// eager, and the clock then steps it on every tick. The order of the
+// eager steps does not matter: each device draws only from its own
+// streams and reads inputs already settled for the tick.
 //
 // The clock must be stepped once per engine tick, with consecutive now
 // values (now+dt is the next tick's now), since a replay derives each
@@ -29,8 +30,8 @@ type Clock struct {
 	now time.Duration // the next tick's now
 	dt  time.Duration // the tick size, 0 before the first Step
 
-	due      int64     // no deferred device latches before tick count due
-	eager    []*Device // in the order added
+	due      int64 // no deferred device latches before tick count due
+	eager    []*Device
 	deferred []*Device
 }
 
@@ -51,7 +52,7 @@ func (c *Clock) Add(d *Device) {
 	if d.clock != nil {
 		panic("ina226: " + d.label + " is already on a clock")
 	}
-	d.clock, d.order, d.deferred = c, len(c.eager)+len(c.deferred), true
+	d.clock, d.deferred = c, true
 	d.syncTick, d.syncTime = c.n, d.accTime
 	c.deferred = append(c.deferred, d)
 	if c.dt > 0 {
@@ -122,10 +123,8 @@ func (c *Clock) nowAt(k int64) time.Duration {
 	return c.now - time.Duration(c.n-k)*c.dt
 }
 
-// undefer moves d from the deferred devices to the eager ones, which
-// stay in the order added.
+// undefer moves d from the deferred devices to the eager ones.
 func (c *Clock) undefer(d *Device) {
 	c.deferred = slices.DeleteFunc(c.deferred, func(e *Device) bool { return e == d })
-	i, _ := slices.BinarySearchFunc(c.eager, d.order, func(e *Device, order int) int { return e.order - order })
-	c.eager = slices.Insert(c.eager, i, d)
+	c.eager = append(c.eager, d)
 }

@@ -147,10 +147,8 @@ type Device struct {
 	// syncTime, the window time at tick count syncTick, up to which the
 	// device is integrated. latchAt is the tick count of the last
 	// pending latch that was not skipped, 0 if none, and latchMask that
-	// latch's flip mask. order is the device's place on its clock, the
-	// order in which the clock steps it when eager.
+	// latch's flip mask.
 	clock     *Clock
-	order     int
 	deferred  bool
 	next      int64
 	syncTick  int64
