@@ -18,10 +18,11 @@ package main
 //
 //	go test ./cmd/benchtab -run TestOracle -update
 //
-// table3 and tvla have goldens too but are too slow for go test (table3
-// runs for over a minute; tvla for about 3 s, but far longer under
-// -race); CI diffs them with the built binaries, see EXPERIMENTS.md for
-// the commands.
+// table3 takes about 4 s (far longer under -race), so its oracle,
+// TestOracleTable3, builds only without the race detector; the race job
+// relies on CI's diff of the built binary's table3 output against the
+// same goldens (see EXPERIMENTS.md for the commands). tvla takes about
+// 0.14 s and runs with the others.
 
 import (
 	"bytes"
@@ -61,27 +62,34 @@ func runChild(t *testing.T, args ...string) []byte {
 }
 
 func TestOracle(t *testing.T) {
-	for _, exp := range []string{"table1", "table2", "fig2", "fig3", "fig4", "applicability", "mitigation"} {
+	for _, exp := range []string{"table1", "table2", "fig2", "fig3", "fig4", "applicability", "mitigation", "tvla"} {
 		t.Run(exp, func(t *testing.T) {
 			t.Parallel()
-			ledgerPath := filepath.Join(t.TempDir(), "runs.jsonl")
-			stdout := runChild(t, "-exp", exp, "-ledger", ledgerPath)
-			ms, err := ledger.Read(ledgerPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ms) != 1 {
-				t.Fatalf("ledger holds %d manifests, want 1", len(ms))
-			}
-			canon, err := ledger.CanonicalJSON(ms[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			golden.Check(t, filepath.Join("testdata", exp+".txt"), stdout, *update)
-			golden.Check(t, filepath.Join("testdata", exp+".canonical.json"), append(canon, '\n'), *update)
-			checkTimings(t, ms[0], exp)
+			oracle(t, exp)
 		})
 	}
+}
+
+// oracle runs one experiment with -ledger and checks its stdout,
+// canonical manifest and span counts.
+func oracle(t *testing.T, exp string) {
+	t.Helper()
+	ledgerPath := filepath.Join(t.TempDir(), "runs.jsonl")
+	stdout := runChild(t, "-exp", exp, "-ledger", ledgerPath)
+	ms, err := ledger.Read(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 1 {
+		t.Fatalf("ledger holds %d manifests, want 1", len(ms))
+	}
+	canon, err := ledger.CanonicalJSON(ms[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, filepath.Join("testdata", exp+".txt"), stdout, *update)
+	golden.Check(t, filepath.Join("testdata", exp+".canonical.json"), append(canon, '\n'), *update)
+	checkTimings(t, ms[0], exp)
 }
 
 // oracleSpans is the span count of every span each oracle experiment
@@ -95,6 +103,9 @@ var oracleSpans = map[string]map[string]int64{
 	"fig4":          {"runner.rsa": 1},
 	"applicability": {"runner.applicability": 1, "core.applicability_board": 8},
 	"mitigation":    {},
+	"tvla":          {},
+	"table3": {"runner.collect": 1, "core.capture": 390, "runner.evaluate": 1,
+		"core.crossval": 30, "ml.fold_train": 300, "ml.fold_predict": 300},
 }
 
 // checkTimings: a one-experiment run's manifest holds exactly one

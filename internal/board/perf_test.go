@@ -1,7 +1,9 @@
 package board
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,6 +180,48 @@ func BenchmarkTick(b *testing.B) {
 					read()
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkRecordRun measures the attack's in-run read loop as Fig. 4
+// runs it: a board with the RSA victim on the fabric and two recorders
+// on its engine, polling the FPGA sensor's curr1_input and
+// power1_input every 1 ms, timed through SoC.Run. One op is one 1 ms
+// sample of both channels. With 2-boards, each board runs the same
+// loop on a goroutine of its own, so on two cores ns/op stays at the
+// 1-board figure unless the loops share something: an atomic counter
+// bumped on every read shows up as a jump from 1-board to 2-boards.
+func BenchmarkRecordRun(b *testing.B) {
+	for _, boards := range []int{1, 2} {
+		b.Run(fmt.Sprintf("%d-boards", boards), func(b *testing.B) {
+			socs := make([]*SoC, boards)
+			for i := range socs {
+				soc := newSteadyBoard(b, Config{Seed: int64(i + 1)})
+				placeRSA(b, soc)
+				e, _ := soc.Hwmon().ByLabel(SensorFPGA)
+				for _, attr := range []string{"curr1_input", "power1_input"} {
+					rec, err := trace.NewRecorder(time.Millisecond, trace.SysfsProbe(soc.Sysfs(), sysfs.Nobody, e.Attr(attr), 1e-3))
+					if err != nil {
+						b.Fatal(err)
+					}
+					rec.Reserve(b.N + 100)
+					soc.Engine().MustRegister("recorder/"+attr, rec)
+				}
+				soc.Run(100 * time.Millisecond) // render the first values
+				socs[i] = soc
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for _, soc := range socs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					soc.Run(time.Duration(b.N) * time.Millisecond)
+				}()
+			}
+			wg.Wait()
 		})
 	}
 }

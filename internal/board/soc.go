@@ -397,6 +397,7 @@ func newSoC(spec Spec, cfg Config) (*SoC, error) {
 		return nil, err
 	}
 	tree := sysfs.New()
+	tree.SetTally(eng.Tally()) // the engine's runs publish the reads made inside them
 	hw, err := hwmon.New(tree)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Clock is the latch clock of a board's INA226s: one engine part that
@@ -33,10 +35,18 @@ type Clock struct {
 	due      int64 // no deferred device latches before tick count due
 	eager    []*Device
 	deferred []*Device
+
+	ctrs counters // the devices' counters, on the stepping engine's tally
 }
 
 // NewClock returns a clock with no devices.
-func NewClock() *Clock { return &Clock{due: math.MaxInt64} }
+func NewClock() *Clock { return &Clock{due: math.MaxInt64, ctrs: unclocked} }
+
+// SetTally implements sim.Counting: the devices on the clock count
+// their conversions and register reads on t.
+func (c *Clock) SetTally(t *obs.Tally) {
+	c.ctrs = newCounters(t)
+}
 
 // Add puts d on the clock, deferred. d must be on no other clock.
 //
@@ -52,7 +62,7 @@ func (c *Clock) Add(d *Device) {
 	if d.clock != nil {
 		panic("ina226: " + d.label + " is already on a clock")
 	}
-	d.clock, d.deferred = c, true
+	d.clock, d.deferred, d.ctrs = c, true, &c.ctrs
 	d.syncTick, d.syncTime = c.n, d.accTime
 	c.deferred = append(c.deferred, d)
 	if c.dt > 0 {

@@ -50,6 +50,21 @@ var (
 	obsRegisterReads = obs.C("ina226.register_reads")
 )
 
+// counters is where a device counts its conversions and register
+// reads: its clock's, on the tally of the engine that steps the clock,
+// or unclocked, which publishes each event at once.
+type counters struct {
+	tally       *obs.Tally
+	conversions obs.Slot
+	reads       obs.Slot
+}
+
+var unclocked = newCounters(nil)
+
+func newCounters(t *obs.Tally) counters {
+	return counters{t, t.Slot(obsConversions), t.Slot(obsRegisterReads)}
+}
+
 // Datasheet and driver constants.
 const (
 	// ShuntLSB is the shunt-voltage ADC resolution: 2.5 µV.
@@ -134,6 +149,8 @@ type Device struct {
 	// fault-injection hooks (optional; see SetFaults)
 	faults FaultHooks
 
+	ctrs *counters // &unclocked, or the clock's
+
 	// Cached dt→seconds conversion for the fixed-step tick loop. The
 	// engine steps with a constant dt, so the division in
 	// time.Duration.Seconds runs once instead of once per tick; reusing
@@ -201,6 +218,7 @@ func New(cfg Config) (*Device, error) {
 		nShunt:     cfg.NoiseShuntVolts,
 		nBus:       cfg.NoiseBusVolts,
 		configReg:  cfgDefault,
+		ctrs:       &unclocked,
 	}
 	d.encodeIntervalInConfig()
 	return d, nil
@@ -350,7 +368,7 @@ func (d *Device) latch() {
 		mask = d.faults.FlipLatch()
 	}
 	d.updates++
-	obsConversions.Inc()
+	d.ctrs.tally.Add(d.ctrs.conversions, 1)
 	if d.deferred {
 		d.latchAt, d.latchMask = d.clock.n, mask
 		return
@@ -480,7 +498,7 @@ type Readings struct {
 // Read returns the currently latched measurements.
 func (d *Device) Read() Readings {
 	d.sync()
-	obsRegisterReads.Inc()
+	d.ctrs.tally.Add(d.ctrs.reads, 1)
 	return Readings{
 		CurrentAmps: float64(d.currentReg) * d.currentLSB,
 		BusVolts:    float64(d.busReg) * BusLSB,

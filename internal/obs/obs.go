@@ -16,7 +16,14 @@
 // Primitives are built for hot paths: a Counter.Add is one atomic add,
 // a Histogram.Observe is an atomic add into a geometric bucket, and
 // instrumented code holds *Counter/*Histogram pointers so the registry
-// map is only consulted at setup time.
+// map is only consulted at setup time. The counters a simulation bumps
+// per event (sim ticks, sysfs reads and bytes, INA226 conversions and
+// register reads, recorded samples and gaps) go through the engine's
+// Tally instead: plain adds while a Run is stepping, one atomic Add per
+// counter when it returns. So counters are exact whenever no run is in
+// progress, which is when the CLIs, the ledger, job checkpoints and the
+// bench harness snapshot them; a snapshot taken while runs are stepping
+// on other goroutines lags by at most one Run call per engine.
 //
 // Retention is bounded, and no span is dropped: histograms summarize
 // into fixed geometric buckets rather than storing samples, and a

@@ -33,6 +33,13 @@ type Steppable interface {
 	Step(now time.Duration, dt time.Duration)
 }
 
+// Counting is a component that counts events on obs counters as it
+// steps. Register hands it the engine's tally: its counts then publish
+// when the engine's Run, RunUntil or Tick returns, not on every event.
+type Counting interface {
+	SetTally(t *obs.Tally)
+}
+
 // StepFunc adapts a plain function to the Steppable interface.
 type StepFunc func(now, dt time.Duration)
 
@@ -52,12 +59,16 @@ type Engine struct {
 
 	// Observability. Counters aggregate across every live engine (the
 	// fingerprinting pipeline runs many boards in parallel); the ratio
-	// gauge is per-Run, last writer wins.
+	// gauge is per-Run, last writer wins. The engine's own counters and
+	// those of the parts that count per event (sensor reads, latches,
+	// recorded samples) are batched on tally, which Run, RunUntil and
+	// Tick publish when they return.
+	tally     obs.Tally
 	wallInRun time.Duration
 	simInRun  time.Duration
-	obsTicks  *obs.Counter
-	obsSimNs  *obs.Counter
-	obsWallNs *obs.Counter
+	ticks     obs.Slot
+	simNs     obs.Slot
+	wallNs    obs.Slot
 	obsRatio  *obs.Gauge
 }
 
@@ -66,16 +77,17 @@ func NewEngine(dt time.Duration, seed int64) (*Engine, error) {
 	if dt <= 0 {
 		return nil, errors.New("sim: non-positive step")
 	}
-	return &Engine{
-		dt:        dt,
-		seed:      seed,
-		names:     make(map[string]bool),
-		streams:   make(map[string]*Rand),
-		obsTicks:  obs.C("sim.ticks"),
-		obsSimNs:  obs.C("sim.simtime_ns"),
-		obsWallNs: obs.C("sim.walltime_ns"),
-		obsRatio:  obs.G("sim.ratio"),
-	}, nil
+	e := &Engine{
+		dt:       dt,
+		seed:     seed,
+		names:    make(map[string]bool),
+		streams:  make(map[string]*Rand),
+		obsRatio: obs.G("sim.ratio"),
+	}
+	e.ticks = e.tally.Slot(obs.C("sim.ticks"))
+	e.simNs = e.tally.Slot(obs.C("sim.simtime_ns"))
+	e.wallNs = e.tally.Slot(obs.C("sim.walltime_ns"))
+	return e, nil
 }
 
 // MustNewEngine is NewEngine for static configurations; it panics on error.
@@ -97,7 +109,8 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Seed() int64 { return e.seed }
 
 // Register adds a component to the step list under a unique name.
-// Registration order is step order within a tick.
+// Registration order is step order within a tick. A Counting component
+// gets the engine's tally.
 func (e *Engine) Register(name string, s Steppable) error {
 	if s == nil {
 		return errors.New("sim: nil component")
@@ -107,6 +120,9 @@ func (e *Engine) Register(name string, s Steppable) error {
 	}
 	e.names[name] = true
 	e.parts = append(e.parts, s)
+	if c, ok := s.(Counting); ok {
+		c.SetTally(&e.tally)
+	}
 	return nil
 }
 
@@ -134,14 +150,20 @@ func (e *Engine) Stream(name string) *Rand {
 	return r
 }
 
+// Tally returns the engine's tally. Counts added to it during Run,
+// RunUntil or Tick publish when that call returns; counts added at any
+// other time publish at once.
+func (e *Engine) Tally() *obs.Tally { return &e.tally }
+
 // Tick advances the simulation by one step.
 func (e *Engine) Tick() {
+	defer e.tally.End(e.tally.Begin())
 	e.step()
-	e.obsTicks.Inc()
+	e.tally.Add(e.ticks, 1)
 }
 
 // step advances the simulation by one step without counting it; Run
-// and RunUntil count their ticks in one Add.
+// and RunUntil count their ticks when they return.
 func (e *Engine) step() {
 	for _, p := range e.parts {
 		p.Step(e.now, e.dt)
@@ -149,20 +171,24 @@ func (e *Engine) step() {
 	e.now += e.dt
 }
 
-// account records a completed Run/RunUntil stretch in the obs layer:
-// cumulative sim and wall nanoseconds (global counters) and this
-// engine's lifetime sim-time/wall-time ratio (gauge).
-func (e *Engine) account(sim, wall time.Duration) {
-	if sim <= 0 {
-		return
+// finish ends a Run or RunUntil that began at sim time simStart and
+// wall time start: it counts the ticks stepped since, adds the sim and
+// wall nanoseconds (global counters) and updates this engine's lifetime
+// sim-time/wall-time ratio (gauge), then publishes the tally if opened.
+// Run and RunUntil defer it, so a step that panics still publishes.
+func (e *Engine) finish(opened bool, simStart time.Duration, start time.Time) {
+	sim, wall := e.now-simStart, time.Since(start)
+	if sim > 0 {
+		e.simInRun += sim
+		e.wallInRun += wall
+		e.tally.Add(e.ticks, int64(sim/e.dt))
+		e.tally.Add(e.simNs, sim.Nanoseconds())
+		e.tally.Add(e.wallNs, wall.Nanoseconds())
+		if e.wallInRun > 0 {
+			e.obsRatio.Set(float64(e.simInRun) / float64(e.wallInRun))
+		}
 	}
-	e.simInRun += sim
-	e.wallInRun += wall
-	e.obsSimNs.Add(sim.Nanoseconds())
-	e.obsWallNs.Add(wall.Nanoseconds())
-	if e.wallInRun > 0 {
-		e.obsRatio.Set(float64(e.simInRun) / float64(e.wallInRun))
-	}
+	e.tally.End(opened)
 }
 
 // Run advances the simulation by d (rounded up to a whole number of
@@ -172,12 +198,10 @@ func (e *Engine) Run(d time.Duration) int {
 		return 0
 	}
 	n := int((d + e.dt - 1) / e.dt)
-	start := time.Now()
+	defer e.finish(e.tally.Begin(), e.now, time.Now())
 	for i := 0; i < n; i++ {
 		e.step()
 	}
-	e.obsTicks.Add(int64(n))
-	e.account(time.Duration(n)*e.dt, time.Since(start))
 	return n
 }
 
@@ -185,19 +209,13 @@ func (e *Engine) Run(d time.Duration) int {
 // the budget elapses, whichever comes first. It reports whether the
 // predicate fired.
 func (e *Engine) RunUntil(pred func() bool, budget time.Duration) bool {
-	start, simStart := time.Now(), e.now
-	var n int64
-	defer func() {
-		e.obsTicks.Add(n)
-		e.account(e.now-simStart, time.Since(start))
-	}()
+	defer e.finish(e.tally.Begin(), e.now, time.Now())
 	deadline := e.now + budget
 	for e.now < deadline {
 		if pred() {
 			return true
 		}
 		e.step()
-		n++
 	}
 	return pred()
 }

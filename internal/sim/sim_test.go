@@ -149,6 +149,98 @@ func TestTickCounter(t *testing.T) {
 	}
 }
 
+// counting is a component that counts one event per step on the
+// tally Register hands it, and records what the counter read on each
+// step.
+type counting struct {
+	c      *obs.Counter
+	tally  *obs.Tally
+	slot   obs.Slot
+	seen   []int64
+	panicN int // panic on this step, counting from 1 (0: never)
+}
+
+func (p *counting) SetTally(t *obs.Tally) { p.tally, p.slot = t, t.Slot(p.c) }
+
+func (p *counting) Step(now, dt time.Duration) {
+	p.tally.Add(p.slot, 1)
+	p.seen = append(p.seen, p.c.Value())
+	if len(p.seen) == p.panicN {
+		panic("step failed")
+	}
+}
+
+// TestRunPublishesTally pins the engine's tally: a Counting part gets
+// it at Register, its counts stay pending while Run, RunUntil or Tick
+// is stepping and are published when the call returns, and sim.ticks
+// is on the same tally.
+func TestRunPublishesTally(t *testing.T) {
+	e := MustNewEngine(time.Millisecond, 0)
+	p := &counting{c: obs.NewRegistry().Counter("events")}
+	e.MustRegister("p", p)
+	if p.tally != e.Tally() {
+		t.Fatal("Register did not hand the part the engine's tally")
+	}
+	ticks := obs.C("sim.ticks")
+	for _, tc := range []struct {
+		name string
+		run  func()
+		n    int64
+	}{
+		{"Run", func() { e.Run(5 * time.Millisecond) }, 5},
+		{"RunUntil", func() { e.RunUntil(func() bool { return false }, 3*time.Millisecond) }, 3},
+		{"Tick", e.Tick, 1},
+	} {
+		before, t0 := p.c.Value(), ticks.Value()
+		p.seen = p.seen[:0]
+		tc.run()
+		for i, v := range p.seen {
+			if v != before {
+				t.Errorf("%s: step %d saw the counter at %d, want %d until the call returns", tc.name, i, v, before)
+			}
+		}
+		if got := p.c.Value() - before; got != tc.n {
+			t.Errorf("%s: counter moved by %d, want %d", tc.name, got, tc.n)
+		}
+		if got := ticks.Value() - t0; got != tc.n {
+			t.Errorf("%s: sim.ticks moved by %d, want %d", tc.name, got, tc.n)
+		}
+	}
+	p.tally.Add(p.slot, 1) // outside a run: at once
+	if got := p.c.Value(); got != 10 {
+		t.Fatalf("counter = %d after an Add between runs, want 10", got)
+	}
+}
+
+// TestPanickingStepPublishes: a run whose step panics still publishes
+// the events counted before the panic and the ticks completed, and the
+// engine's next run publishes as usual.
+func TestPanickingStepPublishes(t *testing.T) {
+	e := MustNewEngine(time.Millisecond, 0)
+	p := &counting{c: obs.NewRegistry().Counter("events"), panicN: 4}
+	e.MustRegister("p", p)
+	ticks := obs.C("sim.ticks")
+	t0 := ticks.Value()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the step did not panic")
+			}
+		}()
+		e.Run(10 * time.Millisecond)
+	}()
+	if got := p.c.Value(); got != 4 {
+		t.Errorf("counter = %d after the panic, want the 4 steps counted", got)
+	}
+	if got := ticks.Value() - t0; got != 3 {
+		t.Errorf("sim.ticks moved by %d, want the 3 completed ticks", got)
+	}
+	e.Run(2 * time.Millisecond)
+	if got := p.c.Value(); got != 6 {
+		t.Errorf("counter = %d after the next run, want 6", got)
+	}
+}
+
 func TestStreamsDeterministic(t *testing.T) {
 	e1 := MustNewEngine(time.Millisecond, 7)
 	e2 := MustNewEngine(time.Millisecond, 7)

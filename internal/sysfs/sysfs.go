@@ -24,7 +24,6 @@ import (
 	"path"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -74,13 +73,11 @@ type node struct {
 	attr     *Attr            // nil for directories
 	children map[string]*node // nil for files
 
-	// readCtr caches this attribute's per-basename read counter
-	// ("sysfs.reads.curr1_input", ...). It is registered lazily on the
-	// first successful read — keeping the metric absent until the
-	// attribute is actually read, as before — and cached on the node so
-	// the hot read path does one atomic load instead of a map lookup
-	// (whose interface-boxed string key allocated on every read).
-	readCtr atomic.Pointer[obs.Counter]
+	// readSlot is this attribute's per-basename read counter
+	// ("sysfs.reads.curr1_input", ...) on the tree's tally, the zero
+	// Slot until the first successful read registers it, keeping the
+	// metric absent until the attribute is actually read.
+	readSlot obs.Slot
 }
 
 func (n *node) isDir() bool { return n.attr == nil }
@@ -105,10 +102,14 @@ type FS struct {
 
 	// Read-side observability: every attacker measurement is a sysfs
 	// read, so these counters are the ground truth of how much sensor
-	// data the unprivileged side actually obtained. Per-attribute
-	// counters live on the nodes themselves (see node.readCtr).
-	obsReads   *obs.Counter
-	obsBytes   *obs.Counter
+	// data the unprivileged side actually obtained. The read and byte
+	// counts and the per-attribute ones (see node.readSlot) go through
+	// tally: a board's engine's, which publishes a run's reads when the
+	// run returns, or nil on a tree with no engine, where every read
+	// publishes at once.
+	tally      *obs.Tally
+	reads      obs.Slot
+	readBytes  obs.Slot
 	obsDenied  *obs.Counter
 	obsWrites  *obs.Counter
 	obsMissing *obs.Counter
@@ -117,14 +118,32 @@ type FS struct {
 
 // New returns an empty tree.
 func New() *FS {
-	return &FS{
+	f := &FS{
 		root:       &node{name: ".", children: make(map[string]*node)},
-		obsReads:   obs.C("sysfs.reads"),
-		obsBytes:   obs.C("sysfs.read_bytes"),
 		obsDenied:  obs.C("sysfs.denied"),
 		obsWrites:  obs.C("sysfs.writes"),
 		obsMissing: obs.C("sysfs.not_exist"),
 		obsFaulted: obs.C("sysfs.read_faults"),
+	}
+	f.SetTally(nil)
+	return f
+}
+
+// SetTally counts the tree's reads on t, the tally of the engine whose
+// runs read the tree; nil publishes every read at once.
+func (f *FS) SetTally(t *obs.Tally) {
+	f.tally = t
+	f.reads = t.Slot(obs.C("sysfs.reads"))
+	f.readBytes = t.Slot(obs.C("sysfs.read_bytes"))
+	forgetSlots(f.root)
+}
+
+// forgetSlots drops the read slots below n, which belong to the tally
+// the tree had before.
+func forgetSlots(n *node) {
+	n.readSlot = obs.Slot{}
+	for _, c := range n.children {
+		forgetSlots(c)
 	}
 }
 
@@ -161,18 +180,15 @@ func (f *FS) injectReadFault(hook func() error) error {
 
 // countRead records one successful read of size bytes from attribute
 // node n. The per-basename counter is resolved through the global
-// registry once per node and cached; obs.C is idempotent, so a racing
-// first read on two nodes with the same basename lands on the same
-// counter.
+// registry once per node and tally and cached on the node.
 func (f *FS) countRead(n *node, size int) {
-	f.obsReads.Inc()
-	f.obsBytes.Add(int64(size))
-	c := n.readCtr.Load()
-	if c == nil {
-		c = obs.C("sysfs.reads." + n.name)
-		n.readCtr.Store(c)
+	t := f.tally
+	t.Add(f.reads, 1)
+	t.Add(f.readBytes, int64(size))
+	if n.readSlot == (obs.Slot{}) {
+		n.readSlot = t.Slot(obs.C("sysfs.reads." + n.name))
 	}
-	c.Inc()
+	t.Add(n.readSlot, 1)
 }
 
 func splitPath(p string) ([]string, error) {

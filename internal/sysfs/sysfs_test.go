@@ -6,6 +6,8 @@ import (
 	"io/fs"
 	"testing"
 	"testing/fstest"
+
+	"repro/internal/obs"
 )
 
 // buildTree returns a tree with one RO and one RW attribute plus the
@@ -236,5 +238,39 @@ func TestLiveAttrReflectsState(t *testing.T) {
 	b, _ := f.ReadFile(Nobody, "live")
 	if a == b {
 		t.Fatalf("attribute not live: %q == %q", a, b)
+	}
+}
+
+// TestReadCountersOnTally: a tree's read counters publish at once
+// until it is handed a tally; then reads made inside a batch on that
+// tally publish when the batch ends, the per-attribute counter
+// included, and a tally handed over later takes the per-attribute
+// counter too.
+func TestReadCountersOnTally(t *testing.T) {
+	f, _ := buildTree(t)
+	reads, bytes := obs.C("sysfs.reads"), obs.C("sysfs.read_bytes")
+	attr := obs.C("sysfs.reads.curr1_input")
+	want := func(step string, r, b, a int64) {
+		t.Helper()
+		if reads.Value() != r || bytes.Value() != b || attr.Value() != a {
+			t.Fatalf("%s: reads %d bytes %d curr1_input %d, want %d %d %d",
+				step, reads.Value(), bytes.Value(), attr.Value(), r, b, a)
+		}
+	}
+	r0, b0, a0 := reads.Value(), bytes.Value(), attr.Value()
+	read := func() {
+		if _, err := f.ReadFile(Nobody, "class/hwmon/hwmon0/curr1_input"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	want("without a tally", r0+1, b0+5, a0+1)
+	for i, tally := range []*obs.Tally{new(obs.Tally), new(obs.Tally)} {
+		f.SetTally(tally)
+		opened := tally.Begin()
+		read()
+		want(fmt.Sprintf("tally %d, inside a batch", i), r0+1+int64(i), b0+5+5*int64(i), a0+1+int64(i))
+		tally.End(opened)
+		want(fmt.Sprintf("tally %d, after the batch", i), r0+2+int64(i), b0+10+5*int64(i), a0+2+int64(i))
 	}
 }

@@ -31,7 +31,8 @@ import (
 
 // Acquisition volume counters, shared by every recorder in the process.
 // Both are deterministic for a fixed seed and config: gaps come from the
-// seeded fault engine, not from wall-clock scheduling.
+// seeded fault engine, not from wall-clock scheduling. A recorder counts
+// on the tally of the engine it is registered with (see SetTally).
 var (
 	ctrSamples = obs.C("trace.samples_recorded")
 	ctrGaps    = obs.C("trace.gaps_recorded")
@@ -353,6 +354,12 @@ type Recorder struct {
 	// reserve is the expected sample count; Reserve sizes the trace's
 	// backing array once so the capture loop never regrows it.
 	reserve int
+
+	// the recorded samples and gaps, on the tally of the engine that
+	// steps the recorder (nil: published at once)
+	tally   *obs.Tally
+	samples obs.Slot
+	gaps    obs.Slot
 }
 
 // NewRecorder returns a recorder polling probe every interval.
@@ -363,11 +370,19 @@ func NewRecorder(interval time.Duration, probe func() (float64, error)) (*Record
 	if probe == nil {
 		return nil, errors.New("trace: nil probe")
 	}
-	return &Recorder{
+	r := &Recorder{
 		interval: interval,
 		probe:    probe,
 		trace:    &Trace{Interval: interval},
-	}, nil
+	}
+	r.SetTally(nil)
+	return r, nil
+}
+
+// SetTally implements sim.Counting: the recorder counts its samples and
+// gaps on t.
+func (r *Recorder) SetTally(t *obs.Tally) {
+	r.tally, r.samples, r.gaps = t, t.Slot(ctrSamples), t.Slot(ctrGaps)
 }
 
 // Harden puts the recorder on the hardened read path: faults are the
@@ -445,7 +460,7 @@ func (r *Recorder) attempt(now time.Duration) {
 	r.pending = false
 	if err == nil {
 		r.trace.Samples = append(r.trace.Samples, v)
-		ctrSamples.Inc()
+		r.tally.Add(r.samples, 1)
 		if r.retry != nil {
 			r.retry.Kept()
 		}
@@ -468,7 +483,7 @@ func (r *Recorder) attempt(now time.Duration) {
 // Only a hardened recorder loses samples.
 func (r *Recorder) recordGap() {
 	r.trace.Samples = append(r.trace.Samples, Gap)
-	ctrGaps.Inc()
+	r.tally.Add(r.gaps, 1)
 	if r.retry.Lost() {
 		r.err = fmt.Errorf("trace: %d consecutive losses: %w", r.retry.Losses(), ErrChannelDead)
 	}
