@@ -254,6 +254,10 @@ func measureLevel(cfg CharacterizeConfig, seed int64, level int) (LevelReading, 
 	b.Run(time.Duration(cfg.WarmupUpdates) * interval)
 	bank.Sample() // discard counts accumulated during warmup
 
+	// The level's reads count on the engine's tally and publish when
+	// the level returns, not once per read between the samplers' runs.
+	tally := b.Engine().Tally()
+	defer tally.End(tally.Begin())
 	ctx := context.Background()
 	var sum, got [3]float64
 	var sumR float64

@@ -152,7 +152,8 @@ func (e *Engine) Stream(name string) *Rand {
 
 // Tally returns the engine's tally. Counts added to it during Run,
 // RunUntil or Tick publish when that call returns; counts added at any
-// other time publish at once.
+// other time publish at once, unless the engine's owner opened a batch
+// of its own around a stretch of runs and reads.
 func (e *Engine) Tally() *obs.Tally { return &e.tally }
 
 // Tick advances the simulation by one step.
