@@ -258,11 +258,12 @@ func observeKey(cfg RSAConfig, weight int) (KeyObservation, error) {
 	if err != nil {
 		return KeyObservation{}, err
 	}
-	sumCur, err := stats.Summary(trCur.Samples)
+	// The traces end here: summarise them in place, not through copies.
+	sumCur, err := stats.SummaryInPlace(trCur.Samples)
 	if err != nil {
 		return KeyObservation{}, err
 	}
-	sumPow, err := stats.Summary(trPow.Samples)
+	sumPow, err := stats.SummaryInPlace(trPow.Samples)
 	if err != nil {
 		return KeyObservation{}, err
 	}

@@ -330,6 +330,39 @@ func TestSummaryOrderedProperty(t *testing.T) {
 	}
 }
 
+// Property: Summary and SummaryInPlace both equal MinMax and one
+// Quantile call per quartile, bit for bit; Summary leaves xs as it was.
+// The samples are quantized, so ties are common, as in an ADC trace.
+func TestSummaryMatchesQuantiles(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		xs := make([]float64, 1+rng.Intn(300))
+		for i := range xs {
+			xs[i] = math.Round(rng.NormFloat64()*8) * 0.25
+		}
+		var want FiveNum
+		want.Min, want.Max, _ = MinMax(xs)
+		want.Q1, _ = Quantile(xs, 0.25)
+		want.Median, _ = Quantile(xs, 0.5)
+		want.Q3, _ = Quantile(xs, 0.75)
+		orig := append([]float64(nil), xs...)
+		got, err := Summary(xs)
+		if err != nil || got != want {
+			return false
+		}
+		for i := range xs {
+			if xs[i] != orig[i] {
+				return false
+			}
+		}
+		got, err = SummaryInPlace(xs)
+		return err == nil && got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: histogram counts sum to the number of samples.
 func TestHistogramTotalProperty(t *testing.T) {
 	f := func(seed int64) bool {

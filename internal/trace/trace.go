@@ -496,11 +496,19 @@ func (r *Recorder) recordGap() {
 func (r *Recorder) Trace() (*Trace, error) { return r.trace, r.err }
 
 // Reset discards recorded samples and retry state, keeping the
-// configuration; used between victim runs.
+// configuration; used between victim runs. The new trace keeps the old
+// one's backing array while that holds no samples (a Reserve just
+// before Reset), so a trace handed out earlier keeps what it recorded;
+// an empty one must not be appended to after the Reset.
 func (r *Recorder) Reset() {
+	old := r.trace.Samples
 	r.trace = &Trace{Interval: r.interval}
 	if r.reserve > 0 {
-		r.trace.Samples = make([]float64, 0, r.reserve)
+		if len(old) == 0 && cap(old) >= r.reserve {
+			r.trace.Samples = old
+		} else {
+			r.trace.Samples = make([]float64, 0, r.reserve)
+		}
 	}
 	r.elapsed = 0
 	r.err = nil

@@ -151,6 +151,30 @@ func TestRecorderReset(t *testing.T) {
 	}
 }
 
+// TestRecorderResetKeepsReservation: a Reset right after Reserve keeps
+// the reserved array, and a trace handed out before a Reset keeps its
+// samples while the recorder records into the next one.
+func TestRecorderResetKeepsReservation(t *testing.T) {
+	v := 1.0
+	r, _ := NewRecorder(time.Millisecond, func() (float64, error) { return v, nil })
+	r.Reserve(8)
+	before, _ := r.Trace()
+	r.Reset()
+	after, _ := r.Trace()
+	if cap(after.Samples) < 8 || &before.Samples[:1][0] != &after.Samples[:1][0] {
+		t.Fatal("Reset after Reserve allocated a new array")
+	}
+	r.Step(0, 3*time.Millisecond)
+	kept, _ := r.Trace()
+	r.Reset()
+	v = 2
+	r.Step(0, 3*time.Millisecond)
+	next, _ := r.Trace()
+	if len(kept.Samples) != 3 || kept.Samples[0] != 1 || len(next.Samples) != 3 || next.Samples[0] != 2 {
+		t.Fatalf("recording after Reset reached the earlier trace: kept %v, next %v", kept.Samples, next.Samples)
+	}
+}
+
 func TestSysfsProbe(t *testing.T) {
 	fsys := sysfs.New()
 	if err := fsys.AddAttr("class/hwmon/hwmon0/curr1_input", sysfs.Attr{
